@@ -24,7 +24,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .calibration import FAMILIES, CalibrationError, calibrate, calibrated_system
+from .calibration import (
+    FAMILIES,
+    CalibrationError,
+    calibrate,
+    calibrated_system,
+    default_rule,
+)
 from .kernels import (
     ContinuousReweightedKernel,
     DiscreteReweightedKernel,
@@ -182,7 +188,7 @@ def _build_kernel(cfg: ExperimentConfig, pot: Potential):
     if name in ("order3", "order4"):
         family = name + "-discrete"
         system = _resolve_system(cfg, family)
-        rule = calibrated_system(family)[1]
+        rule = default_rule(family)
         return DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
     if name in ("order3-continuous", "order4-continuous"):
         system = _resolve_system(cfg, name)
@@ -198,7 +204,7 @@ def _moment_spec(cfg: ExperimentConfig):
     if name in ("order3", "order4"):
         family = name + "-discrete"
         system = _resolve_system(cfg, family)
-        rule = calibrated_system(family)[1]
+        rule = default_rule(family)
         return discrete_spec(finite_kernel(system), rule)
     if name in ("order3-continuous", "order4-continuous"):
         system = _resolve_system(cfg, name)

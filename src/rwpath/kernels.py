@@ -6,6 +6,12 @@ along paths bridging x and x'. Four kinds are provided: the free particle,
 the symmetrized kinetic/potential splitting (endpoint time average, no
 Gaussian integral), and the continuous and discrete reweighted kernels
 (tensor Gauss-Hermite average over the bridge coefficients).
+
+The reweighted ``ratio`` works in fixed cache-sized units: chunks of pairs
+times a fixed block of Gauss-Hermite nodes, about 64k points each, reusing
+two buffers. Each pair's nodes are summed in an order set by the block
+alone, so a pair's value is bit-identical however many pairs share the call
+(chunk-invariant).
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ __all__ = [
     "ContinuousReweightedKernel",
     "DiscreteReweightedKernel",
 ]
+
+# Work unit of _ReweightedKernel.ratio: Gauss-Hermite nodes per block and
+# elements (pairs x nodes) per unit, sized so a unit's buffers stay in L2.
+_GH_BLOCK = 100
+_WORK_UNIT = 65_536
 
 # CODATA values: hbar in J s, atomic mass unit in kg, Boltzmann constant in
 # J/K, angstrom in m.
@@ -165,7 +176,7 @@ class _ReweightedKernel(ShortTimeKernel):
         lam = system.bridge_values(self._u)  # (q, T)
         nodes, weights = tensor_gauss_hermite(system.q, self.gh_points)
         self._gh_weights = weights
-        self._disp = nodes @ lam  # (G, T)
+        self._disp = np.ascontiguousarray((nodes @ lam).T)  # (T, G)
 
     def ratio(self, params, x, xp):
         x = np.asarray(x, dtype=float)
@@ -174,7 +185,7 @@ class _ReweightedKernel(ShortTimeKernel):
         scalar = x.ndim == 0
         xf = np.atleast_1d(x).ravel()
         dxf = np.atleast_1d(xp).ravel() - xf
-        beta, sigma = params.beta, params.sigma
+        beta = params.beta
         acc = np.zeros(xf.size)
         # the density vanishes where either argument sits on an infinite wall,
         # even when the interior time rule never samples the endpoints
@@ -184,23 +195,34 @@ class _ReweightedKernel(ShortTimeKernel):
                 & np.isfinite(np.asarray(self.potential.value(xf + dxf), dtype=float))
             )
         u, w = self._u, self._w
-        ref = [xf + dxf * u[t] for t in range(u.size)]  # reference path per node
-        ng = self._disp.shape[0]
-        block = max(1, min(ng, 4_000_000 // max(xf.size, 1)))
-        pts = np.empty((block, xf.size))
-        for lo in range(0, ng, block):
-            hi = min(lo + block, ng)
-            nb = hi - lo
-            buf = pts[:nb]
-            avg = np.zeros((nb, xf.size))
-            for t in range(u.size):
-                np.add(ref[t][None, :], (sigma * self._disp[lo:hi, t])[:, None], out=buf)
-                vt = self.potential.value(buf)
-                vt *= w[t]
-                avg += vt
-            avg *= -beta
-            with np.errstate(under="ignore"):
-                acc += self._gh_weights[lo:hi] @ np.exp(avg, out=avg)
+        sdisp = params.sigma * self._disp  # (T, G)
+        ng = sdisp.shape[1]
+        gblock = min(ng, _GH_BLOCK)
+        pblock = max(1, _WORK_UNIT // gblock)
+        # flat buffers reshaped per unit, so every unit is C-contiguous
+        pts_buf = np.empty(min(pblock, xf.size) * gblock)
+        avg_buf = np.empty_like(pts_buf)
+        for p0 in range(0, xf.size, pblock):
+            p1 = min(p0 + pblock, xf.size)
+            ref = [(xf[p0:p1] + dxf[p0:p1] * u[t])[:, None] for t in range(u.size)]
+            for g0 in range(0, ng, gblock):
+                g1 = min(g0 + gblock, ng)
+                shape = (p1 - p0, g1 - g0)
+                pts = pts_buf[: shape[0] * shape[1]].reshape(shape)
+                avg = avg_buf[: pts.size].reshape(shape)
+                avg.fill(0.0)
+                for t in range(u.size):
+                    np.add(ref[t], sdisp[t, g0:g1], out=pts)
+                    vt = self.potential.value(pts)
+                    vt *= w[t]
+                    avg += vt
+                avg *= -beta
+                with np.errstate(under="ignore"):
+                    np.exp(avg, out=avg)
+                avg *= self._gh_weights[g0:g1]
+                # a row sum reduces each pair's nodes in an order fixed by the
+                # block width alone, whatever the number of rows
+                acc[p0:p1] += avg.sum(axis=1)
         acc[wall] = 0.0
         out = acc.reshape(x.shape) if not scalar else float(acc[0])
         return out

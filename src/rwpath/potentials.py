@@ -86,11 +86,30 @@ def he_cage(
         return y6, z6
 
     def value(x):
+        # 4 eps (y6 (y6 - 1) + z6 (z6 - 1)) evaluated in place in three
+        # buffers, with the operation order of _lj_terms and of that formula,
+        # so the bits match the one-temporary-per-step evaluation
         x = np.asarray(x, dtype=float)
-        y6, z6 = _lj_terms(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = 4.0 * eps * (y6 * (y6 - 1.0) + z6 * (z6 - 1.0))
-        out = np.where((x > 0.0) & (x < box), v, np.inf)
+        out = np.empty_like(x)
+        t2 = np.empty_like(x)
+        t6 = np.empty_like(x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(sigma_lj, x, out=t2)
+            np.multiply(t2, t2, out=t2)
+            np.multiply(t2, t2, out=t6)
+            np.multiply(t6, t2, out=t6)
+            np.subtract(t6, 1.0, out=out)
+            np.multiply(t6, out, out=out)
+            np.subtract(x, box, out=t2)
+            np.divide(sigma_lj, t2, out=t2)
+            np.multiply(t2, t2, out=t2)
+            np.multiply(t2, t2, out=t6)
+            np.multiply(t6, t2, out=t6)
+            np.subtract(t6, 1.0, out=t2)
+            np.multiply(t6, t2, out=t2)
+            np.add(out, t2, out=out)
+            np.multiply(out, 4.0 * eps, out=out)
+        np.copyto(out, np.inf, where=~((x > 0.0) & (x < box)))
         return float(out) if out.ndim == 0 else out
 
     def deriv1(x):

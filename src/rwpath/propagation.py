@@ -160,19 +160,33 @@ def build_matrix(
 
 
 def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
-    """Dense matrix power by square-and-multiply."""
+    """Dense matrix power by square-and-multiply.
+
+    Every product goes into one three-matrix work block, allocated once per
+    call, and the result is a view of it. glibc's malloc maps and
+    page-faults separate matrix-sized arrays anew on every call, but serves
+    a block this size from its heap after the first call frees one."""
     if power < 1:
         raise ValueError("power must be >= 1")
+    a = np.asarray(a)
+    work = np.empty((3,) + a.shape, dtype=a.dtype)
+    base, spare, first = work
+    base[...] = a
     result = None
-    base = a
     e = power
     while True:
         if e & 1:
-            result = base.copy() if result is None else result @ base
+            if result is None:
+                result = first
+                result[...] = base
+            else:
+                np.matmul(result, base, out=spare)
+                result, spare = spare, result
         e >>= 1
         if not e:
             return result
-        base = base @ base
+        np.matmul(base, base, out=spare)
+        base, spare = spare, base
 
 
 def partition_function(matrix: KernelMatrix, n: int | None = None) -> float:
@@ -181,13 +195,20 @@ def partition_function(matrix: KernelMatrix, n: int | None = None) -> float:
     """
     if n is None:
         n = matrix.n
+    p = _finite_power(matrix.values, n + 1)
+    return float(math.fsum(np.diagonal(p)))
+
+
+def _finite_power(a: np.ndarray, power: int) -> np.ndarray:
+    """``matrix_power`` that raises instead of returning inf or NaN entries
+    (an overflow times a zero wall entry gives NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p = matrix_power(matrix.values, n + 1)
+        p = matrix_power(a, power)
     if not np.all(np.isfinite(p)):
         raise OverflowError(
             "matrix power overflowed; rescale by shifting the potential energy zero"
         )
-    return float(math.fsum(np.diagonal(p)))
+    return p
 
 
 def dvr_eigenvalues(
@@ -256,14 +277,16 @@ def reference_z(
 ) -> ReferenceZ:
     """Converged partition function from a high-n propagation of ``kernel``,
     cross-checked against the independent grid eigensolve; a gap beyond
-    ``check_tol`` means the grid is under-resolved and raises.
+    ``check_tol`` means the grid is under-resolved and raises, as do an
+    overflowed matrix power and a NaN gap.
     """
     mat = build_matrix(kernel, params, grid, n_ref)
-    p = matrix_power(mat.values, n_ref + 1)
+    p = _finite_power(mat.values, n_ref + 1)
     z = float(math.fsum(np.diagonal(p)))
     z_dvr = dvr_partition_function(kernel.potential, params, grid)
     gap = abs(z - z_dvr) / z_dvr
-    if gap > check_tol:
+    # written so that a NaN gap fails
+    if not (gap <= check_tol):
         raise RuntimeError(
             f"reference Z disagrees with the grid eigensolve by {gap:.2e} "
             f"(> {check_tol:.0e}); refine the grid or raise n_ref"

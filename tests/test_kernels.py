@@ -103,6 +103,29 @@ def test_kernel_symmetry_on_random_pairs():
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pot,params,lo,hi",
+    [
+        (he_cage(), PhysicalParams(1 / (5.11 * 58), math.sqrt(units_constant()), 4.0), 0.0, 7.153),
+        (quartic(), PhysicalParams(beta=0.25), -2.0, 2.0),
+    ],
+)
+def test_ratio_is_chunk_invariant(pot, params, lo, hi):
+    # a pair's value must not depend on how many pairs share the call
+    rng = np.random.default_rng(7)
+    x = rng.uniform(lo, hi, size=5000)
+    xp = rng.uniform(lo, hi, size=5000)
+    kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
+    whole = kernel.ratio(params, x, xp)
+    singles = np.array([kernel.ratio(params, a, b) for a, b in zip(x, xp)])
+    slices = np.concatenate(
+        [kernel.ratio(params, x[i : i + 37], xp[i : i + 37]) for i in range(0, x.size, 37)]
+    )
+    assert np.count_nonzero(whole) > x.size // 2
+    assert np.array_equal(singles, whole)
+    assert np.array_equal(slices, whole)
+
+
 def test_kernel_positivity():
     p = PhysicalParams(beta=0.5)
     kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])

@@ -66,6 +66,43 @@ def test_he_cage_walls_are_infinite_not_errors():
     assert not np.any(np.isnan(vals))
 
 
+def lj_cage_reference(x, eps=10.22, sig=2.556, box=7.153):
+    """The textbook cage formula, one temporary per step, in the operation
+    order he_cage fuses: (t^2 t^2) t^2 and 4 eps (y6 (y6 - 1) + z6 (z6 - 1))."""
+
+    def pow6(t):
+        t2 = t * t
+        return t2 * t2 * t2
+
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y6 = pow6(sig / x)
+        z6 = pow6(sig / (x - box))
+        v = 4.0 * eps * (y6 * (y6 - 1.0) + z6 * (z6 - 1.0))
+    return np.where((x > 0.0) & (x < box), v, np.inf)
+
+
+def test_he_cage_fused_value_is_bit_identical_to_textbook_formula():
+    pot = he_cage()
+    box = 7.153
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, box, -1.0, box + 1.0, 1e-300, box - 1e-12, math.inf, -math.inf]
+    x = np.concatenate([rng.uniform(-3.0, 10.0, 200_000), special])
+    kept = x.copy()
+    assert np.array_equal(pot.value(x), lj_cage_reference(x))
+    assert np.array_equal(x, kept)
+    grid = x[:600].reshape(20, 30)
+    got = pot.value(grid)
+    assert got.shape == (20, 30)
+    assert np.array_equal(got, lj_cage_reference(grid))
+    for scalar in (3.5, 0.0, np.float64(2.2), np.array(4.4), 3):
+        got = pot.value(scalar)
+        assert type(got) is float
+        assert got == float(lj_cage_reference(scalar))
+    ints = np.arange(-1, 9)
+    assert np.array_equal(pot.value(ints), lj_cage_reference(ints.astype(float)))
+
+
 def test_he_cage_diverges_toward_walls():
     pot = he_cage()
     assert pot.value(0.01) > 1e10

@@ -162,6 +162,18 @@ def test_reference_z_raises_when_grid_underresolved():
         reference_z(kernel, p, g, 63)
 
 
+def test_reference_z_fails_closed_on_overflow():
+    # a deep well overflows the matrix power, and inf times the zero wall
+    # entries gives NaN; that must raise, not pass the cross-check as NaN
+    def walled_deep_well(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) < 3.0, 0.5 * x * x - 80.0, np.inf)
+
+    pot = custom_potential(walled_deep_well, lambda x: np.asarray(x, dtype=float), (-3.0, 3.0))
+    with pytest.raises(OverflowError):
+        reference_z(TrotterKernel(pot), PhysicalParams(beta=10.0), SpatialGrid(-3.0, 3.0, 120), 40)
+
+
 def test_doubling_grid_cells_leaves_z_unchanged():
     p = PhysicalParams(beta=10.0)
     kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
