@@ -19,19 +19,16 @@ from .quadrature import (
     tensor_gauss_hermite,
 )
 from .processes import (
-    ComposedPath,
     CovarianceKernel,
     LambdaSystem,
-    composed_covariance,
+    PathBasis,
     covariance,
-    eval_composed,
     exact_brownian,
     finite_kernel,
     make_custom,
     make_order3,
     make_order4,
-    random_composed_path,
-    schauder,
+    path_basis,
     variance_identity_error,
 )
 from .moments import (
@@ -42,7 +39,6 @@ from .moments import (
     continuous_spec,
     discrete_spec,
     enumerate_indices,
-    isserlis_quartic_check,
     mc_moment_oracle,
     moment,
     sample_spec_moments,

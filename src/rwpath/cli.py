@@ -168,48 +168,42 @@ def _system_defaults(cfg: ExperimentConfig) -> tuple[Potential, PhysicalParams, 
     return pot, params, grid
 
 
-def _resolve_system(cfg: ExperimentConfig, family: str):
-    """Path system for a family: explicit constants from the configuration
-    when given, otherwise freshly calibrated."""
+def _resolve_family(cfg: ExperimentConfig):
+    """(system, rule) of a reweighted kernel name. The system uses explicit
+    constants from the configuration when given, otherwise it is freshly
+    calibrated; the rule is the family's calibration rule, None for the
+    continuous families."""
+    name = cfg.kernel
+    family = name + "-discrete" if name in ("order3", "order4") else name
+    if family not in FAMILIES:
+        raise ValueError(f"unknown kernel family {name!r}")
     if family.startswith("order3"):
         if cfg.alpha is not None:
-            return make_order3(cfg.alpha)
+            return make_order3(cfg.alpha), default_rule(family)
     elif cfg.alpha1 is not None and cfg.alpha2 is not None:
-        return make_order4(cfg.alpha1, cfg.alpha2)
-    return calibrated_system(family)[0]
+        return make_order4(cfg.alpha1, cfg.alpha2), default_rule(family)
+    return calibrated_system(family)
 
 
 def _build_kernel(cfg: ExperimentConfig, pot: Potential):
-    name = cfg.kernel
-    if name == "trotter":
+    if cfg.kernel == "trotter":
         return TrotterKernel(pot)
-    if name == "free-particle":
+    if cfg.kernel == "free-particle":
         return FreeParticleKernel(pot)
-    if name in ("order3", "order4"):
-        family = name + "-discrete"
-        system = _resolve_system(cfg, family)
-        rule = default_rule(family)
-        return DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
-    if name in ("order3-continuous", "order4-continuous"):
-        system = _resolve_system(cfg, name)
+    system, rule = _resolve_family(cfg)
+    if rule is None:
         return ContinuousReweightedKernel(system, pot, gh_points=cfg.gh_points)
-    raise ValueError(f"unknown kernel {name!r}")
+    return DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
 
 
 def _moment_spec(cfg: ExperimentConfig):
-    name = cfg.kernel
-    if name == "trotter":
+    if cfg.kernel == "trotter":
         system, _ = calibrated_system("order3-discrete")
         return discrete_spec(finite_kernel(system), endpoint_trapezoid())
-    if name in ("order3", "order4"):
-        family = name + "-discrete"
-        system = _resolve_system(cfg, family)
-        rule = default_rule(family)
-        return discrete_spec(finite_kernel(system), rule)
-    if name in ("order3-continuous", "order4-continuous"):
-        system = _resolve_system(cfg, name)
+    system, rule = _resolve_family(cfg)
+    if rule is None:
         return continuous_spec(finite_kernel(system))
-    raise ValueError(f"unknown kernel family {name!r}")
+    return discrete_spec(finite_kernel(system), rule)
 
 
 NOMINAL_ORDER = {

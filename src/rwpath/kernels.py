@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import Potential
-from .processes import LambdaSystem
+from .processes import LambdaSystem, path_basis
 from .quadrature import (
     Rule1D,
     composite_legendre_01,
@@ -169,14 +169,14 @@ class _ReweightedKernel(ShortTimeKernel):
         self.potential = potential
         self.time_rule = time_rule
         self.gh_points = int(gh_points)
-        # cached per instance: bridge values at the time nodes and the
-        # Gauss-Hermite displacement table (rho0 is called ~M^2 times)
-        self._u = time_rule.points
-        self._w = time_rule.weights
-        lam = system.bridge_values(self._u)  # (q, T)
+        # cached per instance: the time nodes and the Gauss-Hermite
+        # displacement table (rho0 is called ~M^2 times)
+        basis = path_basis(system, time_rule)
+        self._u = basis.times
+        self._w = basis.weights
         nodes, weights = tensor_gauss_hermite(system.q, self.gh_points)
         self._gh_weights = weights
-        self._disp = np.ascontiguousarray((nodes @ lam).T)  # (T, G)
+        self._disp = np.ascontiguousarray((nodes @ basis.values).T)  # (T, G)
 
     def ratio(self, params, x, xp):
         x = np.asarray(x, dtype=float)

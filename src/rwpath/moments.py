@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .processes import CovarianceKernel, covariance, exact_brownian
+from .processes import CovarianceKernel, covariance, exact_brownian, path_basis
 from .quadrature import Rule1D, composite_legendre_01, gauss_legendre_01
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "moment",
     "brownian_moment",
     "verify_order",
-    "isserlis_quartic_check",
     "mc_moment_oracle",
     "sample_spec_moments",
 ]
@@ -212,9 +211,7 @@ def moment(spec: MomentSpec, idx: MomentIndex) -> float:
     """
     if idx.gaussian_degree % 2:
         return 0.0
-    if spec.is_discrete:
-        return _moment_discrete(spec.kernel, spec.rule, idx)
-    if idx.time_dim > _MAX_TIME_DIM:
+    if not spec.is_discrete and idx.time_dim > _MAX_TIME_DIM:
         raise ValueError(
             f"time-integral dimension {idx.time_dim} exceeds {_MAX_TIME_DIM}; "
             "use mc_moment_oracle for this index"
@@ -222,46 +219,18 @@ def moment(spec: MomentSpec, idx: MomentIndex) -> float:
     if idx.time_dim == 0:
         c11 = float(covariance(spec.kernel, 1.0, 1.0))
         return _double_factorial(idx.gaussian_degree - 1) * c11 ** (idx.gaussian_degree // 2)
+    if spec.is_discrete:
+        return _moment_finite_integral(spec.kernel, idx, spec.rule)
     if spec.kernel.is_exact_brownian:
         return _moment_exact_brownian_integral(idx)
-    return _moment_finite_integral(spec.kernel, idx)
+    return _moment_finite_integral(spec.kernel, idx, _finite_time_rule(idx.time_dim))
 
 
-def _moment_discrete(kernel: CovarianceKernel, rule: Rule1D, idx: MomentIndex) -> float:
-    u = rule.points
-    w = rule.weights
-    nq = len(u)
-    nodes = np.append(u, 1.0)
-    cmat = covariance(kernel, nodes[:, None], nodes[None, :])
-    end = nq
-    slots = _slots(idx)
-    pairings = _pairings(idx.gaussian_degree)
+def _moment_finite_integral(kernel: CovarianceKernel, idx: MomentIndex, rule: Rule1D) -> float:
+    """Isserlis pairing sum over the covariance kernel, summed on the tensor
+    grid of ``rule`` in every time variable: the exact moment of a discrete
+    spec on its own rule, or a quadrature of the time integrals."""
     d = idx.time_dim
-    if d == 0:
-        return _pairing_sum_at(cmat, [end] * len(slots), pairings)
-    total = 0.0
-    for combo in itertools.product(range(nq), repeat=d):
-        tidx = [end if s < 0 else combo[s] for s in slots]
-        weight = 1.0
-        for c in combo:
-            weight *= w[c]
-        total += weight * _pairing_sum_at(cmat, tidx, pairings)
-    return float(total)
-
-
-def _pairing_sum_at(cmat: np.ndarray, tidx: list[int], pairings) -> float:
-    total = 0.0
-    for pairing in pairings:
-        prod = 1.0
-        for a, b in pairing:
-            prod *= cmat[tidx[a], tidx[b]]
-        total += prod
-    return float(total)
-
-
-def _moment_finite_integral(kernel: CovarianceKernel, idx: MomentIndex) -> float:
-    d = idx.time_dim
-    rule = _finite_time_rule(d)
     u = rule.points
     w = rule.weights
     n = len(u)
@@ -432,45 +401,6 @@ def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderRe
     return OrderReport(nu, tol, tuple(entries))
 
 
-def isserlis_quartic_check(M, dim: int, samples: int = 1_000_000, seed: int = 0):
-    """Self-test of the pairing engine on a quartic form.
-
-    Returns the pair (Monte Carlo estimate of E[sum a_i a_j a_k a_l M_ijkl]
-    over a standard normal vector, pairing-formula value
-    sum_ij (M_iijj + M_ijij + M_ijji)).
-    """
-    if dim < 1 or dim > 6:
-        raise ValueError("dim must be between 1 and 6")
-    M = np.asarray(M, dtype=float).reshape(dim, dim, dim, dim)
-    pairing = (
-        float(np.einsum("iijj->", M))
-        + float(np.einsum("ijij->", M))
-        + float(np.einsum("ijji->", M))
-    )
-    est, _ = _quartic_form_mc(M, dim, samples, seed)
-    return est, pairing
-
-
-def _quartic_form_mc(M: np.ndarray, dim: int, samples: int, seed: int):
-    """Mean and standard error of the quartic form over normal samples."""
-    rng = np.random.default_rng(seed)
-    mr = M.reshape(dim * dim, dim * dim)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        b = min(200_000, samples - done)
-        a = rng.standard_normal((b, dim))
-        outer = np.einsum("si,sj->sij", a, a).reshape(b, dim * dim)
-        vals = np.einsum("sm,mn,sn->s", outer, mr, outer)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
-
-
 def sample_spec_moments(
     spec: MomentSpec,
     samples: int,
@@ -489,19 +419,17 @@ def sample_spec_moments(
     (minimum 50 for exact Brownian, the default being 256).
     """
     if spec.is_discrete:
-        nodes = spec.rule.points
-        weights = spec.rule.weights
+        rule = spec.rule
+    elif spec.kernel.is_exact_brownian:
+        panels = 256 if truncation is None else int(truncation)
+        if panels < 50:
+            raise ValueError("truncation must be >= 50 for exact Brownian sampling")
+        rule = composite_legendre_01(panels, 2, sqrt_endpoints=False)
     else:
-        if spec.kernel.is_exact_brownian:
-            panels = 256 if truncation is None else int(truncation)
-            if panels < 50:
-                raise ValueError("truncation must be >= 50 for exact Brownian sampling")
-            rule = composite_legendre_01(panels, 2, sqrt_endpoints=False)
-        else:
-            panels = 64 if truncation is None else int(truncation)
-            rule = composite_legendre_01(panels, 2, sqrt_endpoints=True)
-        nodes = rule.points
-        weights = rule.weights
+        panels = 64 if truncation is None else int(truncation)
+        rule = composite_legendre_01(panels, 2, sqrt_endpoints=True)
+    nodes = rule.points
+    weights = rule.weights
 
     if batch is None:
         # keep the per-batch path matrix around 250 MB
@@ -511,8 +439,7 @@ def sample_spec_moments(
     mk = {k: np.empty(samples) for k in range(1, max_power + 1)}
     finite = not spec.kernel.is_exact_brownian
     if finite:
-        system = spec.kernel.system
-        lam = np.vstack([nodes, system.bridge_values(nodes)])  # (q+1, T)
+        lam = np.vstack([nodes, path_basis(spec.kernel.system, rule).values])  # (q+1, T)
     else:
         has_end = nodes[-1] >= 1.0 - 1e-15
         ts = nodes if has_end else np.append(nodes, 1.0)

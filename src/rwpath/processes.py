@@ -3,17 +3,21 @@
 A path system is a family of bridge functions that, together with the
 reference profile u -> u, defines a finite Gaussian process standing in
 for Brownian motion on [0, 1]. The module also provides the exact
-Brownian reference kernel min(u, v), the dyadic tent functions, and the
-composed paths obtained by chaining a system across 2^k subintervals.
+Brownian reference kernel min(u, v) and `path_basis`, which evaluates a
+system chained across 2^levels dyadic cells, under the dyadic tents, at
+time nodes. The kernels, the moment sampler and the chained-path Monte
+Carlo all build their paths from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .quadrature import Rule1D
 
 Bridge = Callable[[np.ndarray], np.ndarray]
 
@@ -182,132 +186,47 @@ def covariance(kernel: CovarianceKernel, u, v):
     return out
 
 
-def schauder(level: int, index: int, u):
-    """Dyadic tent function value at ``u``.
-
-    The level-1 tent rises from 0 at u=0 to 1/2 at u=1/2 and back to 0 at
-    u=1; deeper levels are translated, contracted copies scaled by
-    2^{-(level-1)/2}. The function is zero outside its support, so any
-    index >= 1 is accepted.
-    """
-    if level < 1 or index < 1:
-        raise ValueError("level and index must be >= 1")
-    u = np.asarray(u, dtype=float)
-    t = 2.0 ** (level - 1) * u - (index - 1)
-    out = 2.0 ** (-(level - 1) / 2.0) * _tent(t)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _tent(t: np.ndarray) -> np.ndarray:
-    return np.where((t >= 0.0) & (t <= 0.5), t, np.where((t > 0.5) & (t <= 1.0), 1.0 - t, 0.0))
-
-
-def dilated_bridge(system: LambdaSystem, levels: int, l: int, j: int, u):
-    """Bridge function of ``system`` compressed into the j-th dyadic cell of
-    [0, 1] at depth ``levels`` and scaled by 2^{-levels/2}; zero outside.
-    """
-    if not (1 <= l <= system.q):
-        raise ValueError("bridge index out of range")
-    if not (1 <= j <= 2**levels):
-        raise ValueError("cell index out of range")
-    u = np.asarray(u, dtype=float)
-    t = 2.0**levels * u - (j - 1)
-    inside = (t >= 0.0) & (t <= 1.0)
-    vals = np.zeros_like(t)
-    tc = np.clip(t, 0.0, 1.0)
-    vals = np.where(inside, system.bridge[l - 1](tc), 0.0)
-    out = 2.0 ** (-levels / 2.0) * vals
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
-class ComposedPath:
-    """Bridge part of a path chained across 2^k dyadic cells.
+class PathBasis:
+    """The bridge part of a finite Gaussian path at fixed time nodes.
 
-    ``schauder_coeffs[l-1]`` holds the 2^{l-1} tent coefficients of level l
-    (1 <= l <= levels); ``bridge_coeffs`` has shape (q, 2^levels). The
-    reference path is not included in the evaluation.
+    With K i.i.d. standard-normal coefficients ``a``, the path's bridge part
+    at ``times`` is ``a @ values``. The rows of ``values`` (K, T) are the
+    2^levels - 1 dyadic tents, level by level, followed by the q bridge
+    functions compressed into each of the 2^levels dyadic cells and scaled
+    by 2^(-levels/2), in (bridge, cell) row-major order. ``times`` and
+    ``weights`` repeat the time rule in every cell, so ``f(path) @ weights``
+    is the time average of ``f`` along the chained path.
     """
 
-    levels: int
-    schauder_coeffs: tuple[np.ndarray, ...]
-    bridge_coeffs: np.ndarray
-    system: LambdaSystem
-
-    def __post_init__(self):
-        if self.levels < 0:
-            raise ValueError("levels must be >= 0")
-        if len(self.schauder_coeffs) != self.levels:
-            raise ValueError("expected one coefficient array per tent level")
-        coeffs = []
-        for l, arr in enumerate(self.schauder_coeffs, start=1):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != (2 ** (l - 1),):
-                raise ValueError(f"level {l} expects 2^{l-1} coefficients")
-            coeffs.append(arr)
-        b = np.asarray(self.bridge_coeffs, dtype=float)
-        if b.shape != (self.system.q, 2**self.levels):
-            raise ValueError("bridge coefficients must have shape (q, 2^levels)")
-        object.__setattr__(self, "schauder_coeffs", tuple(coeffs))
-        object.__setattr__(self, "bridge_coeffs", b)
+    values: np.ndarray
+    times: np.ndarray
+    weights: np.ndarray
 
 
-def random_composed_path(system: LambdaSystem, levels: int, rng: np.random.Generator) -> ComposedPath:
-    """Draw a composed path with i.i.d. standard-normal coefficients."""
-    a = tuple(rng.standard_normal(2 ** (l - 1)) for l in range(1, levels + 1))
-    b = rng.standard_normal((system.q, 2**levels))
-    return ComposedPath(levels, a, b, system)
-
-
-def eval_composed(path: ComposedPath, u):
-    """Value of the composed bridge at ``u``.
-
-    Cells are left-closed/right-open with u = 1 assigned to the last cell,
-    which keeps every index in range and preserves the endpoint zeros.
+def path_basis(system: LambdaSystem, rule: Rule1D, levels: int = 0) -> PathBasis:
+    """Chain ``system`` across 2^levels dyadic cells of [0, 1] and evaluate
+    the basis at the copies of ``rule``'s nodes; at ``levels = 0`` the rows
+    are exactly ``system.bridge_values(rule.points)``.
     """
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError("u must lie in [0, 1]")
-    total = np.zeros_like(u)
-    for l in range(1, path.levels + 1):
-        ncells = 2 ** (l - 1)
-        idx = np.minimum(np.floor(ncells * u).astype(int), ncells - 1)
-        t = ncells * u - idx
-        total = total + path.schauder_coeffs[l - 1][idx] * 2.0 ** (-(l - 1) / 2.0) * _tent(t)
-    ncells = 2**path.levels
-    cell = np.minimum(np.floor(ncells * u).astype(int), ncells - 1)
-    t = np.clip(ncells * u - cell, 0.0, 1.0)
-    scale = 2.0 ** (-path.levels / 2.0)
-    for l in range(path.system.q):
-        total = total + path.bridge_coeffs[l][cell] * scale * path.system.bridge[l](t)
-    if total.ndim == 0:
-        return float(total)
-    return total
-
-
-def composed_covariance(system: LambdaSystem, levels: int, u, v):
-    """Covariance of the composed bridge at (u, v): the direct functional sum
-    over all tent and dilated-bridge terms. Used as an oracle for sampling
-    tests of `eval_composed`.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    total = np.zeros(np.broadcast(u, v).shape)
-    for l in range(1, levels + 1):
-        for j in range(1, 2 ** (l - 1) + 1):
-            total = total + schauder(l, j, u) * schauder(l, j, v)
-    for l in range(1, system.q + 1):
-        for j in range(1, 2**levels + 1):
-            total = total + dilated_bridge(system, levels, l, j, u) * dilated_bridge(
-                system, levels, l, j, v
-            )
-    if total.ndim == 0:
-        return float(total)
-    return total
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
+    ncell = 2**levels
+    nq = rule.points.size
+    times = (np.tile(rule.points, ncell) + np.repeat(np.arange(ncell), nq)) / ncell
+    weights = np.tile(rule.weights, ncell) / ncell
+    values = np.zeros((ncell - 1 + system.q * ncell, times.size))
+    cols = np.arange(times.size)
+    for lvl in range(1, levels + 1):
+        # the level's 2^(lvl-1) tents rise to 2^(-(lvl+1)/2) mid-cell
+        ncl = 2 ** (lvl - 1)
+        idx = np.minimum((ncl * times).astype(int), ncl - 1)
+        t = ncl * times - idx
+        values[ncl - 1 + idx, cols] = 2.0 ** (-(lvl - 1) / 2.0) * np.where(t <= 0.5, t, 1.0 - t)
+    bridges = 2.0 ** (-levels / 2.0) * system.bridge_values(rule.points)  # (q, nq)
+    for j in range(ncell):
+        values[ncell - 1 + j :: ncell, j * nq : (j + 1) * nq] = bridges
+    return PathBasis(values, times, weights)
 
 
 def variance_identity_error(system: LambdaSystem, samples: int = 1000) -> float:

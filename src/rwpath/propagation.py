@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .kernels import (
     rho_fp,
 )
 from .potentials import Potential
+from .processes import path_basis
 
 __all__ = [
     "SpatialGrid",
@@ -250,9 +251,16 @@ def dvr_partition_function(
     grid: SpatialGrid,
     v_cap: float | None = None,
 ) -> float:
+    """Boltzmann sum over the grid spectrum; raises OverflowError when the
+    sum is not finite rather than returning it."""
     energies = dvr_eigenvalues(potential, params, grid, v_cap)
-    with np.errstate(under="ignore"):
-        return float(math.fsum(np.exp(-params.beta * energies)))
+    with np.errstate(under="ignore", over="ignore"):
+        z = float(math.fsum(np.exp(-params.beta * energies)))
+    if not math.isfinite(z):
+        raise OverflowError(
+            "Boltzmann sum overflowed; rescale by shifting the potential energy zero"
+        )
+    return z
 
 
 @dataclass(frozen=True)
@@ -466,53 +474,22 @@ def mc_density_ratio(
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
     system = kernel.system
-    rule = kernel.time_rule
-    potential = kernel.potential
-    ncell = 2**levels
-    q = system.q
-    u_loc = rule.points
-    w_loc = rule.weights
-    nq = u_loc.size
-
-    # global time nodes (cell j, local node i) and their weights
-    cells = np.repeat(np.arange(ncell), nq)
-    u_glob = (np.tile(u_loc, ncell) + cells) / ncell
-    w_glob = np.tile(w_loc, ncell) / ncell
-
-    # tent lookup per level: which coefficient covers each node, and its value
-    tent_idx = []
-    tent_val = []
-    for lvl in range(1, levels + 1):
-        ncl = 2 ** (lvl - 1)
-        idx = np.minimum((ncl * u_glob).astype(int), ncl - 1)
-        t = ncl * u_glob - idx
-        val = 2.0 ** (-(lvl - 1) / 2.0) * np.where(t <= 0.5, t, 1.0 - t)
-        tent_idx.append(idx)
-        tent_val.append(val)
-    # compressed bridge values are the same in every cell
-    gval = 2.0 ** (-levels / 2.0) * system.bridge_values(u_loc)  # (q, nq)
-    gval_glob = np.tile(gval, ncell)  # (q, T)
-
+    basis = path_basis(system, kernel.time_rule, levels)
     beta, sigma = params.beta, params.sigma
-    ref = x + (xp - x) * u_glob
+    ref = x + (xp - x) * basis.times
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         nb = min(batch, samples - done)
-        disp = np.zeros((nb, u_glob.size))
-        for lvl in range(1, levels + 1):
-            a = rng.standard_normal((nb, 2 ** (lvl - 1)))
-            disp += a[:, tent_idx[lvl - 1]] * tent_val[lvl - 1][None, :]
-        b = rng.standard_normal((nb, q, ncell))
-        for lb in range(q):
-            disp += b[:, lb, cells] * gval_glob[lb][None, :]
-        pts = ref[None, :] + sigma * disp
-        avg = np.asarray(potential.value(pts)) @ w_glob
+        # coefficients in the basis's row order: tents level by level, then
+        # the (bridge, cell) grid
+        draws = [rng.standard_normal((nb, 2 ** (lvl - 1))) for lvl in range(1, levels + 1)]
+        draws.append(rng.standard_normal((nb, system.q * 2**levels)))
+        pts = ref[None, :] + sigma * (np.hstack(draws) @ basis.values)
+        avg = np.asarray(kernel.potential.value(pts)) @ basis.weights
         with np.errstate(under="ignore"):
             vals = np.exp(-beta * avg)
         total += float(vals.sum())

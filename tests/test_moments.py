@@ -10,14 +10,12 @@ from rwpath.moments import (
     continuous_spec,
     discrete_spec,
     enumerate_indices,
-    isserlis_quartic_check,
     mc_moment_oracle,
     moment,
     moment_product_from_samples,
     sample_spec_moments,
     verify_order,
 )
-from rwpath.moments import _quartic_form_mc
 from rwpath.processes import exact_brownian, finite_kernel, make_custom, make_order3
 from rwpath.quadrature import endpoint_trapezoid, gauss_legendre_01
 
@@ -231,6 +229,45 @@ def test_order_report_json_round_trip():
 
 
 # -- Isserlis self-test ---------------------------------------------------
+
+def isserlis_quartic_check(M, dim: int, samples: int = 1_000_000, seed: int = 0):
+    """Self-test of the pairing formula on a quartic form.
+
+    Returns the pair (Monte Carlo estimate of E[sum a_i a_j a_k a_l M_ijkl]
+    over a standard normal vector, pairing-formula value
+    sum_ij (M_iijj + M_ijij + M_ijji)).
+    """
+    if dim < 1 or dim > 6:
+        raise ValueError("dim must be between 1 and 6")
+    M = np.asarray(M, dtype=float).reshape(dim, dim, dim, dim)
+    pairing = (
+        float(np.einsum("iijj->", M))
+        + float(np.einsum("ijij->", M))
+        + float(np.einsum("ijji->", M))
+    )
+    est, _ = _quartic_form_mc(M, dim, samples, seed)
+    return est, pairing
+
+
+def _quartic_form_mc(M: np.ndarray, dim: int, samples: int, seed: int):
+    """Mean and standard error of the quartic form over normal samples."""
+    rng = np.random.default_rng(seed)
+    mr = M.reshape(dim * dim, dim * dim)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        b = min(200_000, samples - done)
+        a = rng.standard_normal((b, dim))
+        outer = np.einsum("si,sj->sij", a, a).reshape(b, dim * dim)
+        vals = np.einsum("sm,mn,sn->s", outer, mr, outer)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += b
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
+
 
 def test_isserlis_quartic_all_zero():
     est, pairing = isserlis_quartic_check(np.zeros((2, 2, 2, 2)), 2, samples=10_000)

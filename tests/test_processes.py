@@ -5,20 +5,16 @@ import pytest
 
 from rwpath.calibration import calibrated_system
 from rwpath.processes import (
-    ComposedPath,
-    composed_covariance,
     covariance,
-    eval_composed,
     exact_brownian,
     finite_kernel,
     make_custom,
     make_order3,
     make_order4,
-    random_composed_path,
-    schauder,
+    path_basis,
     variance_identity_error,
 )
-from rwpath.quadrature import composite_legendre_01, integrate_01
+from rwpath.quadrature import Rule1D, composite_legendre_01, endpoint_trapezoid, integrate_01
 
 CONT = composite_legendre_01(64, 8, sqrt_endpoints=True)
 
@@ -133,82 +129,97 @@ def test_exact_brownian_covariance_matches_series_truncation():
     assert covariance(exact_brownian(), u, v) == pytest.approx(float(series), abs=1e-3)
 
 
-def test_schauder_values():
-    assert schauder(1, 1, 0.5) == pytest.approx(0.5)
-    assert schauder(2, 1, 0.25) == pytest.approx(0.5 / math.sqrt(2), abs=1e-15)
-    assert schauder(3, 5, 0.1) == 0.0  # outside the tent's support
-    assert schauder(1, 1, -0.3) == 0.0
+# nodes on cell edges, off-centre and at a tent's peak, to probe every row
+NODES = Rule1D(np.array([0.0, 0.1, 0.5, 0.8, 1.0]), np.full(5, 0.2))
+ORDER3 = calibrated_system("order3-discrete")[0]
+ORDER4 = calibrated_system("order4-discrete")[0]
+
+
+def _tent(t):
+    return np.where((t >= 0.0) & (t <= 0.5), t, np.where((t > 0.5) & (t <= 1.0), 1.0 - t, 0.0))
+
+
+def test_path_basis_tent_values():
+    basis = path_basis(ORDER3, NODES, levels=3)
+
+    def at(u):
+        return basis.values[:, basis.times == u]
+
+    np.testing.assert_allclose(at(0.5)[0], 0.5)  # level-1 peak
+    np.testing.assert_allclose(at(0.25)[1], 0.5 / math.sqrt(2), atol=1e-15)
+    assert np.all(at(0.0125)[5] == 0.0)  # level-3 tent j=3 lives on [1/4, 1/2]
+    assert np.all(at(1.0)[:7] == 0.0)
+
+
+def test_path_basis_rows_are_dilations():
+    levels = 3
+    basis = path_basis(ORDER4, NODES, levels)
+    u = basis.times
+    ncell = 2**levels
+    for lvl in range(1, levels + 1):
+        for j in range(1, 2 ** (lvl - 1) + 1):
+            want = 2.0 ** (-(lvl - 1) / 2) * _tent(2.0 ** (lvl - 1) * u - (j - 1))
+            np.testing.assert_allclose(basis.values[2 ** (lvl - 1) - 2 + j], want, atol=1e-15)
+    cell = np.repeat(np.arange(ncell), NODES.points.size)
+    for l, f in enumerate(ORDER4.bridge):
+        for j in range(ncell):
+            want = np.where(cell == j, 2.0 ** (-levels / 2) * f(np.tile(NODES.points, ncell)), 0.0)
+            np.testing.assert_allclose(basis.values[ncell - 1 + l * ncell + j], want, atol=1e-15)
+
+
+def test_path_basis_endpoint_zeros_at_every_level():
+    for system in (ORDER3, ORDER4):
+        for levels in range(5):
+            for rule in (endpoint_trapezoid(), NODES):
+                basis = path_basis(system, rule, levels)
+                assert basis.times[0] == 0.0 and basis.times[-1] == 1.0
+                np.testing.assert_allclose(basis.values[:, [0, -1]], 0.0, atol=1e-15)
+
+
+def test_path_basis_level_zero_is_bridge_values():
+    for system, rule in (calibrated_system("order3-discrete"), calibrated_system("order4-discrete")):
+        basis = path_basis(system, rule)
+        assert np.array_equal(basis.values, system.bridge_values(rule.points))
+        assert np.array_equal(basis.times, rule.points)
+        assert np.array_equal(basis.weights, rule.weights)
+
+
+def test_path_basis_shapes_and_validation():
+    basis = path_basis(ORDER4, NODES, levels=2)
+    assert basis.values.shape == (3 + 3 * 4, 4 * 5)
+    assert basis.times.shape == basis.weights.shape == (20,)
+    assert basis.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.diff(basis.times) >= 0.0)
     with pytest.raises(ValueError):
-        schauder(0, 1, 0.5)
-    with pytest.raises(ValueError):
-        schauder(1, 0, 0.5)
+        path_basis(ORDER4, NODES, levels=-1)
 
 
-def test_schauder_dilation_relation():
-    u = np.linspace(0, 1, 173)
-    for level, j in [(2, 1), (3, 2), (4, 7)]:
-        direct = schauder(level, j, u)
-        scaled = 2.0 ** (-(level - 1) / 2) * schauder(1, 1, 2.0 ** (level - 1) * u - (j - 1))
-        np.testing.assert_allclose(direct, scaled, atol=1e-15)
+def _levy_covariance(system, rule, levels):
+    """Closed-form covariance of the chained bridge: the Brownian-bridge
+    kernel min(u, v) - uv across cells; within a cell, the linear
+    interpolant of that kernel from the cell's edges plus the system's
+    bridge covariance, compressed by 2^-levels."""
+    ncell = 2**levels
+    nq = rule.points.size
+    t = np.tile(rule.points, ncell)
+    cell = np.repeat(np.arange(ncell), nq)
+    u = (t + cell) / ncell
+    bb = np.minimum(u[:, None], u[None, :]) - u[:, None] * u[None, :]
+    edges = np.stack([cell, cell + 1]) / ncell  # (2, T)
+    interp = np.stack([1.0 - t, t])  # (2, T)
+    kernel = np.minimum(edges[:, None, :, None], edges[None, :, None, :]) - (
+        edges[:, None, :, None] * edges[None, :, None, :]
+    )  # (2, 2, T, T)
+    lin = np.einsum("au,bv,abuv->uv", interp, interp, kernel)
+    bridge = covariance(finite_kernel(system), t[:, None], t[None, :]) - t[:, None] * t[None, :]
+    same = cell[:, None] == cell[None, :]
+    return np.where(same, lin + 2.0**-levels * bridge, bb)
 
 
-def test_eval_composed_zero_coefficients_and_endpoints():
-    system, _ = calibrated_system("order3-discrete")
-    path = ComposedPath(2, (np.zeros(1), np.zeros(2)), np.zeros((2, 4)), system)
-    assert eval_composed(path, 0.37) == 0.0
-    rng = np.random.default_rng(3)
-    path = random_composed_path(system, 3, rng)
-    assert eval_composed(path, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert eval_composed(path, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_eval_composed_level_zero_reduces_to_system():
-    system = make_order3(2.7207)
-    rng = np.random.default_rng(5)
-    path = random_composed_path(system, 0, rng)
-    u = np.linspace(0, 1, 41)
-    direct = sum(path.bridge_coeffs[l, 0] * system.bridge[l](u) for l in range(system.q))
-    np.testing.assert_allclose(eval_composed(path, u), direct, atol=1e-14)
-
-
-def test_eval_composed_size_validation():
-    system = make_order3(2.7207)
-    with pytest.raises(ValueError):
-        ComposedPath(2, (np.zeros(1),), np.zeros((2, 4)), system)
-    with pytest.raises(ValueError):
-        ComposedPath(1, (np.zeros(1),), np.zeros((2, 3)), system)
-
-
-def test_composed_sample_covariance_matches_functional_sum():
-    system, _ = calibrated_system("order4-discrete")
-    levels = 2
-    rng = np.random.default_rng(11)
-    pairs = [(0.15, 0.15), (0.15, 0.4), (0.3, 0.8), (0.55, 0.6), (0.9, 0.95)]
-    nsamples = 200_000
-    ncells = 2**levels
-    # draw all coefficients at once and evaluate the composed path vectorized
-    a = [rng.standard_normal((nsamples, 2 ** (l - 1))) for l in range(1, levels + 1)]
-    b = rng.standard_normal((nsamples, system.q, ncells))
-    us = sorted({u for p in pairs for u in p})
-    vals = {}
-    for u in us:
-        total = np.zeros(nsamples)
-        for l in range(1, levels + 1):
-            ncl = 2 ** (l - 1)
-            idx = min(int(ncl * u), ncl - 1)
-            t = ncl * u - idx
-            tent = t if t <= 0.5 else 1 - t
-            total += a[l - 1][:, idx] * 2.0 ** (-(l - 1) / 2) * tent
-        cell = min(int(ncells * u), ncells - 1)
-        t = ncells * u - cell
-        for l in range(system.q):
-            total += b[:, l, cell] * 2.0 ** (-levels / 2) * system.bridge[l](t)
-        vals[u] = total
-    for u, v in pairs:
-        want = composed_covariance(system, levels, u, v)
-        got = float(np.mean(vals[u] * vals[v]))
-        # 3 sigma of the product-moment estimator
-        cu = composed_covariance(system, levels, u, u)
-        cv = composed_covariance(system, levels, v, v)
-        se = math.sqrt((cu * cv + want**2) / nsamples)
-        assert abs(got - want) < 3.0 * se
+def test_path_basis_gram_matches_levy_covariance():
+    for family in ("order3-discrete", "order4-discrete"):
+        system, rule = calibrated_system(family)
+        for levels in range(5):
+            for r in (rule, NODES):
+                b = path_basis(system, r, levels).values
+                np.testing.assert_allclose(b.T @ b, _levy_covariance(system, r, levels), rtol=0, atol=1e-14)

@@ -174,6 +174,16 @@ def test_reference_z_fails_closed_on_overflow():
         reference_z(TrotterKernel(pot), PhysicalParams(beta=10.0), SpatialGrid(-3.0, 3.0, 120), 40)
 
 
+def test_dvr_partition_function_fails_closed_on_overflow():
+    def deep_well(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * x * x - 80.0
+
+    pot = custom_potential(deep_well, lambda x: np.asarray(x, dtype=float))
+    with pytest.raises(OverflowError):
+        dvr_partition_function(pot, PhysicalParams(beta=10.0), SpatialGrid(-3.0, 3.0, 120))
+
+
 def test_doubling_grid_cells_leaves_z_unchanged():
     p = PhysicalParams(beta=10.0)
     kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
@@ -309,6 +319,14 @@ def test_mc_density_ratio_matches_nmm_small_case():
     est, se = mc_density_ratio(kernel, p, 0.0, 0.0, 2, 400_000, seed=8)
     want = nmm_density_ratio(kernel, p, g, 3, 0.0, 0.0)
     assert abs(est - want) < 4.0 * se
+
+
+def test_mc_density_ratio_seed_zero_pin():
+    # the draw order is fixed: perfbench pins seeded estimates to 1e-9
+    kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
+    est, se = mc_density_ratio(kernel, PhysicalParams(beta=1.0), 0.0, 0.0, 3, 200_000, seed=0)
+    assert est == pytest.approx(0.9554448496135921, rel=1e-12)
+    assert se == pytest.approx(0.0001724729247325162, rel=1e-12)
 
 
 def test_mc_density_ratio_rejects_other_kernels():
