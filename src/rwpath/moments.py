@@ -6,6 +6,11 @@ path powers) matches the corresponding Brownian moments, for every moment
 index up to nu. This module enumerates those indices, evaluates both sides
 through Isserlis pairing sums over the covariance kernel, and provides an
 independent Monte Carlo oracle for cross-checking.
+
+The sampler streams fixed blocks of about 64k path values through buffers
+allocated once per call, and reduces each sample in an order set by the
+number of time nodes alone. Its memory is bounded whatever the sample
+count, and sample i comes out bit-identical however many samples are drawn.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .kernels import _WORK_UNIT
 from .processes import CovarianceKernel, covariance, exact_brownian, path_basis
 from .quadrature import Rule1D, composite_legendre_01, gauss_legendre_01
 
@@ -183,6 +189,11 @@ def _double_factorial(n: int) -> int:
 _FINITE_RULES: dict[int, tuple[int, int]] = {1: (64, 8), 2: (64, 8), 3: (24, 6), 4: (12, 4)}
 
 _MAX_TIME_DIM = 4
+
+# Sample blocks with fewer time nodes than this are worked column by column:
+# one numpy call costs about as much as 80 short per-row inner loops, so
+# per-row work loses below ~24 columns (measured).
+_NARROW = 16
 
 
 @lru_cache(maxsize=8)
@@ -401,13 +412,37 @@ def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderRe
     return OrderReport(nu, tol, tuple(entries))
 
 
+def _row_sums(a: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = sum of row i of ``a``, added in an order fixed by the row
+    width alone. (A BLAS gemv's order also depends on the number of rows.)"""
+    if a.shape[1] < _NARROW:
+        np.copyto(out, a[:, 0])
+        for t in range(1, a.shape[1]):
+            out += a[:, t]
+    else:
+        a.sum(axis=1, out=out)
+
+
+def _series_paths(coeff: np.ndarray, lam: np.ndarray, out: np.ndarray) -> None:
+    """out = coeff @ lam, added term by term in the coefficient index, so a
+    row's bits do not depend on how many rows share the call."""
+    if out.shape[1] < _NARROW:
+        for t in range(out.shape[1]):
+            np.multiply(coeff[:, 0], lam[0, t], out=out[:, t])
+            for j in range(1, lam.shape[0]):
+                out[:, t] += coeff[:, j] * lam[j, t]
+    else:
+        np.multiply(coeff[:, :1], lam[0], out=out)
+        for j in range(1, lam.shape[0]):
+            out += coeff[:, j : j + 1] * lam[j]
+
+
 def sample_spec_moments(
     spec: MomentSpec,
     samples: int,
     truncation: int | None = None,
     seed: int = 0,
     max_power: int = 6,
-    batch: int | None = None,
 ) -> dict:
     """Monte Carlo sample of the endpoint value and the time averages of the
     first ``max_power`` path powers, shared across oracle evaluations.
@@ -417,7 +452,13 @@ def sample_spec_moments(
     increments) on the time nodes; for continuous averages the nodes come
     from a composite panel rule whose panel count is ``truncation``
     (minimum 50 for exact Brownian, the default being 256).
+
+    Samples are drawn and reduced in fixed blocks of about ``_WORK_UNIT``
+    elements, reusing the same buffers, so memory does not grow with
+    ``samples`` and sample i is the same whatever ``samples`` is.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if spec.is_discrete:
         rule = spec.rule
     elif spec.kernel.is_exact_brownian:
@@ -431,39 +472,43 @@ def sample_spec_moments(
     nodes = rule.points
     weights = rule.weights
 
-    if batch is None:
-        # keep the per-batch path matrix around 250 MB
-        batch = max(10_000, 30_000_000 // max(nodes.size, 1))
     rng = np.random.default_rng(seed)
     b1 = np.empty(samples)
     mk = {k: np.empty(samples) for k in range(1, max_power + 1)}
     finite = not spec.kernel.is_exact_brownian
     if finite:
         lam = np.vstack([nodes, path_basis(spec.kernel.system, rule).values])  # (q+1, T)
+        draws = lam.shape[0]
     else:
-        has_end = nodes[-1] >= 1.0 - 1e-15
-        ts = nodes if has_end else np.append(nodes, 1.0)
+        ts = nodes if nodes[-1] >= 1.0 - 1e-15 else np.append(nodes, 1.0)
         sdt = np.sqrt(np.diff(np.concatenate([[0.0], ts])))
+        draws = sdt.size
+    rows = min(samples, max(1, _WORK_UNIT // max(draws, nodes.size)))
+    z = np.empty((rows, draws))
+    paths = np.empty((rows, nodes.size)) if finite else None
+    acc = np.empty((rows, nodes.size))
 
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
-        sl = slice(done, done + b)
+    for r0 in range(0, samples, rows):
+        r1 = min(r0 + rows, samples)
+        zb = z[: r1 - r0]
+        rng.standard_normal(out=zb)
         if finite:
-            coeff = rng.standard_normal((b, lam.shape[0]))
-            paths = coeff @ lam
-            b1[sl] = coeff[:, 0]
+            pb = paths[: r1 - r0]
+            _series_paths(zb, lam, pb)
+            b1[r0:r1] = zb[:, 0]
         else:
-            z = rng.standard_normal((b, sdt.size))
-            full = np.cumsum(sdt[None, :] * z, axis=1)
-            paths = full[:, : nodes.size]
-            b1[sl] = full[:, -1] if not has_end else full[:, nodes.size - 1]
-        pw = paths.copy()
+            zb *= sdt
+            np.cumsum(zb, axis=1, out=zb)
+            # the path at the nodes; the endpoint is the last column either way
+            pb = zb[:, : nodes.size]
+            b1[r0:r1] = zb[:, -1]
+        # acc holds weights * path^k, raised one power at a time
+        ab = acc[: r1 - r0]
+        np.multiply(pb, weights, out=ab)
         for k in range(1, max_power + 1):
             if k > 1:
-                pw *= paths
-            mk[k][sl] = pw @ weights
-        done += b
+                ab *= pb
+            _row_sums(ab, mk[k][r0:r1])
     return {"B1": b1, "M": mk}
 
 
@@ -477,6 +522,8 @@ def mc_moment_oracle(
     """Plain Monte Carlo estimate of the same expectation as `moment`,
     usable in any time dimension. Returns (estimate, standard error).
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2 for a standard error")
     max_power = max([1] + list(idx.time_powers))
     data = sample_spec_moments(spec, samples, truncation, seed, max_power=max_power)
     vals = moment_product_from_samples(data, idx)
@@ -487,11 +534,12 @@ def mc_moment_oracle(
 
 def moment_product_from_samples(data: dict, idx: MomentIndex) -> np.ndarray:
     """Per-sample product (endpoint)^{j_1} * prod_k M_k^{j_{k+2}} from a
-    `sample_spec_moments` payload."""
+    `sample_spec_moments` payload (left unchanged)."""
+    factors = [(data["B1"], idx.j[0])]
+    factors += [(data["M"][k - 2], v) for k, v in enumerate(idx.j[2:], start=3) if v]
     vals = np.ones_like(data["B1"])
-    if idx.j[0]:
-        vals = vals * data["B1"] ** idx.j[0]
-    for k, v in enumerate(idx.j[2:], start=3):
-        if v:
-            vals = vals * data["M"][k - 2] ** v
+    # repeated multiplication: numpy's float ** int is ~20x slower for v >= 3
+    for base, power in factors:
+        for _ in range(power):
+            vals *= base
     return vals

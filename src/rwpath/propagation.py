@@ -18,6 +18,7 @@ import numpy as np
 
 from .calibration import calibrated_system
 from .kernels import (
+    _WORK_UNIT,
     DiscreteReweightedKernel,
     PhysicalParams,
     ShortTimeKernel,
@@ -474,10 +475,15 @@ def mc_density_ratio(
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
+    if samples < 2:
+        raise ValueError("samples must be >= 2 for a standard error")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     system = kernel.system
     basis = path_basis(system, kernel.time_rule, levels)
     beta, sigma = params.beta, params.sigma
     ref = x + (xp - x) * basis.times
+    rows = max(1, _WORK_UNIT // basis.times.size)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
@@ -488,14 +494,19 @@ def mc_density_ratio(
         # the (bridge, cell) grid
         draws = [rng.standard_normal((nb, 2 ** (lvl - 1))) for lvl in range(1, levels + 1)]
         draws.append(rng.standard_normal((nb, system.q * 2**levels)))
-        pts = ref[None, :] + sigma * (np.hstack(draws) @ basis.values)
-        avg = np.asarray(kernel.potential.value(pts)) @ basis.weights
-        with np.errstate(under="ignore"):
-            vals = np.exp(-beta * avg)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        # the paths are built and weighed in blocks of about _WORK_UNIT points
+        for r0 in range(0, nb, rows):
+            coeff = np.hstack([d[r0 : r0 + rows] for d in draws])
+            pts = coeff @ basis.values
+            pts *= sigma
+            pts += ref
+            avg = np.asarray(kernel.potential.value(pts)) @ basis.weights
+            avg *= -beta
+            with np.errstate(under="ignore"):
+                np.exp(avg, out=avg)
+            total += float(avg.sum())
+            total_sq += float(np.dot(avg, avg))
         done += nb
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
-    se = math.sqrt(var / samples) if samples > 1 else float("nan")
-    return mean, se
+    return mean, math.sqrt(var / samples)

@@ -123,6 +123,16 @@ def test_mc_check_subcommand(capsys):
     assert payload["z_score"] < 4.0
 
 
+def test_mc_check_single_sample_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "mc-check", "--potential", "quartic", "--kernel", "order4", "--levels", "2",
+        "--samples", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
+
+
 def test_mc_check_rejects_trotter_kernel(capsys):
     code, _, err = run_cli(capsys, "mc-check", "--kernel", "trotter")
     assert code == 2

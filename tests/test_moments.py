@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rwpath.calibration import calibrated_system
+from rwpath.kernels import _WORK_UNIT
 from rwpath.moments import (
     MomentIndex,
     brownian_moment,
@@ -16,8 +18,8 @@ from rwpath.moments import (
     sample_spec_moments,
     verify_order,
 )
-from rwpath.processes import exact_brownian, finite_kernel, make_custom, make_order3
-from rwpath.quadrature import endpoint_trapezoid, gauss_legendre_01
+from rwpath.processes import exact_brownian, finite_kernel, make_custom, make_order3, path_basis
+from rwpath.quadrature import composite_legendre_01, endpoint_trapezoid, gauss_legendre_01
 
 EB = continuous_spec(exact_brownian())
 
@@ -325,3 +327,79 @@ def test_mc_oracle_continuous_finite_spec():
     idx = ix(4, {5: 1, 3: 1})
     est, se = mc_moment_oracle(spec, idx, samples=300_000, seed=17)
     assert abs(est - moment(spec, idx)) < 4.0 * se
+
+
+def test_mc_oracle_rejects_too_few_samples():
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="samples"):
+            mc_moment_oracle(EB, ix(1, {1: 2}), samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        sample_spec_moments(EB, 0)
+
+
+def test_sample_spec_moments_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        sample_spec_moments(EB, 20_000, truncation=256, max_power=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the payload is 7 x 160 kB; the path matrix alone would be 82 MB
+    assert peak < 16 * 2**20
+
+
+def order4_spec():
+    system, rule = calibrated_system("order4-discrete")
+    return discrete_spec(finite_kernel(system), rule)
+
+
+# draws per sample row: 513 increments on 256 two-point panels plus t = 1,
+# and 4 coefficients on the order-4 rule's 4 nodes
+@pytest.mark.parametrize("spec, width", [(EB, 513), (order4_spec(), 4)])
+def test_sample_spec_moments_do_not_depend_on_blocking(spec, width):
+    rows = _WORK_UNIT // width
+    n2 = 2 * rows + 3
+    whole = sample_spec_moments(spec, n2, seed=21)
+    for n1 in (1, 127, rows + 1):
+        part = sample_spec_moments(spec, n1, seed=21)
+        assert np.array_equal(part["B1"], whole["B1"][:n1])
+        for k in range(1, 7):
+            assert np.array_equal(part["M"][k], whole["M"][k][:n1])
+
+
+@pytest.mark.parametrize("spec", [EB, order4_spec()], ids=["exact-brownian", "order-4"])
+def test_sample_spec_moments_match_unblocked_reference(spec):
+    # the whole draw at once, reduced by BLAS: same stream, same endpoint bits,
+    # averages equal up to the order of the time-node sum
+    n, seed = 3000, 8
+    rng = np.random.default_rng(seed)
+    if spec is EB:
+        rule = composite_legendre_01(256, 2, sqrt_endpoints=False)
+        ts = np.append(rule.points, 1.0)
+        full = np.cumsum(np.sqrt(np.diff(ts, prepend=0.0)) * rng.standard_normal((n, ts.size)), axis=1)
+        paths, b1 = full[:, :-1], full[:, -1]
+    else:
+        rule = spec.rule
+        lam = np.vstack([rule.points, path_basis(spec.kernel.system, rule).values])
+        coeff = rng.standard_normal((n, lam.shape[0]))
+        paths, b1 = coeff @ lam, coeff[:, 0]
+    data = sample_spec_moments(spec, n, seed=seed)
+    assert np.array_equal(data["B1"], b1)
+    for k in range(1, 7):
+        scale = np.abs(paths) ** k @ rule.weights
+        assert np.all(np.abs(data["M"][k] - paths**k @ rule.weights) <= 1e-13 * scale)
+
+
+def test_moment_product_matches_power_formula_and_keeps_payload():
+    data = sample_spec_moments(EB, 2000, seed=4)
+    before = {"B1": data["B1"].copy(), "M": {k: v.copy() for k, v in data["M"].items()}}
+    indices = [idx for mu in range(1, 5) for idx in enumerate_indices(mu)]
+    assert len(indices) == 40
+    for idx in indices:
+        want = data["B1"] ** idx.j[0]
+        for k, v in enumerate(idx.j[2:], start=3):
+            want = want * data["M"][k - 2] ** v
+        got = moment_product_from_samples(data, idx)
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+    assert np.array_equal(data["B1"], before["B1"])
+    assert all(np.array_equal(data["M"][k], before["M"][k]) for k in before["M"])

@@ -329,6 +329,13 @@ def test_mc_density_ratio_seed_zero_pin():
     assert se == pytest.approx(0.0001724729247325162, rel=1e-12)
 
 
+@pytest.mark.parametrize("samples, batch", [(1, 100_000), (0, 100_000), (1000, 0), (1000, -5)])
+def test_mc_density_ratio_rejects_degenerate_sizes(samples, batch):
+    kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
+    with pytest.raises(ValueError, match="samples|batch"):
+        mc_density_ratio(kernel, PhysicalParams(beta=1.0), 0.0, 0.0, 2, samples, batch=batch)
+
+
 def test_mc_density_ratio_rejects_other_kernels():
     with pytest.raises(TypeError):
         mc_density_ratio(TrotterKernel(quartic()), PhysicalParams(beta=1.0), 0, 0, 2, 100)
