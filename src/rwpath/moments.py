@@ -190,9 +190,11 @@ _FINITE_RULES: dict[int, tuple[int, int]] = {1: (64, 8), 2: (64, 8), 3: (24, 6),
 
 _MAX_TIME_DIM = 4
 
-# Sample blocks with fewer time nodes than this are worked column by column:
-# one numpy call costs about as much as 80 short per-row inner loops, so
-# per-row work loses below ~24 columns (measured).
+# Sample blocks with fewer time nodes than this are summed column by column:
+# one numpy call costs about as much as many short per-row inner loops, so
+# per-row sums lose on narrow blocks. The default sampled widths, 4 (order-4
+# rule), 128 (continuous finite kernels) and 512 (exact Brownian), lie on
+# either side of it.
 _NARROW = 16
 
 
@@ -426,15 +428,10 @@ def _row_sums(a: np.ndarray, out: np.ndarray) -> None:
 def _series_paths(coeff: np.ndarray, lam: np.ndarray, out: np.ndarray) -> None:
     """out = coeff @ lam, added term by term in the coefficient index, so a
     row's bits do not depend on how many rows share the call."""
-    if out.shape[1] < _NARROW:
-        for t in range(out.shape[1]):
-            np.multiply(coeff[:, 0], lam[0, t], out=out[:, t])
-            for j in range(1, lam.shape[0]):
-                out[:, t] += coeff[:, j] * lam[j, t]
-    else:
-        np.multiply(coeff[:, :1], lam[0], out=out)
+    for t in range(out.shape[1]):
+        np.multiply(coeff[:, 0], lam[0, t], out=out[:, t])
         for j in range(1, lam.shape[0]):
-            out += coeff[:, j : j + 1] * lam[j]
+            out[:, t] += coeff[:, j] * lam[j, t]
 
 
 def sample_spec_moments(

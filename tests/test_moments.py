@@ -353,11 +353,21 @@ def order4_spec():
     return discrete_spec(finite_kernel(system), rule)
 
 
-# draws per sample row: 513 increments on 256 two-point panels plus t = 1,
-# and 4 coefficients on the order-4 rule's 4 nodes
-@pytest.mark.parametrize("spec, width", [(EB, 513), (order4_spec(), 4)])
-def test_sample_spec_moments_do_not_depend_on_blocking(spec, width):
-    rows = _WORK_UNIT // width
+def sample_block_rows(spec):
+    """Rows per block of sample_spec_moments at its default truncation: the
+    row width is the larger of the draws per sample and the time nodes."""
+    if spec.kernel.is_exact_brownian:
+        nodes = composite_legendre_01(256, 2, sqrt_endpoints=False).points
+        draws = nodes.size + (nodes[-1] < 1.0)  # increments, plus one to t = 1
+    else:
+        nodes = spec.rule.points
+        draws = 1 + path_basis(spec.kernel.system, spec.rule).values.shape[0]
+    return _WORK_UNIT // max(draws, nodes.size)
+
+
+@pytest.mark.parametrize("spec", [EB, order4_spec()], ids=["exact-brownian", "order-4"])
+def test_sample_spec_moments_do_not_depend_on_blocking(spec):
+    rows = sample_block_rows(spec)
     n2 = 2 * rows + 3
     whole = sample_spec_moments(spec, n2, seed=21)
     for n1 in (1, 127, rows + 1):
