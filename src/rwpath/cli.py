@@ -11,7 +11,8 @@ cross-check:
 
 Results are printed as JSON (with the fully resolved configuration echoed
 back); ladders are additionally written as CSV with `--out`. Exit codes:
-0 success, 1 tolerance failure, 2 usage or configuration error.
+0 success, 1 tolerance failure, 2 usage or configuration error (including a
+reference Z that is refused or overflows).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .kernels import (
 )
 from .moments import continuous_spec, discrete_spec, verify_order
 from .potentials import Potential, harmonic, he_cage, quartic
-from .processes import finite_kernel, make_order3, make_order4
+from .processes import exact_brownian, finite_kernel, make_order3, make_order4
 from .propagation import (
     SpatialGrid,
     mc_density_ratio,
@@ -198,21 +199,13 @@ def _build_kernel(cfg: ExperimentConfig, pot: Potential):
 
 def _moment_spec(cfg: ExperimentConfig):
     if cfg.kernel == "trotter":
-        system, _ = calibrated_system("order3-discrete")
-        return discrete_spec(finite_kernel(system), endpoint_trapezoid())
+        # the splitting kernel samples the path at its endpoints only, where
+        # every system's covariance is Brownian
+        return discrete_spec(exact_brownian(), endpoint_trapezoid())
     system, rule = _resolve_family(cfg)
     if rule is None:
         return continuous_spec(finite_kernel(system))
     return discrete_spec(finite_kernel(system), rule)
-
-
-NOMINAL_ORDER = {
-    "trotter": 2.0,
-    "order3": 3.0,
-    "order3-continuous": 3.0,
-    "order4": 4.0,
-    "order4-continuous": 4.0,
-}
 
 
 def _emit(payload: dict, stream=None) -> None:
@@ -401,7 +394,9 @@ def main(argv=None) -> int:
         args.kernel = args.kernel_name
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    # RuntimeError and OverflowError: a reference Z the grid eigensolve
+    # refutes, or one that overflows; both are fixed by the grid or n_ref
+    except (ValueError, FileNotFoundError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

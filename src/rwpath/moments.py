@@ -177,11 +177,18 @@ def _pairings(g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rec(items))
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    for v in range(n, 1, -2):
-        out *= v
-    return out
+def _isserlis_sum(slots: list[int], cov):
+    """Isserlis pairing sum: over all pairings of the Gaussian factors, the
+    product of ``cov(slot_a, slot_b)`` over the pairs, summed. Slot -1 is
+    the endpoint and slot i >= 0 time variable i; ``slots`` is
+    non-decreasing, so every pair arrives with ``slot_a <= slot_b``."""
+    total = 0.0
+    for pairing in _pairings(len(slots)):
+        term = 1.0
+        for a, b in pairing:
+            term = term * cov(slots[a], slots[b])
+        total = total + term
+    return total
 
 
 # Fixed composite resolutions for exact time integrals against smooth finite
@@ -219,11 +226,8 @@ def moment(spec: MomentSpec, idx: MomentIndex) -> float:
     power (exact integral or quadrature sum).
 
     Expands every time average, applies the Isserlis pairing formula over the
-    covariance kernel, and integrates/sums over the time variables. Indices of
-    odd Gaussian degree are analytically zero.
+    covariance kernel, and integrates/sums over the time variables.
     """
-    if idx.gaussian_degree % 2:
-        return 0.0
     if not spec.is_discrete and idx.time_dim > _MAX_TIME_DIM:
         raise ValueError(
             f"time-integral dimension {idx.time_dim} exceeds {_MAX_TIME_DIM}; "
@@ -231,7 +235,7 @@ def moment(spec: MomentSpec, idx: MomentIndex) -> float:
         )
     if idx.time_dim == 0:
         c11 = float(covariance(spec.kernel, 1.0, 1.0))
-        return _double_factorial(idx.gaussian_degree - 1) * c11 ** (idx.gaussian_degree // 2)
+        return _isserlis_sum(_slots(idx), lambda sa, sb: c11)
     if spec.is_discrete:
         return _moment_finite_integral(spec.kernel, idx, spec.rule)
     if spec.kernel.is_exact_brownian:
@@ -245,45 +249,30 @@ def _moment_finite_integral(kernel: CovarianceKernel, idx: MomentIndex, rule: Ru
     spec on its own rule, or a quadrature of the time integrals."""
     d = idx.time_dim
     u = rule.points
-    w = rule.weights
     n = len(u)
     cvv = covariance(kernel, u[:, None], u[None, :])
     cv1 = covariance(kernel, u, np.ones_like(u))
     c11 = float(covariance(kernel, 1.0, 1.0))
     var_u = np.diagonal(cvv).copy()
-    slots = _slots(idx)
 
-    def axis_view(vec, axis):
+    def view(arr, *axes):
         shape = [1] * d
-        shape[axis] = n
-        return vec.reshape(shape)
+        for axis in axes:
+            shape[axis] = n
+        return arr.reshape(shape)
 
-    def mat_view(axis_a, axis_b):
-        shape = [1] * d
-        shape[axis_a] = n
-        shape[axis_b] = n
-        return cvv.reshape(shape)
+    def cov(sa, sb):
+        if sb < 0:
+            return c11
+        if sa < 0:
+            return view(cv1, sb)
+        if sa == sb:
+            return view(var_u, sa)
+        return view(cvv, sa, sb)
 
-    total = np.zeros((n,) * d)
-    for pairing in _pairings(idx.gaussian_degree):
-        scal = 1.0
-        arrs = []
-        for a, b in pairing:
-            sa, sb = slots[a], slots[b]
-            if sa < 0 and sb < 0:
-                scal *= c11
-            elif sa < 0 or sb < 0:
-                arrs.append(axis_view(cv1, max(sa, sb)))
-            elif sa == sb:
-                arrs.append(axis_view(var_u, sa))
-            else:
-                arrs.append(mat_view(min(sa, sb), max(sa, sb)))
-        term = scal
-        for arr in arrs:
-            term = term * arr
-        total = total + term
+    total = _isserlis_sum(_slots(idx), cov)
     for _ in range(d):
-        total = np.tensordot(w, total, axes=(0, 0))
+        total = np.tensordot(rule.weights, total, axes=(0, 0))
     return float(total)
 
 
@@ -309,38 +298,27 @@ def _moment_exact_brownian_integral(idx: MomentIndex) -> float:
     for jpos in range(1, d):
         jac *= t[:, jpos] ** jpos
     slots = _slots(idx)
-    pairings = _pairings(idx.gaussian_degree)
+    times: list[np.ndarray] = []
+
+    def cov(sa, sb):
+        if sb < 0:
+            return 1.0
+        if sa < 0 or sa == sb:
+            return times[sb]
+        return np.minimum(times[sa], times[sb])
+
     total = 0.0
     for perm in itertools.permutations(range(d)):
         times = [w_coord[:, perm[i]] for i in range(d)]
-        integrand = np.zeros(t.shape[0])
-        for pairing in pairings:
-            prod = np.ones(t.shape[0])
-            for a, b in pairing:
-                sa, sb = slots[a], slots[b]
-                if sa < 0 and sb < 0:
-                    continue
-                elif sa < 0 or sb < 0:
-                    prod = prod * times[max(sa, sb)]
-                elif sa == sb:
-                    prod = prod * times[sa]
-                else:
-                    prod = prod * np.minimum(times[sa], times[sb])
-            integrand = integrand + prod
-        total += float(np.dot(wt * jac, integrand))
+        total += float(np.dot(wt * jac, _isserlis_sum(slots, cov)))
     return total
 
 
-_BROWNIAN_CACHE: dict[tuple[int, ...], float] = {}
-
-
+@lru_cache(maxsize=None)
 def brownian_moment(idx: MomentIndex) -> float:
     """Exact-Brownian continuous moment (the left-hand side of every order
     identity); cached since it is independent of the approximating spec."""
-    key = idx.j
-    if key not in _BROWNIAN_CACHE:
-        _BROWNIAN_CACHE[key] = moment(continuous_spec(exact_brownian()), idx)
-    return _BROWNIAN_CACHE[key]
+    return moment(continuous_spec(exact_brownian()), idx)
 
 
 @dataclass(frozen=True)

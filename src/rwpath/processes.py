@@ -46,26 +46,10 @@ class LambdaSystem:
     def q(self) -> int:
         return len(self.bridge)
 
-    def lambda0(self, u):
-        """Reference-path profile; the identity for every implemented family."""
-        return np.asarray(u, dtype=float)
-
     def bridge_values(self, u) -> np.ndarray:
         """Stack bridge-function values: shape (q,) + shape(u)."""
         u = np.asarray(u, dtype=float)
         return np.stack([f(u) for f in self.bridge])
-
-    def reversed_system(self) -> "LambdaSystem":
-        """The system with every bridge function reflected about u = 1/2."""
-        flipped = tuple(_reflect(f) for f in self.bridge)
-        return LambdaSystem(flipped, self.symmetry, self.family + "-reversed", self.params)
-
-
-def _reflect(f: Bridge) -> Bridge:
-    def g(u, _f=f):
-        return _f(1.0 - np.asarray(u, dtype=float))
-
-    return g
 
 
 def make_order3(alpha: float) -> LambdaSystem:

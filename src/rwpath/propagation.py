@@ -453,8 +453,13 @@ def nmm_density_ratio(
     if abs(pts[i] - x) > 1e-9 or abs(pts[j] - xp) > 1e-9:
         raise ValueError("x and x' must lie on the grid")
     mat = build_matrix(kernel, params, grid, n)
-    p = matrix_power(mat.values, n + 1)
+    p = _finite_power(mat.values, n + 1)
     return float(p[i, j] / grid.h / rho_fp(params, x, xp))
+
+
+# Samples whose normals are drawn together; the draw order, and so every
+# seeded estimate, depends on it.
+_MC_BATCH = 100_000
 
 
 def mc_density_ratio(
@@ -465,7 +470,6 @@ def mc_density_ratio(
     levels: int,
     samples: int,
     seed: int = 0,
-    batch: int = 100_000,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of rho_n(x, x'; beta) / rho_fp(x, x'; beta) for
     n = 2^levels - 1, sampling the chained-path representation directly:
@@ -477,8 +481,6 @@ def mc_density_ratio(
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
     system = kernel.system
     basis = path_basis(system, kernel.time_rule, levels)
     beta, sigma = params.beta, params.sigma
@@ -489,7 +491,7 @@ def mc_density_ratio(
     total_sq = 0.0
     done = 0
     while done < samples:
-        nb = min(batch, samples - done)
+        nb = min(_MC_BATCH, samples - done)
         # coefficients in the basis's row order: tents level by level, then
         # the (bridge, cell) grid
         draws = [rng.standard_normal((nb, 2 ** (lvl - 1))) for lvl in range(1, levels + 1)]

@@ -139,6 +139,15 @@ def test_mc_check_rejects_trotter_kernel(capsys):
     assert "reweighted" in err
 
 
+def test_order_refused_reference_is_a_usage_error(capsys):
+    # 40 cells under-resolve the quartic: the grid eigensolve refutes the
+    # reference Z, which is a configuration error, not a tolerance failure
+    code, out, err = run_cli(capsys, "order", "--potential", "quartic", "--m-max", "2", "--grid-m", "40")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: reference Z disagrees")
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(

@@ -18,7 +18,7 @@ from rwpath.moments import (
     sample_spec_moments,
     verify_order,
 )
-from rwpath.processes import exact_brownian, finite_kernel, make_custom, make_order3, path_basis
+from rwpath.processes import covariance, exact_brownian, finite_kernel, make_custom, make_order3, path_basis
 from rwpath.quadrature import composite_legendre_01, endpoint_trapezoid, gauss_legendre_01
 
 EB = continuous_spec(exact_brownian())
@@ -96,8 +96,8 @@ def test_exact_brownian_values(idx, value):
 
 def test_gaussian_degree_always_even_and_odd_branch_guarded():
     # valid integer-mu indices always have even degree (2mu minus twice the
-    # number of average factors); the analytic-zero branch for odd degree is
-    # defensive and the pairing enumerator refuses odd counts outright
+    # number of average factors), so moment() has no odd-degree branch, and
+    # the pairing enumerator refuses odd counts outright
     for mu in (1, 2, 3, 4, 5):
         for idx in enumerate_indices(mu):
             assert idx.gaussian_degree % 2 == 0
@@ -105,6 +105,32 @@ def test_gaussian_degree_always_even_and_odd_branch_guarded():
 
     with pytest.raises(ValueError):
         _pairings(3)
+
+
+def test_endpoint_only_moments_match_closed_form():
+    # with no time average the pairing sum has (g-1)!! equal terms
+    # C(1,1)^(g/2); the custom system's bridges do not vanish at u = 1, so
+    # there C(1,1) != 1
+    lifted = make_custom(
+        [lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, lambda u: np.sin(np.asarray(u, dtype=float))],
+        (1, 1),
+        check=False,
+    )
+    assert covariance(finite_kernel(lifted), 1.0, 1.0) == pytest.approx(1.25 + math.sin(1.0) ** 2)
+    system3, rule3 = calibrated_system("order3-discrete")
+    specs = [EB, trotter_spec(), discrete_spec(finite_kernel(system3), rule3)]
+    specs += [discrete_spec(finite_kernel(lifted), gauss_legendre_01(3)), continuous_spec(finite_kernel(lifted))]
+    eps = np.finfo(float).eps
+    for spec in specs:
+        c11 = covariance(spec.kernel, 1.0, 1.0)
+        for mu in range(1, 6):
+            for idx in enumerate_indices(mu):
+                if idx.time_dim:
+                    continue
+                g = idx.gaussian_degree
+                pairings = math.prod(range(g - 1, 0, -2))
+                want = pairings * c11 ** (g // 2)
+                assert moment(spec, idx) == pytest.approx(want, rel=(pairings + g) * eps, abs=0)
 
 
 def test_time_dimension_bound_raises_toward_oracle():
