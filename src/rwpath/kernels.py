@@ -161,9 +161,8 @@ class _ReweightedKernel(ShortTimeKernel):
         potential: Potential,
         time_rule: Rule1D,
         gh_points: int = 10,
-        _check_palindromic: bool = True,
     ):
-        if _check_palindromic and not is_palindromic(time_rule, tol=1e-12):
+        if not is_palindromic(time_rule, tol=1e-12):
             raise ValueError("time-average rule must be palindromic")
         self.system = system
         self.potential = potential
@@ -237,7 +236,7 @@ class ContinuousReweightedKernel(_ReweightedKernel):
     def __init__(self, system, potential, time_rule: Rule1D | None = None, gh_points: int = 10):
         if time_rule is None:
             time_rule = composite_legendre_01(64, 8, sqrt_endpoints=True)
-        super().__init__(system, potential, time_rule, gh_points, _check_palindromic=False)
+        super().__init__(system, potential, time_rule, gh_points)
 
 
 class DiscreteReweightedKernel(_ReweightedKernel):

@@ -5,7 +5,9 @@ exactly when a family of mixed moments of (endpoint value, time averages of
 path powers) matches the corresponding Brownian moments, for every moment
 index up to nu. This module enumerates those indices, evaluates both sides
 through Isserlis pairing sums over the covariance kernel, and provides an
-independent Monte Carlo oracle for cross-checking.
+independent Monte Carlo oracle for cross-checking. The pairing sum counts
+the pairings of the endpoint and time-variable slots from their
+multiplicities instead of listing all (g-1)!! of them.
 
 The sampler streams fixed blocks of about 64k path values through buffers
 allocated once per call, and reduces each sample in an order set by the
@@ -90,8 +92,13 @@ class MomentIndex:
         return len(self.time_powers)
 
     @property
+    def slot_counts(self) -> tuple[int, ...]:
+        """Gaussian factors per slot: the endpoint, then each time variable."""
+        return (self.j[0],) + self.time_powers
+
+    @property
     def gaussian_degree(self) -> int:
-        return self.j[0] + sum(self.time_powers)
+        return sum(self.slot_counts)
 
     def label(self) -> str:
         return ",".join(f"j{k}={v}" for k, v in sorted(self.nonzero.items(), reverse=True))
@@ -155,39 +162,30 @@ def discrete_spec(kernel: CovarianceKernel, rule: Rule1D) -> MomentSpec:
     return MomentSpec(kernel, rule)
 
 
-@lru_cache(maxsize=32)
-def _pairings(g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All perfect matchings of range(g); (g-1)!! of them."""
-    if g % 2:
-        raise ValueError("cannot pair an odd number of factors")
-    if g == 0:
-        return ((),)
-    items = list(range(g))
-
-    def rec(rest):
-        if not rest:
-            yield ()
-            return
-        first = rest[0]
-        for i in range(1, len(rest)):
-            pair = (first, rest[i])
-            for tail in rec(rest[1:i] + rest[i + 1 :]):
-                yield (pair,) + tail
-
-    return tuple(rec(items))
-
-
-def _isserlis_sum(slots: list[int], cov):
+def _isserlis_sum(counts: tuple[int, ...], cov):
     """Isserlis pairing sum: over all pairings of the Gaussian factors, the
-    product of ``cov(slot_a, slot_b)`` over the pairs, summed. Slot -1 is
-    the endpoint and slot i >= 0 time variable i; ``slots`` is
-    non-decreasing, so every pair arrives with ``slot_a <= slot_b``."""
+    product of ``cov(slot_a, slot_b)`` over the pairs, summed. ``counts[s]``
+    is the number of factors in slot s - 1: slot -1 is the endpoint and slot
+    i >= 0 time variable i, and every pair arrives with ``slot_a <= slot_b``.
+
+    Pairings are counted, not listed: the first factor of the lowest occupied
+    slot a pairs with another factor of a in m_a - 1 ways and with a later
+    slot b in m_b ways, and each choice recurses on the remaining counts.
+    """
+    if sum(counts) % 2:
+        raise ValueError("cannot pair an odd number of factors")
+    a = next((s for s, m in enumerate(counts) if m), None)
+    if a is None:
+        return 1.0
+    rest = list(counts)
+    rest[a] -= 1
     total = 0.0
-    for pairing in _pairings(len(slots)):
-        term = 1.0
-        for a, b in pairing:
-            term = term * cov(slots[a], slots[b])
-        total = total + term
+    for b in range(a, len(rest)):
+        ways = rest[b]
+        if ways:
+            rest[b] -= 1
+            total = total + ways * cov(a - 1, b - 1) * _isserlis_sum(tuple(rest), cov)
+            rest[b] += 1
     return total
 
 
@@ -211,15 +209,6 @@ def _finite_time_rule(d: int) -> Rule1D:
     return composite_legendre_01(cells, panel, sqrt_endpoints=True)
 
 
-def _slots(idx: MomentIndex) -> list[int]:
-    """Per-Gaussian-factor time slot: -1 for endpoint factors, otherwise the
-    id of the time variable the factor belongs to."""
-    slots = [-1] * idx.j[0]
-    for i, p in enumerate(idx.time_powers):
-        slots.extend([i] * p)
-    return slots
-
-
 def moment(spec: MomentSpec, idx: MomentIndex) -> float:
     """Expected value of the product (endpoint)^{j_1} * prod_k (M_k)^{j_{k+2}}
     for the spec's process, where M_k is the time average of the k-th path
@@ -235,7 +224,7 @@ def moment(spec: MomentSpec, idx: MomentIndex) -> float:
         )
     if idx.time_dim == 0:
         c11 = float(covariance(spec.kernel, 1.0, 1.0))
-        return _isserlis_sum(_slots(idx), lambda sa, sb: c11)
+        return _isserlis_sum(idx.slot_counts, lambda sa, sb: c11)
     if spec.is_discrete:
         return _moment_finite_integral(spec.kernel, idx, spec.rule)
     if spec.kernel.is_exact_brownian:
@@ -270,7 +259,7 @@ def _moment_finite_integral(kernel: CovarianceKernel, idx: MomentIndex, rule: Ru
             return view(var_u, sa)
         return view(cvv, sa, sb)
 
-    total = _isserlis_sum(_slots(idx), cov)
+    total = _isserlis_sum(idx.slot_counts, cov)
     for _ in range(d):
         total = np.tensordot(rule.weights, total, axes=(0, 0))
     return float(total)
@@ -297,7 +286,6 @@ def _moment_exact_brownian_integral(idx: MomentIndex) -> float:
     jac = np.ones(t.shape[0])
     for jpos in range(1, d):
         jac *= t[:, jpos] ** jpos
-    slots = _slots(idx)
     times: list[np.ndarray] = []
 
     def cov(sa, sb):
@@ -310,7 +298,7 @@ def _moment_exact_brownian_integral(idx: MomentIndex) -> float:
     total = 0.0
     for perm in itertools.permutations(range(d)):
         times = [w_coord[:, perm[i]] for i in range(d)]
-        total += float(np.dot(wt * jac, _isserlis_sum(slots, cov)))
+        total += float(np.dot(wt * jac, _isserlis_sum(idx.slot_counts, cov)))
     return total
 
 

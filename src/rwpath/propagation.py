@@ -89,12 +89,8 @@ class KernelMatrix:
 def _potential_is_mirror_symmetric(kernel: ShortTimeKernel, grid: SpatialGrid) -> bool:
     """True when the kernel is invariant under reflection about the grid
     centre: the potential must be mirror-symmetric (checked on the grid and
-    on off-grid probe points) and the time-average rule palindromic."""
-    rule = getattr(kernel, "time_rule", None)
-    from .quadrature import is_palindromic
-
-    if rule is not None and not is_palindromic(rule, tol=1e-12):
-        return False
+    on off-grid probe points). Every reweighted kernel's time rule is
+    palindromic, which the kernel checks when it is built."""
     potential = kernel.potential
     if potential is None:
         return True
@@ -326,8 +322,6 @@ class DiagnosticsSeries:
 
 
 def _fit_slope(ms: np.ndarray, alphas: np.ndarray) -> tuple[float, tuple[int, int]]:
-    if alphas.size < 2:
-        return float("nan"), (0, 0)
     start = alphas.size // 2 if alphas.size > 3 else 0
     coef = np.polyfit(ms[start:], alphas[start:], 1)
     return float(coef[0]), (int(ms[start]), int(ms[-1]))
@@ -345,10 +339,12 @@ def order_diagnostic(
     in m estimates the convergence order.
 
     The series is truncated with a warning once R - 1 falls below 1e-13
-    (reference-limited) or the log argument leaves its domain."""
+    (reference-limited) or the log argument leaves its domain. Fewer than 3
+    values of m, or a truncation that leaves fewer than 2 alpha values, leave
+    no slope to fit and raise."""
     m_arr = np.asarray(list(m_list), dtype=int)
-    if m_arr.size < 2 or np.any(np.diff(m_arr) != 1):
-        raise ValueError("m_list must be consecutive increasing integers")
+    if m_arr.size < 3 or np.any(np.diff(m_arr) != 1):
+        raise ValueError("m_list must be at least 3 consecutive increasing integers")
     z_vals = []
     for m in m_arr:
         mat = build_matrix(kernel, params, grid, 2 * int(m) + 1)
@@ -369,6 +365,11 @@ def order_diagnostic(
             break
         alphas.append(float(m_arr[i]) ** 2 * math.log(arg))
         alpha_ms.append(m_arr[i])
+    if len(alphas) < 2:
+        raise RuntimeError(
+            f"alpha_m series truncated at m={truncated_at} with {len(alphas)} "
+            "alpha values; a slope needs 2"
+        )
     if truncated_at is not None:
         warnings.warn(
             f"alpha_m series truncated at m={truncated_at}: ratio is reference-limited",
@@ -504,11 +505,15 @@ def mc_density_ratio(
             pts += ref
             avg = np.asarray(kernel.potential.value(pts)) @ basis.weights
             avg *= -beta
-            with np.errstate(under="ignore"):
+            with np.errstate(under="ignore", over="ignore"):
                 np.exp(avg, out=avg)
-            total += float(avg.sum())
-            total_sq += float(np.dot(avg, avg))
+                total += float(avg.sum())
+                total_sq += float(np.dot(avg, avg))
         done += nb
+    if not (math.isfinite(total) and math.isfinite(total_sq)):
+        raise OverflowError(
+            "path weights overflowed; rescale by shifting the potential energy zero"
+        )
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples)

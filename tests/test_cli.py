@@ -148,6 +148,14 @@ def test_order_refused_reference_is_a_usage_error(capsys):
     assert err.startswith("error: reference Z disagrees")
 
 
+def test_order_too_few_rungs_is_a_usage_error(capsys):
+    # two rungs give one alpha value: no slope, so no JSON with a NaN in it
+    code, out, err = run_cli(capsys, "order", "--potential", "harmonic", "--m-max", "2")
+    assert code == 2
+    assert out == ""
+    assert "at least 3" in err
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(

@@ -214,6 +214,10 @@ def test_reweighted_kernel_requires_palindromic_rule():
     skewed = Rule1D([0.2, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError):
         DiscreteReweightedKernel(ORDER3[0], quartic(), skewed)
+    # on this rule ratio(0.3, 1.1) and ratio(1.1, 0.3) differ by 10%, which
+    # build_matrix's mirrored lower triangle would hide
+    with pytest.raises(ValueError):
+        ContinuousReweightedKernel(ORDER4[0], quartic(), Rule1D([0.2, 0.5, 0.9], [0.3, 0.3, 0.4]))
 
 
 def test_continuous_and_discrete_reweighted_agree_at_small_beta():

@@ -8,6 +8,7 @@ from rwpath.calibration import calibrated_system
 from rwpath.kernels import _WORK_UNIT
 from rwpath.moments import (
     MomentIndex,
+    _isserlis_sum,
     brownian_moment,
     continuous_spec,
     discrete_spec,
@@ -97,14 +98,63 @@ def test_exact_brownian_values(idx, value):
 def test_gaussian_degree_always_even_and_odd_branch_guarded():
     # valid integer-mu indices always have even degree (2mu minus twice the
     # number of average factors), so moment() has no odd-degree branch, and
-    # the pairing enumerator refuses odd counts outright
+    # the pairing sum refuses odd counts outright
     for mu in (1, 2, 3, 4, 5):
         for idx in enumerate_indices(mu):
             assert idx.gaussian_degree % 2 == 0
-    from rwpath.moments import _pairings
-
     with pytest.raises(ValueError):
-        _pairings(3)
+        _isserlis_sum((3,), lambda sa, sb: 1.0)
+
+
+def listed_isserlis_sum(counts, cov):
+    """Reference pairing sum that lists all (g-1)!! pairings of the factors
+    one by one; returns the sum and the sum of the absolute terms."""
+    slots = [s - 1 for s, m in enumerate(counts) for _ in range(m)]
+
+    def pairings(rest):
+        if not rest:
+            yield ()
+            return
+        for i in range(1, len(rest)):
+            for tail in pairings(rest[1:i] + rest[i + 1 :]):
+                yield ((rest[0], rest[i]),) + tail
+
+    total = size = 0.0
+    for pairing in pairings(list(range(len(slots)))):
+        term = math.prod(cov(slots[a], slots[b]) for a, b in pairing)
+        total += term
+        size += abs(term)
+    return total, size
+
+
+def test_counted_pairing_sum_matches_listed_pairings():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((5, 5))
+    table = a + a.T
+
+    def cov(sa, sb):
+        assert sa <= sb
+        return table[sa + 1, sb + 1]
+
+    eps = np.finfo(float).eps
+    all_counts = {idx.slot_counts for mu in range(1, 7) for idx in enumerate_indices(mu)}
+    for counts in all_counts:
+        want, size = listed_isserlis_sum(counts, cov)
+        g = sum(counts)
+        pairings = math.prod(range(g - 1, 0, -2))
+        assert abs(_isserlis_sum(counts, cov) - want) <= (pairings + g) * eps * size
+
+
+def test_counted_pairing_sum_counts_equal_terms():
+    # 16 endpoint factors: 15!! pairings, all equal, in one cov call per pair
+    calls = []
+
+    def cov(sa, sb):
+        calls.append((sa, sb))
+        return 1.5
+
+    assert _isserlis_sum((16,), cov) == math.prod(range(15, 0, -2)) * 1.5**8
+    assert calls == [(-1, -1)] * 8
 
 
 def test_endpoint_only_moments_match_closed_form():

@@ -185,6 +185,12 @@ def test_nmm_density_ratio_fails_closed_on_overflow():
         nmm_density_ratio(kernel, PhysicalParams(beta=10.0), grid, 40, 0.0, 0.0)
 
 
+def test_mc_density_ratio_fails_closed_on_overflow():
+    kernel = DiscreteReweightedKernel(ORDER4[0], walled_deep_well(), ORDER4[1])
+    with pytest.raises(OverflowError):
+        mc_density_ratio(kernel, PhysicalParams(beta=10.0), 0.0, 0.0, 2, 1000)
+
+
 def test_dvr_partition_function_fails_closed_on_overflow():
     def deep_well(x):
         x = np.asarray(x, dtype=float)
@@ -219,6 +225,18 @@ def test_order_diagnostic_truncates_on_reference_limit():
     with pytest.warns(UserWarning, match="truncated"):
         series = order_diagnostic(kernel, p, g, range(1, 8), z_ref)
     assert series.alpha_m.size < 6
+
+
+def test_order_diagnostic_without_a_slope_raises():
+    p = PhysicalParams(beta=2.0)
+    g = SpatialGrid(-5.0, 5.0, 80)
+    kernel = TrotterKernel(harmonic(1.0))
+    with pytest.raises(ValueError, match="at least 3"):
+        order_diagnostic(kernel, p, g, [1, 2], 1.0)
+    # a reference equal to the m = 2 rung truncates before the first alpha
+    z_ref = partition_function(build_matrix(kernel, p, g, 5))
+    with pytest.raises(RuntimeError, match="truncated at m=2"):
+        order_diagnostic(kernel, p, g, [1, 2, 3], z_ref)
 
 
 def test_harmonic_trotter_slope_small_scale():
