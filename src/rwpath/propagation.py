@@ -160,16 +160,64 @@ def build_matrix(
 def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
     """Dense matrix power by square-and-multiply.
 
-    Every product goes into one three-matrix work block, allocated once per
-    call, and the result is a view of it. glibc's malloc maps and
-    page-faults separate matrix-sized arrays anew on every call, but serves
-    a block this size from its heap after the first call frees one."""
+    A centrosymmetric matrix (``a`` equal bit for bit to its 180° rotation,
+    as every kernel matrix of a mirror-symmetric potential is) is powered as
+    two half-size blocks, a quarter of the flops; any other matrix keeps the
+    plain products. All work goes into one block allocated once per call,
+    and the result is a view of it. glibc's malloc maps and page-faults
+    separate matrix-sized arrays anew on every call, but serves a block
+    this size from its heap after the first call frees one."""
     if power < 1:
         raise ValueError("power must be >= 1")
     a = np.asarray(a)
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype.kind in "fc":
+        if np.array_equal(a, a[::-1, ::-1]):
+            return _folded_power(a, power)
     work = np.empty((3,) + a.shape, dtype=a.dtype)
+    work[0] = a
+    return _square_multiply(work, power)
+
+
+def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
+    """Power of a centrosymmetric matrix through its even and odd blocks.
+
+    With J the exchange matrix, m = N // 2 and a[:m, :m] = B, the mirrored
+    columns a[:m, ::-1][:, :m] = C J, the even block is B + C J and the odd
+    block B - C J. For odd N the even block also carries the centre c: the
+    column 2 a[:m, c] and the row a[c, :c+1], the orthogonal fold's sqrt(2)
+    moved by a diagonal similarity so that no entry rounds more than once.
+    The power's top rows are (E^p ± O^p) / 2 and its bottom rows their
+    rotation, so the result is centrosymmetric by construction."""
+    n = a.shape[0]
+    m, h = n // 2, n - n // 2
+    block = np.empty(3 * h * h + 3 * m * m + n * n, dtype=a.dtype)
+    even = block[: 3 * h * h].reshape(3, h, h)
+    odd = block[3 * h * h : 3 * (h * h + m * m)].reshape(3, m, m)
+    out = block[3 * (h * h + m * m) :].reshape(n, n)
+    mirrored = a[:m, ::-1][:, :m]
+    np.add(a[:m, :m], mirrored, out=even[0, :m, :m])
+    np.subtract(a[:m, :m], mirrored, out=odd[0])
+    if h > m:
+        np.multiply(a[:m, m], 2.0, out=even[0, :m, m])
+        even[0, m] = a[m, :h]
+    e = _square_multiply(even, power)
+    o = _square_multiply(odd, power)
+    top = out[:m]
+    np.add(e[:m, :m], o, out=top[:, :m])
+    np.subtract(e[:m, :m], o, out=top[:, h:][:, ::-1])
+    if h > m:
+        top[:, m] = e[:m, m]
+        out[m, :h] = e[m]
+        out[m, h:] = e[m, :m][::-1]
+    top *= 0.5
+    out[h:] = top[::-1, ::-1]
+    return out
+
+
+def _square_multiply(work: np.ndarray, power: int) -> np.ndarray:
+    """work[0]**power by square-and-multiply inside the (3, n, n) ``work``
+    block; the result is a view of it."""
     base, spare, first = work
-    base[...] = a
     result = None
     e = power
     while True:
@@ -189,7 +237,10 @@ def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
 
 def partition_function(matrix: KernelMatrix, n: int | None = None) -> float:
     """Trace of the (n+1)-th power of the kernel matrix, computed by binary
-    exponentiation; the trace itself is accumulated in compensated summation.
+    exponentiation (on two half-size blocks when the matrix is
+    centrosymmetric, as it is for a mirror-symmetric potential); the trace
+    itself is accumulated in compensated summation. Raises OverflowError
+    instead of returning inf or NaN.
     """
     if n is None:
         n = matrix.n
@@ -411,8 +462,13 @@ def trotter_constant(
     predicted limit c_th = (hbar^2 beta^3 / 24 m) <V'^2> where the thermal
     average uses the converged diagonal density of a fourth-order reference
     run (grid points carrying zero density are excluded; hard walls have
-    infinite derivative there)."""
+    infinite derivative there). A ``reference`` must be built on ``grid``."""
     n_arr = np.asarray(list(n_list), dtype=int)
+    if reference is not None and reference.grid != grid:
+        raise ValueError(
+            f"reference was built on {reference.grid}, not on {grid}; its diagonal "
+            "density would be misaligned"
+        )
     if reference is None:
         if n_ref is None:
             n_ref = 8 * int(n_arr.max())
@@ -447,7 +503,9 @@ def nmm_density_ratio(
     xp: float,
 ) -> float:
     """rho_n(x, x'; beta) / rho_fp(x, x'; beta) read off the propagated
-    matrix; x and x' must be grid points."""
+    matrix; x and x' must be grid points. Raises ValueError when the ratio is
+    not representable: rho_fp underflows for points too far apart at this
+    beta."""
     pts = grid.points
     i = int(np.argmin(np.abs(pts - x)))
     j = int(np.argmin(np.abs(pts - xp)))
@@ -455,7 +513,14 @@ def nmm_density_ratio(
         raise ValueError("x and x' must lie on the grid")
     mat = build_matrix(kernel, params, grid, n)
     p = _finite_power(mat.values, n + 1)
-    return float(p[i, j] / grid.h / rho_fp(params, x, xp))
+    den = rho_fp(params, x, xp)
+    ratio = float(p[i, j]) / grid.h / den if den > 0.0 else math.nan
+    if not math.isfinite(ratio):
+        raise ValueError(
+            "rho_fp(x, x') underflows at this beta, so the density ratio is not "
+            "representable; bring x and x' closer or raise beta"
+        )
+    return ratio
 
 
 # Samples whose normals are drawn together; the draw order, and so every

@@ -14,6 +14,7 @@ from rwpath.kernels import (
 from rwpath.potentials import custom_potential, harmonic, quartic
 from rwpath.propagation import (
     SpatialGrid,
+    _square_multiply,
     build_matrix,
     dvr_partition_function,
     matrix_power,
@@ -120,10 +121,79 @@ def test_binary_exponentiation_matches_naive_products():
 def test_partition_function_overflow_error():
     from rwpath.propagation import KernelMatrix
 
-    g = SpatialGrid(0.0, 1.0, 3)
-    mat = KernelMatrix(np.full((4, 4), 1e60), g, 1.0, 0, "test")
-    with pytest.raises(OverflowError, match="rescal"):
-        partition_function(mat, 15)
+    # both sizes are centrosymmetric, so both take the folded power
+    for cells in (3, 4):
+        g = SpatialGrid(0.0, 1.0, cells)
+        mat = KernelMatrix(np.full((cells + 1, cells + 1), 1e60), g, 1.0, 0, "test")
+        with pytest.raises(OverflowError, match="rescal"):
+            partition_function(mat, 15)
+
+
+def plain_power(a, power):
+    """The unfolded square-and-multiply on a copy of ``a``."""
+    work = np.empty((3,) + a.shape)
+    work[0] = a
+    return _square_multiply(work, power)
+
+
+def matmuls(power):
+    return (power.bit_length() - 1) + (bin(power).count("1") - 1)
+
+
+def centrosymmetric(n, seed):
+    # r + r.T and s + s[::-1, ::-1] add equal pairs, so both symmetries are exact
+    r = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, n))
+    s = r + r.T
+    a = s + s[::-1, ::-1]
+    return a / np.linalg.norm(a, 2)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_folded_power_matches_plain_products(n):
+    a = centrosymmetric(n, n)
+    eps = np.finfo(float).eps
+    for power in [*range(1, 10), 64]:
+        folded = matrix_power(a, power)
+        plain = plain_power(a, power)
+        assert np.array_equal(folded, folded[::-1, ::-1])
+        # a is nonnegative with ||a||_2 = 1, so every entry of a^p, and of the
+        # even block's power (|odd| <= even entrywise), is at most 1: each
+        # product errs by at most n eps per entry, the fold and the unfold
+        # round once each, and both routes err
+        tol = 2 * (matmuls(power) + 2) * n * eps
+        assert np.max(np.abs(folded - plain)) <= tol
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_power_of_non_centrosymmetric_matrix_keeps_plain_products(n):
+    a = centrosymmetric(n, n)
+    a[0, 1] = np.nextafter(a[0, 1], np.inf)
+    for power in (2, 7, 64):
+        assert np.array_equal(matrix_power(a, power), plain_power(a, power))
+
+
+def test_slice_identity_of_trotter_ladder():
+    # the splitting kernel at (beta, 2k+1) and at (beta/2, k) both use slices
+    # beta/(2k+2), and halving beta is exact, so Z(beta) = tr(P P) with
+    # P = A^{k+1} of the beta/2 build
+    p = PhysicalParams(beta=10.0)
+    g = SpatialGrid(-4.0, 4.0, 120)
+    kernel = TrotterKernel(quartic())
+    eps = np.finfo(float).eps
+    for k in (2, 5, 12):
+        full = build_matrix(kernel, p, g, 2 * k + 1)
+        half = build_matrix(kernel, p.with_beta(5.0), g, k)
+        assert np.array_equal(full.values, half.values)
+        z = partition_function(full)
+        pk = matrix_power(half.values, k + 1)
+        z_half = float(np.trace(pk @ pk))
+        # each product of nonnegative matrices errs by at most n eps relative;
+        # count the products of both routes (P P is one more), two fold and
+        # unfold roundings per route, and a factor 2 for the anti-diagonal
+        # mass the even block adds to each folded diagonal entry
+        n = g.points.size
+        tol = 2 * (matmuls(2 * k + 2) + matmuls(k + 1) + 1 + 4) * n * eps
+        assert abs(z - z_half) / z <= tol
 
 
 def test_harmonic_partition_function_analytic():
@@ -176,6 +246,14 @@ def test_reference_z_fails_closed_on_overflow():
     kernel = TrotterKernel(walled_deep_well())
     with pytest.raises(OverflowError):
         reference_z(kernel, PhysicalParams(beta=10.0), SpatialGrid(-3.0, 3.0, 120), 40)
+
+
+def test_nmm_density_ratio_fails_closed_when_rho_fp_underflows():
+    # rho_fp(-4, 4) at beta = 0.01 is 0, and so is the propagated entry
+    kernel = TrotterKernel(quartic())
+    grid = SpatialGrid(-4.0, 4.0, 80)
+    with pytest.raises(ValueError, match="underflows"):
+        nmm_density_ratio(kernel, PhysicalParams(beta=0.01), grid, 3, -4.0, 4.0)
 
 
 def test_nmm_density_ratio_fails_closed_on_overflow():
@@ -281,6 +359,19 @@ def test_trotter_constant_free_particle_is_zero():
     series = trotter_constant(p, g, zero, [3, 7], reference=ref)
     assert series.c_th == 0.0
     assert abs(series.c_n[-1]) < 1e-10
+
+
+def test_trotter_constant_rejects_reference_on_another_grid():
+    from rwpath.propagation import ReferenceZ
+
+    g = SpatialGrid(-4.0, 4.0, 80)
+    ref = ReferenceZ(
+        value=1.0, n_ref=7, eigensolve_value=1.0, rel_gap=0.0,
+        diag_density=np.ones(g.points.size), grid=g,
+    )
+    with pytest.raises(ValueError, match="reference"):
+        trotter_constant(PhysicalParams(beta=10.0), SpatialGrid(-3.0, 5.0, 80), quartic(),
+                         [3, 5], reference=ref)
 
 
 def test_semigroup_consistency_of_converged_reference():
