@@ -163,7 +163,12 @@ def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
     A centrosymmetric matrix (``a`` equal bit for bit to its 180° rotation,
     as every kernel matrix of a mirror-symmetric potential is) is powered as
     two half-size blocks, a quarter of the flops; any other matrix keeps the
-    plain products. All work goes into one block allocated once per call,
+    plain products. An entry p[i, k] of a folded power is then accurate only
+    relative to the larger of it and its mirror p[i, N-1-k], because it is
+    half the sum or difference of two block entries of that size: an entry
+    far below its mirror (one across the centre, for a kernel that decays
+    with distance) can come out as rounding noise, even zero or negative.
+    All work goes into one block allocated once per call,
     and the result is a view of it. glibc's malloc maps and page-faults
     separate matrix-sized arrays anew on every call, but serves a block
     this size from its heap after the first call frees one."""
@@ -503,9 +508,10 @@ def nmm_density_ratio(
     xp: float,
 ) -> float:
     """rho_n(x, x'; beta) / rho_fp(x, x'; beta) read off the propagated
-    matrix; x and x' must be grid points. Raises ValueError when the ratio is
-    not representable: rho_fp underflows for points too far apart at this
-    beta."""
+    matrix; x and x' must be grid points. An entry below its mirror entry,
+    which the folded power does not resolve, is recomputed from n+1
+    matrix-vector products. Raises ValueError when the ratio is not
+    representable: rho_fp underflows for points too far apart at this beta."""
     pts = grid.points
     i = int(np.argmin(np.abs(pts - x)))
     j = int(np.argmin(np.abs(pts - xp)))
@@ -513,8 +519,14 @@ def nmm_density_ratio(
         raise ValueError("x and x' must lie on the grid")
     mat = build_matrix(kernel, params, grid, n)
     p = _finite_power(mat.values, n + 1)
+    entry = float(p[i, j])
+    if entry < p[i, -1 - j]:
+        col = mat.values[:, j]
+        for _ in range(n):
+            col = mat.values @ col
+        entry = float(col[i])
     den = rho_fp(params, x, xp)
-    ratio = float(p[i, j]) / grid.h / den if den > 0.0 else math.nan
+    ratio = entry / grid.h / den if den > 0.0 else math.nan
     if not math.isfinite(ratio):
         raise ValueError(
             "rho_fp(x, x') underflows at this beta, so the density ratio is not "

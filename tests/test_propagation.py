@@ -136,10 +136,6 @@ def plain_power(a, power):
     return _square_multiply(work, power)
 
 
-def matmuls(power):
-    return (power.bit_length() - 1) + (bin(power).count("1") - 1)
-
-
 def centrosymmetric(n, seed):
     # r + r.T and s + s[::-1, ::-1] add equal pairs, so both symmetries are exact
     r = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, n))
@@ -156,12 +152,13 @@ def test_folded_power_matches_plain_products(n):
         folded = matrix_power(a, power)
         plain = plain_power(a, power)
         assert np.array_equal(folded, folded[::-1, ::-1])
-        # a is nonnegative with ||a||_2 = 1, so every entry of a^p, and of the
-        # even block's power (|odd| <= even entrywise), is at most 1: each
-        # product errs by at most n eps per entry, the fold and the unfold
-        # round once each, and both routes err
-        tol = 2 * (matmuls(power) + 2) * n * eps
-        assert np.max(np.abs(folded - plain)) <= tol
+        # a is nonnegative, so any bracketing of a^p errs entrywise by at
+        # most (power - 1) n eps relative, and the odd block's power is
+        # bounded by the even block's, whose entries are p[i, k] plus the
+        # mirror p[i, n-1-k]; the fold and the unfold round once each, and
+        # both routes err
+        tol = 2 * (power + 1) * n * eps
+        assert np.all(np.abs(folded - plain) <= tol * (plain + plain[:, ::-1]))
 
 
 @pytest.mark.parametrize("n", [40, 41])
@@ -187,12 +184,13 @@ def test_slice_identity_of_trotter_ladder():
         z = partition_function(full)
         pk = matrix_power(half.values, k + 1)
         z_half = float(np.trace(pk @ pk))
-        # each product of nonnegative matrices errs by at most n eps relative;
-        # count the products of both routes (P P is one more), two fold and
-        # unfold roundings per route, and a factor 2 for the anti-diagonal
-        # mass the even block adds to each folded diagonal entry
+        # both routes chain 2k+2 nonnegative factors, so each errs by at
+        # most (2k+1) n eps relative, plus two fold and unfold roundings per
+        # folded power; a factor 2 covers the anti-diagonal entry the even
+        # block adds to each folded diagonal entry, which is no larger
+        # because the even power is positive semidefinite
         n = g.points.size
-        tol = 2 * (matmuls(2 * k + 2) + matmuls(k + 1) + 1 + 4) * n * eps
+        tol = 2 * (2 * (2 * k + 1) + 4) * n * eps
         assert abs(z - z_half) / z <= tol
 
 
@@ -249,11 +247,30 @@ def test_reference_z_fails_closed_on_overflow():
 
 
 def test_nmm_density_ratio_fails_closed_when_rho_fp_underflows():
-    # rho_fp(-4, 4) at beta = 0.01 is 0, and so is the propagated entry
+    # rho_fp(-4, 4) at beta = 0.01 underflows to 0
     kernel = TrotterKernel(quartic())
     grid = SpatialGrid(-4.0, 4.0, 80)
     with pytest.raises(ValueError, match="underflows"):
         nmm_density_ratio(kernel, PhysicalParams(beta=0.01), grid, 3, -4.0, 4.0)
+
+
+@pytest.mark.parametrize("x, xp", [(-2.0, 2.0), (2.0, -2.0), (-1.0, 1.5), (-0.5, 0.5)])
+def test_nmm_density_ratio_across_the_centre_matches_plain_products(x, xp):
+    # at beta = 0.1 the entry for x = -2, x' = 2 is about 1e-35 of its mirror
+    # entry, the diagonal one, so the folded power returns rounding noise
+    # there; the ratio must come from the nonnegative products instead
+    kernel = TrotterKernel(quartic())
+    params = PhysicalParams(beta=0.1)
+    grid = SpatialGrid(-4.0, 4.0, 80)
+    n = 3
+    i, j = (int(round((v - grid.a) / grid.h)) for v in (x, xp))
+    a = build_matrix(kernel, params, grid, n).values
+    expected = plain_power(a, n + 1)[i, j] / grid.h / rho_fp(params, x, xp)
+    ratio = nmm_density_ratio(kernel, params, grid, n, x, xp)
+    # two routes through n+1 nonnegative factors, each erring by at most
+    # n (N eps) relative
+    tol = 2 * n * grid.points.size * np.finfo(float).eps
+    assert abs(ratio - expected) <= tol * expected
 
 
 def test_nmm_density_ratio_fails_closed_on_overflow():
