@@ -8,18 +8,30 @@ partition function obeys
 a closed-form limit expressible entirely through the thermal average of the
 squared force. The script computes both sides on the quartic oscillator at
 reduced scale (the full run reproduces the reference value c_th ~ 88.35 to
-a fraction of a percent).
+a fraction of a percent). Both Z and the thermal average come from one
+converged order-4 reference, eight times the largest n.
 """
 
 import time
 
-from rwpath import PhysicalParams, SpatialGrid, quartic, trotter_constant
+from rwpath import (
+    DiscreteReweightedKernel,
+    PhysicalParams,
+    SpatialGrid,
+    calibrated_system,
+    quartic,
+    reference_z,
+    trotter_constant,
+)
 
 params = PhysicalParams(beta=10.0)
 grid = SpatialGrid(-4.0, 4.0, 300)
+pot = quartic()
 
 t0 = time.perf_counter()
-series = trotter_constant(params, grid, quartic(), list(range(3, 82, 2)), n_ref=648)
+system, rule = calibrated_system("order4-discrete")
+ref = reference_z(DiscreteReweightedKernel(system, pot, rule), params, grid, 648)
+series = trotter_constant(params, grid, pot, list(range(3, 82, 2)), ref)
 print(f"theoretical constant c_th = {series.c_th:.4f}   ({time.perf_counter() - t0:.0f}s)")
 print(f"observed constants approach it from below:")
 print("  n      c_n        c_n/c_th")

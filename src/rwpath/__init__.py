@@ -9,7 +9,6 @@ kernel, the convergence constant) by dense matrix propagation.
 
 from .quadrature import (
     Rule1D,
-    RuleKind,
     composite_legendre_01,
     endpoint_trapezoid,
     gauss_hermite,

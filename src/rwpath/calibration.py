@@ -39,6 +39,10 @@ _DEFAULT_GUESS = {
     "order4-discrete": (6.0, 8.0),
 }
 
+# Iteration cap of the order-4 solver; the order-3 bisection gets ten times
+# as many halvings.
+_MAX_ITER = 100
+
 
 def default_rule(family: str) -> Rule1D | None:
     """The time-average rule each family is calibrated against: none for the
@@ -187,33 +191,28 @@ def _levenberg_marquardt(fun, x0, max_iter: int):
     return x, max_iter
 
 
-def calibrate(
-    family: str,
-    initial_guess: tuple[float, ...] | None = None,
-    max_iter: int = 100,
-    rule: Rule1D | None = None,
-) -> CalibrationResult:
-    """Solve the residual system of ``family`` and return the constants.
+def calibrate(family: str) -> CalibrationResult:
+    """Solve the residual system of ``family`` against its ``default_rule``
+    and return the constants.
 
-    The residual systems have several roots; the default guesses seed the
-    solver next to the intended branch, so calibration is reproducible: the
-    same guess always yields bit-identical constants.
+    The residual systems have several roots; a fixed guess per family seeds
+    the solver next to the intended branch, so calibration is reproducible:
+    it always yields bit-identical constants.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if rule is None:
-        rule = default_rule(family)
-    guess = _DEFAULT_GUESS[family] if initial_guess is None else tuple(initial_guess)
+    rule = default_rule(family)
+    guess = _DEFAULT_GUESS[family]
 
     if family.startswith("order3"):
         root, iters = _bracketed_root(
-            lambda a: residual_order3(a, rule), guess[0] - 0.5, guess[0] + 0.5, max_iter * 10
+            lambda a: residual_order3(a, rule), guess[0] - 0.5, guess[0] + 0.5, _MAX_ITER * 10
         )
         constants = (float(root),)
         resid = abs(residual_order3(root, rule))
     else:
         fun = lambda x: np.array(residual_order4(x[0], x[1], rule))
-        x, iters = _levenberg_marquardt(fun, np.asarray(guess), max_iter)
+        x, iters = _levenberg_marquardt(fun, np.asarray(guess), _MAX_ITER)
         constants = (float(x[0]), float(x[1]))
         resid = float(np.max(np.abs(fun(x))))
     if resid > 1e-10:

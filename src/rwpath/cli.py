@@ -12,7 +12,7 @@ cross-check:
 Results are printed as JSON (with the fully resolved configuration echoed
 back); ladders are additionally written as CSV with `--out`. Exit codes:
 0 success, 1 tolerance failure, 2 usage or configuration error (including a
-reference Z that is refused or overflows).
+reference Z that is refused, overflows or underflows).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .moments import continuous_spec, discrete_spec, verify_order
 from .potentials import Potential, harmonic, he_cage, quartic
 from .processes import exact_brownian, finite_kernel, make_order3, make_order4
 from .propagation import (
+    ReferenceZ,
     SpatialGrid,
     mc_density_ratio,
     nmm_density_ratio,
@@ -197,6 +198,17 @@ def _build_kernel(cfg: ExperimentConfig, pot: Potential):
     return DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
 
 
+def _order4_reference(
+    cfg: ExperimentConfig, pot: Potential, params: PhysicalParams, grid: SpatialGrid
+) -> ReferenceZ:
+    """The order-4 reference Z both ladders are measured against, at
+    n_ref = 8 (2 m_max + 1), eight times the top rung, unless set."""
+    n_ref = 8 * (2 * cfg.m_max + 1) if cfg.n_ref is None else cfg.n_ref
+    system, rule = calibrated_system("order4-discrete")
+    kernel = DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
+    return reference_z(kernel, params, grid, n_ref)
+
+
 def _moment_spec(cfg: ExperimentConfig):
     if cfg.kernel == "trotter":
         # the splitting kernel samples the path at its endpoints only, where
@@ -260,10 +272,7 @@ def cmd_order(args) -> int:
     cfg = resolve_config(args)
     pot, params, grid = _system_defaults(cfg)
     kernel = _build_kernel(cfg, pot)
-    n_ref = cfg.n_ref if cfg.n_ref is not None else 8 * (2 * cfg.m_max + 1)
-    system, rule = calibrated_system("order4-discrete")
-    ref_kernel = DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
-    ref = reference_z(ref_kernel, params, grid, n_ref)
+    ref = _order4_reference(cfg, pot, params, grid)
     series = order_diagnostic(kernel, params, grid, range(1, cfg.m_max + 1), ref.value)
     rows = []
     alpha_by_m = dict(zip(series.alpha_m_index.tolist(), series.alpha_m.tolist()))
@@ -290,9 +299,8 @@ def cmd_trotter_constant(args) -> int:
     cfg = resolve_config(args)
     pot, params, grid = _system_defaults(cfg)
     n_list = [2 * m + 1 for m in range(1, cfg.m_max + 1)]
-    series = trotter_constant(
-        params, grid, pot, n_list, n_ref=cfg.n_ref, gh_points=cfg.gh_points
-    )
+    ref = _order4_reference(cfg, pot, params, grid)
+    series = trotter_constant(params, grid, pot, n_list, ref)
     rows = list(zip(series.n.tolist(), series.z.tolist(),
                     (series.z / series.z_ref).tolist(), series.c_n.tolist()))
     if cfg.out:

@@ -78,8 +78,9 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0 or self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("beta, hbar and mass must all be positive")
+        # written so that NaN fails
+        if not all(math.isfinite(v) and v > 0 for v in (self.beta, self.hbar, self.mass)):
+            raise ValueError("beta, hbar and mass must all be finite and positive")
 
     @property
     def sigma(self) -> float:

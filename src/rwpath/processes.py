@@ -104,15 +104,11 @@ def make_order4(alpha1: float, alpha2: float) -> LambdaSystem:
     )
 
 
-def make_custom(
-    bridge: Sequence[Bridge],
-    symmetry: Sequence[int],
-    params: Sequence[float] = (),
-    check: bool = True,
-    samples: int = 257,
-) -> LambdaSystem:
+def make_custom(bridge: Sequence[Bridge], symmetry: Sequence[int]) -> LambdaSystem:
     """Wrap user-supplied bridge functions, verifying the declared symmetry
-    tags and the endpoint zeros by sampling (tags are not trusted).
+    tags and the endpoint zeros on 257 uniform samples of [0, 1] (tags are
+    not trusted). A system that must skip the checks is built as a
+    ``LambdaSystem`` directly.
     """
     bridge = tuple(bridge)
     symmetry = tuple(int(s) for s in symmetry)
@@ -120,15 +116,14 @@ def make_custom(
         raise ValueError("one symmetry tag per bridge function is required")
     if any(s not in (-1, 1) for s in symmetry):
         raise ValueError("symmetry tags must be +1 (symmetric) or -1 (antisymmetric)")
-    if check:
-        u = np.linspace(0.0, 1.0, samples)
-        for f, s in zip(bridge, symmetry):
-            vals = np.asarray(f(u), dtype=float)
-            if abs(vals[0]) > 1e-12 or abs(vals[-1]) > 1e-12:
-                raise ValueError("bridge functions must vanish at u = 0 and u = 1")
-            if np.max(np.abs(np.asarray(f(1.0 - u)) - s * vals)) > 1e-10:
-                raise ValueError("declared symmetry tag does not match the function")
-    return LambdaSystem(bridge, symmetry, "custom", tuple(float(p) for p in params))
+    u = np.linspace(0.0, 1.0, 257)
+    for f, s in zip(bridge, symmetry):
+        vals = np.asarray(f(u), dtype=float)
+        if abs(vals[0]) > 1e-12 or abs(vals[-1]) > 1e-12:
+            raise ValueError("bridge functions must vanish at u = 0 and u = 1")
+        if np.max(np.abs(np.asarray(f(1.0 - u)) - s * vals)) > 1e-10:
+            raise ValueError("declared symmetry tag does not match the function")
+    return LambdaSystem(bridge, symmetry)
 
 
 @dataclass(frozen=True)
@@ -213,11 +208,12 @@ def path_basis(system: LambdaSystem, rule: Rule1D, levels: int = 0) -> PathBasis
     return PathBasis(values, times, weights)
 
 
-def variance_identity_error(system: LambdaSystem, samples: int = 1000) -> float:
-    """Maximum deviation of u^2 + sum_k bridge_k(u)^2 from u over a uniform
-    sample of [0, 1]; zero (to rounding) for valid reweighted systems.
+def variance_identity_error(system: LambdaSystem) -> float:
+    """Maximum deviation of u^2 + sum_k bridge_k(u)^2 from u over 1000
+    uniform samples of [0, 1]; zero (to rounding) for valid reweighted
+    systems.
     """
-    u = np.linspace(0.0, 1.0, samples)
+    u = np.linspace(0.0, 1.0, 1000)
     total = u * u
     for f in system.bridge:
         total = total + np.asarray(f(u)) ** 2

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import calibrated_system
 from .kernels import (
     _WORK_UNIT,
     DiscreteReweightedKernel,
@@ -56,8 +55,9 @@ class SpatialGrid:
     cells: int
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError("grid requires b > a")
+        # written so that NaN fails
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
+            raise ValueError("grid requires finite a < b")
         if self.cells < 2:
             raise ValueError("grid requires at least 2 cells")
 
@@ -112,13 +112,12 @@ def build_matrix(
     params: PhysicalParams,
     grid: SpatialGrid,
     n: int,
-    mirror: bool | None = None,
 ) -> KernelMatrix:
     """Assemble the symmetric kernel matrix at inverse temperature beta/(n+1).
 
     Only the upper triangle is evaluated; the rest is mirrored from the
     kernel's x <-> x' symmetry. When the potential is additionally symmetric
-    about the grid centre (auto-detected, or forced via ``mirror``), only the
+    about the grid centre (probed on and between the grid points), only the
     half of the triangle with i + j <= cells is evaluated and the rest comes
     from the reflection. A NaN from the kernel is reported with its location.
     """
@@ -128,8 +127,7 @@ def build_matrix(
     x = grid.points
     npts = x.size
     iu, ju = np.triu_indices(npts)
-    if mirror is None:
-        mirror = _potential_is_mirror_symmetric(kernel, grid)
+    mirror = _potential_is_mirror_symmetric(kernel, grid)
     if mirror:
         keep = iu + ju <= grid.cells
         iu, ju = iu[keep], ju[keep]
@@ -240,16 +238,14 @@ def _square_multiply(work: np.ndarray, power: int) -> np.ndarray:
         base, spare = spare, base
 
 
-def partition_function(matrix: KernelMatrix, n: int | None = None) -> float:
-    """Trace of the (n+1)-th power of the kernel matrix, computed by binary
-    exponentiation (on two half-size blocks when the matrix is
+def partition_function(matrix: KernelMatrix) -> float:
+    """Trace of the (matrix.n + 1)-th power of the kernel matrix, computed by
+    binary exponentiation (on two half-size blocks when the matrix is
     centrosymmetric, as it is for a mirror-symmetric potential); the trace
     itself is accumulated in compensated summation. Raises OverflowError
     instead of returning inf or NaN.
     """
-    if n is None:
-        n = matrix.n
-    p = _finite_power(matrix.values, n + 1)
+    p = _finite_power(matrix.values, matrix.n + 1)
     return float(math.fsum(np.diagonal(p)))
 
 
@@ -269,18 +265,16 @@ def dvr_eigenvalues(
     potential: Potential,
     params: PhysicalParams,
     grid: SpatialGrid,
-    v_cap: float | None = None,
 ) -> np.ndarray:
     """Eigenvalues of the grid Hamiltonian with box boundary conditions.
 
     The kinetic operator is the sine-basis (particle-in-a-box) discrete
     variable representation on the interior points, which is spectrally
     accurate for smooth potentials. Hard walls are handled by capping the
-    potential (default cap 2000/beta, far above any thermally relevant
-    energy) so the eigensolve stays well conditioned.
+    potential at 2000/beta, far above any thermally relevant energy, so the
+    eigensolve stays well conditioned.
     """
-    if v_cap is None:
-        v_cap = 2000.0 / params.beta
+    v_max = 2000.0 / params.beta
     nn = grid.cells
     idx = np.arange(1, nn)
     pref = params.hbar**2 / (2.0 * params.mass) * math.pi**2 / (2.0 * (grid.b - grid.a) ** 2)
@@ -293,7 +287,7 @@ def dvr_eigenvalues(
         )
     diag = (2.0 * nn**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * idx / nn) ** 2
     t = pref * np.where(diff == 0, diag[:, None] * np.eye(idx.size), off)
-    v = np.minimum(np.asarray(potential.value(grid.points[1:-1]), dtype=float), v_cap)
+    v = np.minimum(np.asarray(potential.value(grid.points[1:-1]), dtype=float), v_max)
     h = t + np.diag(v)
     return np.linalg.eigvalsh(h)
 
@@ -302,18 +296,27 @@ def dvr_partition_function(
     potential: Potential,
     params: PhysicalParams,
     grid: SpatialGrid,
-    v_cap: float | None = None,
 ) -> float:
     """Boltzmann sum over the grid spectrum; raises OverflowError when the
-    sum is not finite rather than returning it."""
-    energies = dvr_eigenvalues(potential, params, grid, v_cap)
+    sum is not finite and ValueError when it underflows to 0, rather than
+    returning it."""
+    energies = dvr_eigenvalues(potential, params, grid)
     with np.errstate(under="ignore", over="ignore"):
         z = float(math.fsum(np.exp(-params.beta * energies)))
     if not math.isfinite(z):
         raise OverflowError(
             "Boltzmann sum overflowed; rescale by shifting the potential energy zero"
         )
+    if z == 0.0:
+        raise ValueError(
+            "Boltzmann sum underflows to 0 at this beta; rescale by shifting the "
+            "potential energy zero"
+        )
     return z
+
+
+# Largest relative gap between a reference Z and the grid eigensolve.
+_REFERENCE_GAP_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -334,12 +337,11 @@ def reference_z(
     params: PhysicalParams,
     grid: SpatialGrid,
     n_ref: int,
-    check_tol: float = 1e-5,
 ) -> ReferenceZ:
     """Converged partition function from a high-n propagation of ``kernel``,
     cross-checked against the independent grid eigensolve; a gap beyond
-    ``check_tol`` means the grid is under-resolved and raises, as do an
-    overflowed matrix power and a NaN gap.
+    1e-5 means the grid is under-resolved and raises, as do an overflowed
+    matrix power, an underflowed eigensolve sum and a NaN gap.
     """
     mat = build_matrix(kernel, params, grid, n_ref)
     p = _finite_power(mat.values, n_ref + 1)
@@ -347,10 +349,10 @@ def reference_z(
     z_dvr = dvr_partition_function(kernel.potential, params, grid)
     gap = abs(z - z_dvr) / z_dvr
     # written so that a NaN gap fails
-    if not (gap <= check_tol):
+    if not (gap <= _REFERENCE_GAP_TOL):
         raise RuntimeError(
             f"reference Z disagrees with the grid eigensolve by {gap:.2e} "
-            f"(> {check_tol:.0e}); refine the grid or raise n_ref"
+            f"(> {_REFERENCE_GAP_TOL:.0e}); refine the grid or raise n_ref"
         )
     return ReferenceZ(z, n_ref, z_dvr, gap, np.diagonal(p) / grid.h, grid)
 
@@ -377,6 +379,12 @@ class DiagnosticsSeries:
         return 2 * self.m + 1
 
 
+def _check_z_ref(z_ref: float) -> None:
+    # written so that NaN fails
+    if not (math.isfinite(z_ref) and z_ref > 0.0):
+        raise ValueError(f"reference Z must be finite and positive, got {z_ref!r}")
+
+
 def _fit_slope(ms: np.ndarray, alphas: np.ndarray) -> tuple[float, tuple[int, int]]:
     start = alphas.size // 2 if alphas.size > 3 else 0
     coef = np.polyfit(ms[start:], alphas[start:], 1)
@@ -397,7 +405,9 @@ def order_diagnostic(
     The series is truncated with a warning once R - 1 falls below 1e-13
     (reference-limited) or the log argument leaves its domain. Fewer than 3
     values of m, or a truncation that leaves fewer than 2 alpha values, leave
-    no slope to fit and raise."""
+    no slope to fit and raise, as does a ``z_ref`` that is not finite and
+    positive."""
+    _check_z_ref(z_ref)
     m_arr = np.asarray(list(m_list), dtype=int)
     if m_arr.size < 3 or np.any(np.diff(m_arr) != 1):
         raise ValueError("m_list must be at least 3 consecutive increasing integers")
@@ -459,28 +469,22 @@ def trotter_constant(
     grid: SpatialGrid,
     potential: Potential,
     n_list,
-    reference: ReferenceZ | None = None,
-    n_ref: int | None = None,
-    gh_points: int = 10,
+    reference: ReferenceZ,
 ) -> TrotterConstantSeries:
     """c_n = (n+1)^2 (Z_n - Z)/Z for the endpoint-splitting kernel, and the
     predicted limit c_th = (hbar^2 beta^3 / 24 m) <V'^2> where the thermal
-    average uses the converged diagonal density of a fourth-order reference
-    run (grid points carrying zero density are excluded; hard walls have
-    infinite derivative there). A ``reference`` must be built on ``grid``."""
+    average uses the converged diagonal density of ``reference``, a
+    fourth-order run built on ``grid`` (grid points carrying zero density
+    are excluded; hard walls have infinite derivative there). Its Z must be
+    finite and positive."""
     n_arr = np.asarray(list(n_list), dtype=int)
-    if reference is not None and reference.grid != grid:
+    if reference.grid != grid:
         raise ValueError(
             f"reference was built on {reference.grid}, not on {grid}; its diagonal "
             "density would be misaligned"
         )
-    if reference is None:
-        if n_ref is None:
-            n_ref = 8 * int(n_arr.max())
-        system, rule = calibrated_system("order4-discrete")
-        ref_kernel = DiscreteReweightedKernel(system, potential, rule, gh_points)
-        reference = reference_z(ref_kernel, params, grid, n_ref)
     z_ref = reference.value
+    _check_z_ref(z_ref)
     rho = reference.diag_density
     vp = np.asarray(potential.deriv1(grid.points), dtype=float)
     mask = np.isfinite(vp) & (rho > 0.0)

@@ -7,17 +7,9 @@ Rules are frozen after construction and safe to share between workers.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class RuleKind(enum.Enum):
-    GAUSS_LEGENDRE_01 = "gauss-legendre-01"
-    GAUSS_HERMITE_PROBABILIST = "gauss-hermite-probabilist"
-    COMPOSITE = "composite"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -27,17 +19,13 @@ class Rule1D:
     Parameters
     ----------
     points : array_like
-        Strictly increasing abscissas.
+        Finite, strictly increasing abscissas.
     weights : array_like
-        Positive weights, one per abscissa.
-    kind : RuleKind
-        What family the rule belongs to; drives a few validity checks
-        elsewhere (e.g. only rules on [0, 1] may be fed to `integrate_01`).
+        Finite positive weights, one per abscissa.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    kind: RuleKind = RuleKind.CUSTOM
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -46,10 +34,11 @@ class Rule1D:
             raise ValueError("points and weights must be 1-d arrays of equal length")
         if pts.size == 0:
             raise ValueError("a rule needs at least one point")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("points must be strictly increasing")
-        if np.any(wts <= 0):
-            raise ValueError("weights must be positive")
+        # written so that NaN fails
+        if not (np.all(np.isfinite(pts)) and np.all(np.diff(pts) > 0)):
+            raise ValueError("points must be finite and strictly increasing")
+        if not np.all(np.isfinite(wts) & (wts > 0)):
+            raise ValueError("weights must be finite and positive")
         pts.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -68,7 +57,7 @@ def gauss_legendre_01(p: int) -> Rule1D:
     if p < 1:
         raise ValueError("p must be a positive integer")
     x, w = np.polynomial.legendre.leggauss(p)
-    return Rule1D(0.5 * (x + 1.0), 0.5 * w, RuleKind.GAUSS_LEGENDRE_01)
+    return Rule1D(0.5 * (x + 1.0), 0.5 * w)
 
 
 def gauss_hermite(p: int) -> Rule1D:
@@ -80,7 +69,7 @@ def gauss_hermite(p: int) -> Rule1D:
     if p < 1:
         raise ValueError("p must be a positive integer")
     x, w = np.polynomial.hermite_e.hermegauss(p)
-    return Rule1D(x, w / w.sum(), RuleKind.GAUSS_HERMITE_PROBABILIST)
+    return Rule1D(x, w / w.sum())
 
 
 def composite_legendre_01(cells: int = 64, panel: int = 8, sqrt_endpoints: bool = False) -> Rule1D:
@@ -101,7 +90,7 @@ def composite_legendre_01(cells: int = 64, panel: int = 8, sqrt_endpoints: bool 
         theta = pts
         pts = np.sin(0.5 * np.pi * theta) ** 2
         wts = wts * (0.5 * np.pi) * np.sin(np.pi * theta)
-    return Rule1D(pts, wts, RuleKind.COMPOSITE)
+    return Rule1D(pts, wts)
 
 
 def endpoint_trapezoid() -> Rule1D:
@@ -110,12 +99,14 @@ def endpoint_trapezoid() -> Rule1D:
     Exact for polynomials of degree <= 1. This is the time average used by
     the symmetrized kinetic/potential splitting kernel.
     """
-    return Rule1D(np.array([0.0, 1.0]), np.array([0.5, 0.5]), RuleKind.CUSTOM)
+    return Rule1D(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
 
 def integrate_01(rule: Rule1D, f) -> float:
-    """Apply ``rule`` to a function on [0, 1]: returns sum_i w_i f(u_i)."""
-    if rule.kind not in (RuleKind.GAUSS_LEGENDRE_01, RuleKind.COMPOSITE):
+    """Apply ``rule`` to a function on [0, 1]: returns sum_i w_i f(u_i).
+    The rule's points must lie in [0, 1]."""
+    # the points increase, so the end points bound them
+    if rule.points[0] < 0.0 or rule.points[-1] > 1.0:
         raise ValueError("integrate_01 expects a rule defined on [0, 1]")
     return float(np.dot(rule.weights, f(rule.points)))
 

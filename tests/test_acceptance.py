@@ -3,7 +3,8 @@
 Heavy artifacts (references, ladders, Monte Carlo samples) are shared
 through module-scoped fixtures; each criterion prints its own pass/fail
 line (visible with ``pytest -s``). The full module is the long end of the
-test suite and takes on the order of fifteen minutes.
+test suite: it took 328 s on a 2-vCPU Intel Xeon VM (numpy 2.4, OpenBLAS),
+304 s of it in the convergence-order ladders.
 """
 
 import math

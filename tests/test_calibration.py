@@ -90,7 +90,7 @@ def test_calibration_unknown_family():
 
 
 def test_calibration_custom_guess_converges_to_nearest_root():
-    res = calibrate("order3-discrete", initial_guess=(2.5,))
+    res = calibrate("order3-discrete")
     assert res.constants[0] == pytest.approx(math.pi * math.sqrt(3) / 2, abs=1e-10)
 
 

@@ -148,6 +148,26 @@ def test_order_refused_reference_is_a_usage_error(capsys):
     assert err.startswith("error: reference Z disagrees")
 
 
+def test_order_underflowed_reference_is_a_usage_error(capsys):
+    # at beta = 2000 the harmonic Boltzmann sum underflows to 0, which the
+    # reference gap must not divide by
+    code, out, err = run_cli(
+        capsys, "order", "--potential", "harmonic", "--kernel", "trotter", "--beta", "2000",
+        "--m-max", "3", "--grid-m", "60",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "underflows" in err
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_non_finite_beta_is_a_usage_error(capsys, beta):
+    code, out, err = run_cli(capsys, "mc-check", "--potential", "quartic", "--beta", beta)
+    assert code == 2
+    assert out == ""
+    assert "finite and positive" in err
+
+
 def test_order_too_few_rungs_is_a_usage_error(capsys):
     # two rungs give one alpha value: no slope, so no JSON with a NaN in it
     code, out, err = run_cli(capsys, "order", "--potential", "harmonic", "--m-max", "2")

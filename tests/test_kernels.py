@@ -50,6 +50,10 @@ def test_params_validation():
         PhysicalParams(beta=-1.0)
     with pytest.raises(ValueError):
         PhysicalParams(beta=1.0, mass=0.0)
+    for field in ("beta", "hbar", "mass"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PhysicalParams(**{"beta": 1.0, field: value})
 
 
 def test_rho_fp_peak_and_symmetry():

@@ -19,7 +19,7 @@ from rwpath.moments import (
     sample_spec_moments,
     verify_order,
 )
-from rwpath.processes import covariance, exact_brownian, finite_kernel, make_custom, make_order3, path_basis
+from rwpath.processes import LambdaSystem, covariance, exact_brownian, finite_kernel, make_order3, path_basis
 from rwpath.quadrature import composite_legendre_01, endpoint_trapezoid, gauss_legendre_01
 
 EB = continuous_spec(exact_brownian())
@@ -161,10 +161,9 @@ def test_endpoint_only_moments_match_closed_form():
     # with no time average the pairing sum has (g-1)!! equal terms
     # C(1,1)^(g/2); the custom system's bridges do not vanish at u = 1, so
     # there C(1,1) != 1
-    lifted = make_custom(
-        [lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, lambda u: np.sin(np.asarray(u, dtype=float))],
+    lifted = LambdaSystem(
+        (lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, lambda u: np.sin(np.asarray(u, dtype=float))),
         (1, 1),
-        check=False,
     )
     assert covariance(finite_kernel(lifted), 1.0, 1.0) == pytest.approx(1.25 + math.sin(1.0) ** 2)
     system3, rule3 = calibrated_system("order3-discrete")
@@ -257,10 +256,9 @@ def test_j1_j2_indices_agree_for_any_valid_spec():
 
 def test_moment_invariant_under_time_reversal():
     system, rule = calibrated_system("order4-discrete")
-    reversed_system = make_custom(
-        [(lambda f: (lambda u, _f=f: _f(1.0 - np.asarray(u, dtype=float))))(f) for f in system.bridge],
+    reversed_system = LambdaSystem(
+        tuple((lambda f: (lambda u, _f=f: _f(1.0 - np.asarray(u, dtype=float))))(f) for f in system.bridge),
         system.symmetry,
-        check=False,
     )
     for spec_fwd, spec_rev in [
         (

@@ -13,6 +13,8 @@ from rwpath.kernels import (
 )
 from rwpath.potentials import custom_potential, harmonic, quartic
 from rwpath.propagation import (
+    KernelMatrix,
+    ReferenceZ,
     SpatialGrid,
     _square_multiply,
     build_matrix,
@@ -42,6 +44,9 @@ def test_grid_validation():
         SpatialGrid(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         SpatialGrid(0.0, 1.0, 1)
+    for a, b in [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            SpatialGrid(a, b, 10)
     g = SpatialGrid(-4.0, 4.0, 400)
     assert g.h == pytest.approx(0.02)
     assert g.points.size == 401
@@ -82,8 +87,15 @@ def test_mirror_and_plain_builds_agree():
     p = PhysicalParams(beta=2.0)
     g = SpatialGrid(-3.0, 3.0, 50)
     kernel = DiscreteReweightedKernel(ORDER3[0], quartic(), ORDER3[1])
-    a = build_matrix(kernel, p, g, 2, mirror=False).values
-    b = build_matrix(kernel, p, g, 2, mirror=True).values
+    # the plain build: every upper-triangle entry from the kernel, reflected
+    # across the diagonal only
+    x = g.points
+    iu, ju = np.triu_indices(x.size)
+    a = np.empty((x.size, x.size))
+    a[iu, ju] = a[ju, iu] = g.h * kernel.rho0(p.with_beta(p.beta / 3), x[iu], x[ju])
+    b = build_matrix(kernel, p, g, 2).values
+    # the quartic is even, so the build takes the mirror fill
+    assert np.array_equal(b, b[::-1, ::-1])
     np.testing.assert_allclose(a, b, atol=1e-15)
 
 
@@ -101,11 +113,10 @@ def test_build_matrix_reports_nan_location():
 def test_partition_function_trace_basics():
     g = SpatialGrid(0.0, 1.0, 3)
     diag = np.diag([0.5, 0.25, 0.125, 0.0625])
-    from rwpath.propagation import KernelMatrix
-
-    mat = KernelMatrix(diag, g, 1.0, 0, "test")
-    assert partition_function(mat, 0) == pytest.approx(diag.trace())
-    assert partition_function(mat, 3) == pytest.approx(float((np.diag(diag) ** 4).sum()))
+    mat0 = KernelMatrix(diag, g, 1.0, 0, "test")
+    mat3 = KernelMatrix(diag, g, 1.0, 3, "test")
+    assert partition_function(mat0) == pytest.approx(diag.trace())
+    assert partition_function(mat3) == pytest.approx(float((np.diag(diag) ** 4).sum()))
 
 
 def test_binary_exponentiation_matches_naive_products():
@@ -119,14 +130,12 @@ def test_binary_exponentiation_matches_naive_products():
 
 
 def test_partition_function_overflow_error():
-    from rwpath.propagation import KernelMatrix
-
     # both sizes are centrosymmetric, so both take the folded power
     for cells in (3, 4):
         g = SpatialGrid(0.0, 1.0, cells)
-        mat = KernelMatrix(np.full((cells + 1, cells + 1), 1e60), g, 1.0, 0, "test")
+        mat = KernelMatrix(np.full((cells + 1, cells + 1), 1e60), g, 1.0, 15, "test")
         with pytest.raises(OverflowError, match="rescal"):
-            partition_function(mat, 15)
+            partition_function(mat)
 
 
 def plain_power(a, power):
@@ -296,6 +305,20 @@ def test_dvr_partition_function_fails_closed_on_overflow():
         dvr_partition_function(pot, PhysicalParams(beta=10.0), SpatialGrid(-3.0, 3.0, 120))
 
 
+def test_dvr_partition_function_fails_closed_on_underflow():
+    # beta E_0 = 1000 for the unit harmonic oscillator at beta = 2000
+    with pytest.raises(ValueError, match="underflows"):
+        dvr_partition_function(harmonic(1.0), PhysicalParams(beta=2000.0), SpatialGrid(-5.0, 5.0, 60))
+
+
+def test_reference_z_fails_closed_when_boltzmann_sum_underflows():
+    # the propagated and the eigensolve Z both underflow to 0, whose gap
+    # 0/0 must not be formed
+    kernel = TrotterKernel(harmonic(1.0))
+    with pytest.raises(ValueError, match="underflows"):
+        reference_z(kernel, PhysicalParams(beta=2000.0), SpatialGrid(-5.0, 5.0, 60), 56)
+
+
 def test_doubling_grid_cells_leaves_z_unchanged():
     p = PhysicalParams(beta=10.0)
     kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
@@ -310,6 +333,14 @@ def test_order_diagnostic_requires_consecutive_m():
     kernel = TrotterKernel(quartic())
     with pytest.raises(ValueError):
         order_diagnostic(kernel, p, g, [1, 3, 5], 1.0)
+
+
+@pytest.mark.parametrize("z_ref", [0.0, -1.0, math.nan, math.inf])
+def test_order_diagnostic_rejects_z_ref_not_finite_and_positive(z_ref):
+    p = PhysicalParams(beta=2.0)
+    g = SpatialGrid(-4.0, 4.0, 50)
+    with pytest.raises(ValueError, match="finite and positive"):
+        order_diagnostic(TrotterKernel(quartic()), p, g, [1, 2, 3], z_ref)
 
 
 def test_order_diagnostic_truncates_on_reference_limit():
@@ -348,7 +379,8 @@ def test_trotter_constant_harmonic_analytic():
     beta = 2.0
     p = PhysicalParams(beta=beta)
     g = SpatialGrid(-6.0, 6.0, 240)
-    series = trotter_constant(p, g, harmonic(1.0), list(range(3, 40, 2)), n_ref=320)
+    ref = reference_z(DiscreteReweightedKernel(ORDER4[0], harmonic(1.0), ORDER4[1]), p, g, 320)
+    series = trotter_constant(p, g, harmonic(1.0), list(range(3, 40, 2)), ref)
     want = beta**3 / 24.0 * 0.5 / math.tanh(beta / 2.0)
     assert series.c_th == pytest.approx(want, rel=1e-4)
     assert series.c_n[-1] == pytest.approx(want, rel=0.05)
@@ -358,8 +390,6 @@ def test_trotter_constant_free_particle_is_zero():
     # with V = 0 the splitting kernel coincides with the free-particle kernel,
     # so measured against the free chain at the same n the error is zero; the
     # derivative average makes c_th exactly zero
-    from rwpath.propagation import ReferenceZ
-
     p = PhysicalParams(beta=0.5)
     g = SpatialGrid(-8.0, 8.0, 100)
     zero = zero_potential()
@@ -379,8 +409,6 @@ def test_trotter_constant_free_particle_is_zero():
 
 
 def test_trotter_constant_rejects_reference_on_another_grid():
-    from rwpath.propagation import ReferenceZ
-
     g = SpatialGrid(-4.0, 4.0, 80)
     ref = ReferenceZ(
         value=1.0, n_ref=7, eigensolve_value=1.0, rel_gap=0.0,
@@ -389,6 +417,17 @@ def test_trotter_constant_rejects_reference_on_another_grid():
     with pytest.raises(ValueError, match="reference"):
         trotter_constant(PhysicalParams(beta=10.0), SpatialGrid(-3.0, 5.0, 80), quartic(),
                          [3, 5], reference=ref)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_trotter_constant_rejects_reference_z_not_finite_and_positive(value):
+    g = SpatialGrid(-4.0, 4.0, 80)
+    ref = ReferenceZ(
+        value=value, n_ref=7, eigensolve_value=1.0, rel_gap=0.0,
+        diag_density=np.ones(g.points.size), grid=g,
+    )
+    with pytest.raises(ValueError, match="finite and positive"):
+        trotter_constant(PhysicalParams(beta=10.0), g, quartic(), [3, 5], ref)
 
 
 def test_semigroup_consistency_of_converged_reference():

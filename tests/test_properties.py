@@ -1,0 +1,106 @@
+"""Property tests on random polynomial potentials and tiny grids.
+
+Every test is derandomized, so each run draws the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rwpath.calibration import calibrated_system
+from rwpath.kernels import DiscreteReweightedKernel, PhysicalParams, TrotterKernel
+from rwpath.potentials import custom_potential
+from rwpath.propagation import SpatialGrid, build_matrix
+
+ORDER3 = calibrated_system("order3-discrete")
+
+PROPERTY = settings(max_examples=20, derandomize=True, deadline=None, database=None)
+
+coefficient = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def polynomials(draw, even=False):
+    """V(x) = c1 x + c2 x^2 + c3 x^3 + c4 x^4 with c4 >= 0.1, so V is bounded
+    below; an even draw has c1 = c3 = 0."""
+    c1, c3 = (0.0, 0.0) if even else (draw(coefficient), draw(coefficient))
+    c2, c4 = draw(coefficient), draw(st.floats(0.1, 1.0))
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return c1 * x + c2 * x**2 + c3 * x**3 + c4 * x**4
+
+    def deriv1(x):
+        x = np.asarray(x, dtype=float)
+        return c1 + 2.0 * c2 * x + 3.0 * c3 * x**2 + 4.0 * c4 * x**3
+
+    return custom_potential(value, deriv1)
+
+
+kernels = st.sampled_from(["trotter", "order3"])
+betas = st.floats(0.1, 2.0)
+rungs = st.integers(0, 3)
+
+
+def make_kernel(name, pot):
+    if name == "trotter":
+        return TrotterKernel(pot)
+    return DiscreteReweightedKernel(ORDER3[0], pot, ORDER3[1])
+
+
+@PROPERTY
+@given(
+    pot=polynomials(),
+    name=kernels,
+    beta=betas,
+    n=rungs,
+    a=st.floats(-3.0, 0.0),
+    width=st.floats(1.0, 5.0),
+    cells=st.integers(2, 12),
+)
+def test_build_matrix_is_symmetric_and_nonnegative(pot, name, beta, n, a, width, cells):
+    grid = SpatialGrid(a, a + width, cells)
+    mat = build_matrix(make_kernel(name, pot), PhysicalParams(beta=beta), grid, n).values
+    assert np.array_equal(mat, mat.T)
+    assert np.all(mat >= 0.0)
+
+
+@PROPERTY
+@given(
+    pot=polynomials(even=True),
+    name=kernels,
+    beta=betas,
+    n=rungs,
+    half_width=st.floats(0.5, 3.0),
+    cells=st.integers(2, 12),
+)
+def test_build_matrix_of_even_potential_equals_its_rotation(pot, name, beta, n, half_width, cells):
+    # the mirror fill assigns every entry below the anti-diagonal from its
+    # reflection, so the rotation is exact, not merely close
+    grid = SpatialGrid(-half_width, half_width, cells)
+    mat = build_matrix(make_kernel(name, pot), PhysicalParams(beta=beta), grid, n).values
+    assert np.array_equal(mat, mat.T)
+    assert np.all(mat >= 0.0)
+    assert np.array_equal(mat, mat[::-1, ::-1])
+
+
+@PROPERTY
+@given(
+    pot=polynomials(),
+    beta=betas,
+    size=st.integers(2, 1400),
+    split=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ratio_is_chunk_invariant_on_random_potentials(pot, beta, size, split, seed):
+    # 100 Gauss-Hermite nodes per pair give 655-pair chunks, so the larger
+    # draws cross a chunk boundary
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, size=size)
+    xp = rng.uniform(-2.0, 2.0, size=size)
+    cut = 1 + int(split * (size - 2))
+    kernel = make_kernel("order3", pot)
+    params = PhysicalParams(beta=beta)
+    whole = kernel.ratio(params, x, xp)
+    parts = np.concatenate([kernel.ratio(params, x[:cut], xp[:cut]), kernel.ratio(params, x[cut:], xp[cut:])])
+    assert np.array_equal(whole, parts)

@@ -5,7 +5,6 @@ import pytest
 
 from rwpath.quadrature import (
     Rule1D,
-    RuleKind,
     composite_legendre_01,
     endpoint_trapezoid,
     gauss_hermite,
@@ -88,6 +87,15 @@ def test_integrate_01_rejects_hermite_rule():
         integrate_01(gauss_hermite(4), lambda u: u)
 
 
+def test_integrate_01_checks_points_not_rule_family():
+    # any rule whose points lie in [0, 1] is accepted, endpoints included
+    assert integrate_01(endpoint_trapezoid(), lambda u: u) == 0.5
+    assert integrate_01(Rule1D([0.25, 0.75], [0.5, 0.5]), lambda u: u) == 0.5
+    for points in ([-0.25, 0.5], [0.5, 1.25]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            integrate_01(Rule1D(points, [0.5, 0.5]), lambda u: u)
+
+
 def test_composite_sqrt_substitution_handles_endpoint_roots():
     # the plain rule converges slowly on sqrt(u(1-u)); the substituted one is exact
     comp = composite_legendre_01(64, 8, sqrt_endpoints=True)
@@ -100,7 +108,6 @@ def test_composite_weights_positive_points_increasing():
     comp = composite_legendre_01(16, 4, sqrt_endpoints=True)
     assert np.all(np.diff(comp.points) > 0)
     assert np.all(comp.weights > 0)
-    assert comp.kind is RuleKind.COMPOSITE
 
 
 def test_endpoint_trapezoid_rule():
@@ -115,6 +122,13 @@ def test_rule_validation():
         Rule1D([0.5, 0.2], [0.5, 0.5])
     with pytest.raises(ValueError):
         Rule1D([0.2, 0.5], [0.5, -0.5])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Rule1D([bad], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Rule1D([0.2, bad, 0.9], [0.3, 0.3, 0.4])
+        with pytest.raises(ValueError, match="finite"):
+            Rule1D([0.2, 0.5], [0.5, bad])
     with pytest.raises(ValueError):
         gauss_legendre_01(0)
     with pytest.raises(ValueError):
