@@ -13,10 +13,15 @@ The sampler streams fixed blocks of about 64k path values through buffers
 allocated once per call, and reduces each sample in an order set by the
 number of time nodes alone. Its memory is bounded whatever the sample
 count, and sample i comes out bit-identical however many samples are drawn.
+One worker thread per call draws the next block of normals into the second
+of two 64k-element buffers while the caller reduces the current one; only
+the worker draws, in the stream's order, so the output is the same as from
+drawing in the caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -400,6 +405,36 @@ def _series_paths(coeff: np.ndarray, lam: np.ndarray, out: np.ndarray) -> None:
             out[:, t] += coeff[:, j] * lam[j, t]
 
 
+def _normal_blocks(rng: np.random.Generator, samples: int, rows: int, width: int):
+    """Yield (r0, r1, block): standard normals for sample rows r0:r1, drawn
+    from ``rng`` in C order, block after block, so the stream is the one that
+    ``rng.standard_normal(out=block)`` in the caller's loop would give.
+
+    One worker thread draws block k + 1 into the second of two (rows, width)
+    buffers while the caller uses block k, which it may overwrite: that
+    buffer is drawn into again only once the caller asks for block k + 1.
+    Only the worker touches ``rng``. The worker is joined before the
+    generator finishes or is closed.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    bufs = (np.empty((rows, width)), np.empty((rows, width)))
+    starts = range(0, samples, rows)
+
+    def draw(k: int) -> np.ndarray:
+        block = bufs[k % 2][: min(rows, samples - starts[k])]
+        rng.standard_normal(out=block)
+        return block
+
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(draw, 0)
+        for k, r0 in enumerate(starts):
+            block = ahead.result()
+            if k + 1 < len(starts):
+                ahead = pool.submit(draw, k + 1)
+            yield r0, r0 + block.shape[0], block
+
+
 def sample_spec_moments(
     spec: MomentSpec,
     samples: int,
@@ -418,7 +453,10 @@ def sample_spec_moments(
 
     Samples are drawn and reduced in fixed blocks of about ``_WORK_UNIT``
     elements, reusing the same buffers, so memory does not grow with
-    ``samples`` and sample i is the same whatever ``samples`` is.
+    ``samples`` and sample i is the same whatever ``samples`` is. The normals
+    are drawn one block ahead by one worker thread, into two buffers of
+    ``_WORK_UNIT`` elements, from the same stream in the same order; the
+    worker is joined before the call returns or raises.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -447,31 +485,28 @@ def sample_spec_moments(
         sdt = np.sqrt(np.diff(np.concatenate([[0.0], ts])))
         draws = sdt.size
     rows = min(samples, max(1, _WORK_UNIT // max(draws, nodes.size)))
-    z = np.empty((rows, draws))
     paths = np.empty((rows, nodes.size)) if finite else None
     acc = np.empty((rows, nodes.size))
 
-    for r0 in range(0, samples, rows):
-        r1 = min(r0 + rows, samples)
-        zb = z[: r1 - r0]
-        rng.standard_normal(out=zb)
-        if finite:
-            pb = paths[: r1 - r0]
-            _series_paths(zb, lam, pb)
-            b1[r0:r1] = zb[:, 0]
-        else:
-            zb *= sdt
-            np.cumsum(zb, axis=1, out=zb)
-            # the path at the nodes; the endpoint is the last column either way
-            pb = zb[:, : nodes.size]
-            b1[r0:r1] = zb[:, -1]
-        # acc holds weights * path^k, raised one power at a time
-        ab = acc[: r1 - r0]
-        np.multiply(pb, weights, out=ab)
-        for k in range(1, max_power + 1):
-            if k > 1:
-                ab *= pb
-            _row_sums(ab, mk[k][r0:r1])
+    with contextlib.closing(_normal_blocks(rng, samples, rows, draws)) as blocks:
+        for r0, r1, zb in blocks:
+            if finite:
+                pb = paths[: r1 - r0]
+                _series_paths(zb, lam, pb)
+                b1[r0:r1] = zb[:, 0]
+            else:
+                zb *= sdt
+                np.cumsum(zb, axis=1, out=zb)
+                # the path at the nodes; the endpoint is the last column either way
+                pb = zb[:, : nodes.size]
+                b1[r0:r1] = zb[:, -1]
+            # acc holds weights * path^k, raised one power at a time
+            ab = acc[: r1 - r0]
+            np.multiply(pb, weights, out=ab)
+            for k in range(1, max_power + 1):
+                if k > 1:
+                    ab *= pb
+                _row_sums(ab, mk[k][r0:r1])
     return {"B1": b1, "M": mk}
 
 

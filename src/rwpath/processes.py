@@ -183,15 +183,28 @@ class PathBasis:
     weights: np.ndarray
 
 
+# Entries the basis table may hold: 2^24 float64 values, 128 MiB. The table
+# has (2^levels (q + 1) - 1) x 2^levels nq entries, so it grows fourfold per
+# level; the order-4 system (q = 3, 4 nodes) reaches the budget at levels 10.
+_MAX_BASIS_ENTRIES = 2**24
+
+
 def path_basis(system: LambdaSystem, rule: Rule1D, levels: int = 0) -> PathBasis:
     """Chain ``system`` across 2^levels dyadic cells of [0, 1] and evaluate
     the basis at the copies of ``rule``'s nodes; at ``levels = 0`` the rows
-    are exactly ``system.bridge_values(rule.points)``.
+    are exactly ``system.bridge_values(rule.points)``. Raises ValueError,
+    before allocating, when the table would exceed ``_MAX_BASIS_ENTRIES``.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
     ncell = 2**levels
     nq = rule.points.size
+    entries = (ncell - 1 + system.q * ncell) * ncell * nq
+    if entries > _MAX_BASIS_ENTRIES:
+        raise ValueError(
+            f"levels = {levels} needs a path basis of {entries} entries, over the "
+            f"budget of {_MAX_BASIS_ENTRIES}; lower levels"
+        )
     times = (np.tile(rule.points, ncell) + np.repeat(np.arange(ncell), nq)) / ncell
     weights = np.tile(rule.weights, ncell) / ncell
     values = np.zeros((ncell - 1 + system.q * ncell, times.size))

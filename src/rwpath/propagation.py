@@ -478,6 +478,8 @@ def trotter_constant(
     are excluded; hard walls have infinite derivative there). Its Z must be
     finite and positive."""
     n_arr = np.asarray(list(n_list), dtype=int)
+    if n_arr.size == 0:
+        raise ValueError("n_list must hold at least one Trotter step count")
     if reference.grid != grid:
         raise ValueError(
             f"reference was built on {reference.grid}, not on {grid}; its diagonal "
@@ -503,6 +505,12 @@ def trotter_constant(
     return TrotterConstantSeries(n_arr, np.asarray(z_vals), c_arr, c_th, z_ref, rel)
 
 
+def _check_endpoints(x: float, xp: float) -> None:
+    for name, value in (("x", x), ("x'", xp)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def nmm_density_ratio(
     kernel: ShortTimeKernel,
     params: PhysicalParams,
@@ -514,8 +522,10 @@ def nmm_density_ratio(
     """rho_n(x, x'; beta) / rho_fp(x, x'; beta) read off the propagated
     matrix; x and x' must be grid points. An entry below its mirror entry,
     which the folded power does not resolve, is recomputed from n+1
-    matrix-vector products. Raises ValueError when the ratio is not
-    representable: rho_fp underflows for points too far apart at this beta."""
+    matrix-vector products. Raises ValueError when x or x' is not finite,
+    and when the ratio is not representable: rho_fp underflows for points
+    too far apart at this beta."""
+    _check_endpoints(x, xp)
     pts = grid.points
     i = int(np.argmin(np.abs(pts - x)))
     j = int(np.argmin(np.abs(pts - xp)))
@@ -557,10 +567,11 @@ def mc_density_ratio(
     n = 2^levels - 1, sampling the chained-path representation directly:
     tent coefficients fill in the dyadic skeleton and one compressed copy of
     the kernel's bridge system lives in each of the 2^levels cells. Returns
-    (estimate, standard error).
+    (estimate, standard error); raises ValueError when x or x' is not finite.
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
+    _check_endpoints(x, xp)
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")
     system = kernel.system

@@ -168,6 +168,31 @@ def test_non_finite_beta_is_a_usage_error(capsys, beta):
     assert "finite and positive" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--x", "nan"), ("--xp", "inf"), ("--x", "-inf")])
+def test_non_finite_endpoint_is_a_usage_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "mc-check", "--potential", "quartic", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_mc_check_levels_over_the_basis_budget_is_a_usage_error(capsys):
+    # 2^40 cells: the tiled time nodes alone would take 32 TiB
+    code, out, err = run_cli(capsys, "mc-check", "--levels", "40", "--samples", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_trotter_constant_without_rungs_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "trotter-constant", "--potential", "harmonic", "--m-max", "0", "--n-ref", "200"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "at least one" in err
+
+
 def test_order_too_few_rungs_is_a_usage_error(capsys):
     # two rungs give one alpha value: no slope, so no JSON with a NaN in it
     code, out, err = run_cli(capsys, "order", "--potential", "harmonic", "--m-max", "2")

@@ -1,9 +1,11 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rwpath import moments
 from rwpath.calibration import calibrated_system
 from rwpath.kernels import _WORK_UNIT
 from rwpath.moments import (
@@ -472,6 +474,63 @@ def test_sample_spec_moments_match_unblocked_reference(spec):
     for k in range(1, 7):
         scale = np.abs(paths) ** k @ rule.weights
         assert np.all(np.abs(data["M"][k] - paths**k @ rule.weights) <= 1e-13 * scale)
+
+
+def caller_thread_blocks(rng, samples, rows, width):
+    """The draw loop without a worker: each block drawn in the caller's
+    thread into one reused buffer."""
+    z = np.empty((rows, width))
+    for r0 in range(0, samples, rows):
+        zb = z[: min(rows, samples - r0)]
+        rng.standard_normal(out=zb)
+        yield r0, r0 + zb.shape[0], zb
+
+
+def test_normal_blocks_continue_one_stream():
+    rows, width, samples = 7, 5, 3 * 7 + 2
+    got = [(r0, r1, block.copy()) for r0, r1, block in
+           moments._normal_blocks(np.random.default_rng(3), samples, rows, width)]
+    assert [(r0, r1) for r0, r1, _ in got] == [(0, 7), (7, 14), (14, 21), (21, 23)]
+    whole = np.random.default_rng(3).standard_normal((samples, width))
+    assert np.array_equal(np.vstack([b for _, _, b in got]), whole)
+
+
+@pytest.mark.parametrize("spec", [EB, order4_spec()], ids=["exact-brownian", "order-4"])
+def test_sample_spec_moments_match_caller_thread_draws(spec, monkeypatch):
+    n = 3 * sample_block_rows(spec) + 5  # three whole blocks and a partial one
+    drawn_ahead = sample_spec_moments(spec, n, seed=13)
+    monkeypatch.setattr(moments, "_normal_blocks", caller_thread_blocks)
+    reference = sample_spec_moments(spec, n, seed=13)
+    assert np.array_equal(drawn_ahead["B1"], reference["B1"])
+    for k in range(1, 7):
+        assert np.array_equal(drawn_ahead["M"][k], reference["M"][k])
+
+
+def test_sample_spec_moments_join_their_one_worker(monkeypatch):
+    n = 3 * sample_block_rows(EB) + 5
+    baseline = threading.active_count()
+    during = []
+    row_sums = moments._row_sums
+
+    def counting(a, out):
+        during.append(threading.active_count())
+        row_sums(a, out)
+
+    monkeypatch.setattr(moments, "_row_sums", counting)
+    sample_spec_moments(EB, n, seed=2, max_power=1)
+    assert len(during) == 4 and set(during) == {baseline + 1}
+    assert threading.active_count() == baseline
+
+    def failing(a, out):
+        during.append(threading.active_count())
+        if len(during) == 6:  # the second block of this call
+            raise RuntimeError("reduction failed")
+        row_sums(a, out)
+
+    monkeypatch.setattr(moments, "_row_sums", failing)
+    with pytest.raises(RuntimeError, match="reduction failed"):
+        sample_spec_moments(EB, n, seed=2, max_power=1)
+    assert threading.active_count() == baseline
 
 
 def test_moment_product_matches_power_formula_and_keeps_payload():

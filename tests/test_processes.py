@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rwpath.calibration import calibrated_system
 from rwpath.processes import (
+    _MAX_BASIS_ENTRIES,
     covariance,
     exact_brownian,
     finite_kernel,
@@ -192,6 +194,25 @@ def test_path_basis_shapes_and_validation():
     assert np.all(np.diff(basis.times) >= 0.0)
     with pytest.raises(ValueError):
         path_basis(ORDER4, NODES, levels=-1)
+
+
+def test_path_basis_over_budget_raises_before_allocating():
+    # (2^L (q + 1) - 1) x 2^L nq entries; the first level over the budget
+    # and one whose table no machine could hold
+    def entries(levels):
+        return (2**levels * (ORDER4.q + 1) - 1) * 2**levels * NODES.points.size
+
+    first = next(lvl for lvl in range(64) if entries(lvl) > _MAX_BASIS_ENTRIES)
+    assert entries(first - 1) <= _MAX_BASIS_ENTRIES
+    for levels in (first, 40):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                path_basis(ORDER4, NODES, levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 def _levy_covariance(system, rule, levels):
