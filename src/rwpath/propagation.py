@@ -10,6 +10,7 @@ convergence constant against its closed-form thermal average.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -107,6 +108,33 @@ def _potential_is_mirror_symmetric(kernel: ShortTimeKernel, grid: SpatialGrid) -
     return True
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_layout(cells: int, mirror: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only pair layout of a kernel matrix on ``cells + 1`` points.
+
+    ``iu``, ``ju`` are the pairs the kernel is evaluated on: the upper
+    triangle, cut to i + j <= cells when the matrix is also mirrored about
+    the grid centre. ``entry`` maps every matrix entry to the index of the
+    one pair whose value it takes: the pair itself, its transpose and, when
+    mirrored, both reflections."""
+    npts = cells + 1
+    iu, ju = np.triu_indices(npts)
+    if mirror:
+        keep = iu + ju <= cells
+        iu, ju = iu[keep], ju[keep]
+    pair = np.arange(iu.size)
+    entry = np.empty((npts, npts), dtype=np.intp)
+    entry[iu, ju] = pair
+    entry[ju, iu] = pair
+    if mirror:
+        mi, mj = cells - iu, cells - ju
+        entry[mi, mj] = pair
+        entry[mj, mi] = pair
+    for arr in (iu, ju, entry):
+        arr.setflags(write=False)
+    return iu, ju, entry
+
+
 def build_matrix(
     kernel: ShortTimeKernel,
     params: PhysicalParams,
@@ -119,18 +147,15 @@ def build_matrix(
     kernel's x <-> x' symmetry. When the potential is additionally symmetric
     about the grid centre (probed on and between the grid points), only the
     half of the triangle with i + j <= cells is evaluated and the rest comes
-    from the reflection. A NaN from the kernel is reported with its location.
+    from the reflection. The pair layout depends only on ``(cells, mirror)``
+    and is cached, so the matrix is one gather of the pair values. A NaN
+    from the kernel is reported with its location.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     slice_params = params.with_beta(params.beta / (n + 1))
     x = grid.points
-    npts = x.size
-    iu, ju = np.triu_indices(npts)
-    mirror = _potential_is_mirror_symmetric(kernel, grid)
-    if mirror:
-        keep = iu + ju <= grid.cells
-        iu, ju = iu[keep], ju[keep]
+    iu, ju, entry = _pair_layout(grid.cells, _potential_is_mirror_symmetric(kernel, grid))
     try:
         vals = grid.h * np.asarray(kernel.rho0(slice_params, x[iu], x[ju]))
     except FloatingPointError:
@@ -145,14 +170,7 @@ def build_matrix(
         raise FloatingPointError(
             f"kernel produced a non-finite entry at grid indices ({iu[k]}, {ju[k]})"
         )
-    a = np.empty((npts, npts))
-    a[iu, ju] = vals
-    a[ju, iu] = vals
-    if mirror:
-        mi, mj = grid.cells - iu, grid.cells - ju
-        a[mi, mj] = vals
-        a[mj, mi] = vals
-    return KernelMatrix(a, grid, params.beta, n, kernel.kind)
+    return KernelMatrix(np.take(vals, entry), grid, params.beta, n, kernel.kind)
 
 
 def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
@@ -174,11 +192,22 @@ def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
         raise ValueError("power must be >= 1")
     a = np.asarray(a)
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype.kind in "fc":
-        if np.array_equal(a, a[::-1, ::-1]):
+        if _is_centrosymmetric(a):
             return _folded_power(a, power)
     work = np.empty((3,) + a.shape, dtype=a.dtype)
     work[0] = a
     return _square_multiply(work, power)
+
+
+def _is_centrosymmetric(a: np.ndarray) -> bool:
+    """True when the square ``a`` equals its 180° rotation bit for bit: its
+    top N // 2 rows equal its rotated bottom rows, and for odd N its centre
+    row is a palindrome. NaN fails."""
+    n = a.shape[0]
+    m = n // 2
+    if not np.array_equal(a[:m], a[::-1, ::-1][:m]):
+        return False
+    return n % 2 == 0 or np.array_equal(a[m], a[m, ::-1])
 
 
 def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
@@ -549,9 +578,12 @@ def nmm_density_ratio(
     return ratio
 
 
-# Samples whose normals are drawn together; the draw order, and so every
-# seeded estimate, depends on it.
+# Samples whose normals are drawn together, at most _MC_NORMALS normals
+# (32 MiB) per batch; the draw order, and so every seeded estimate, depends
+# on both. Rows of 31 or fewer normals (the calibrated systems up to
+# levels 3) keep whole batches.
 _MC_BATCH = 100_000
+_MC_NORMALS = 2**22
 
 
 def mc_density_ratio(
@@ -566,8 +598,10 @@ def mc_density_ratio(
     """Monte Carlo estimate of rho_n(x, x'; beta) / rho_fp(x, x'; beta) for
     n = 2^levels - 1, sampling the chained-path representation directly:
     tent coefficients fill in the dyadic skeleton and one compressed copy of
-    the kernel's bridge system lives in each of the 2^levels cells. Returns
-    (estimate, standard error); raises ValueError when x or x' is not finite.
+    the kernel's bridge system lives in each of the 2^levels cells. The
+    normals are drawn in batches of at most 2^22, so memory does not grow
+    with the level. Returns (estimate, standard error); raises ValueError
+    when x or x' is not finite.
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
@@ -579,12 +613,13 @@ def mc_density_ratio(
     beta, sigma = params.beta, params.sigma
     ref = x + (xp - x) * basis.times
     rows = max(1, _WORK_UNIT // basis.times.size)
+    batch = min(_MC_BATCH, max(1, _MC_NORMALS // basis.values.shape[0]))
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
-        nb = min(_MC_BATCH, samples - done)
+        nb = min(batch, samples - done)
         # coefficients in the basis's row order: tents level by level, then
         # the (bridge, cell) grid
         draws = [rng.standard_normal((nb, 2 ** (lvl - 1))) for lvl in range(1, levels + 1)]

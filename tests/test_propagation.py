@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rwpath.kernels import (
     DiscreteReweightedKernel,
     FreeParticleKernel,
     PhysicalParams,
+    ShortTimeKernel,
     TrotterKernel,
     rho_fp,
 )
@@ -16,6 +18,7 @@ from rwpath.propagation import (
     KernelMatrix,
     ReferenceZ,
     SpatialGrid,
+    _pair_layout,
     _square_multiply,
     build_matrix,
     dvr_partition_function,
@@ -83,20 +86,115 @@ def test_matrix_entries_match_kernel_formula():
     assert mat.values[3, 17] == pytest.approx(want, rel=1e-14)
 
 
+def tilted_quartic():
+    return custom_potential(
+        lambda x: np.asarray(x, dtype=float) ** 4 + 0.5 * np.asarray(x, dtype=float),
+        lambda x: 4.0 * np.asarray(x, dtype=float) ** 3 + 0.5,
+    )
+
+
+def four_scatter_build(kernel, params, grid, n, mirror):
+    """The matrix assembled by scatters: the upper triangle (cut to
+    i + j <= cells when mirrored) written to itself, its transpose and,
+    when mirrored, both reflections."""
+    x = grid.points
+    iu, ju = np.triu_indices(x.size)
+    if mirror:
+        keep = iu + ju <= grid.cells
+        iu, ju = iu[keep], ju[keep]
+    vals = grid.h * kernel.rho0(params.with_beta(params.beta / (n + 1)), x[iu], x[ju])
+    a = np.empty((x.size, x.size))
+    a[iu, ju] = vals
+    a[ju, iu] = vals
+    if mirror:
+        mi, mj = grid.cells - iu, grid.cells - ju
+        a[mi, mj] = vals
+        a[mj, mi] = vals
+    return a
+
+
 def test_mirror_and_plain_builds_agree():
     p = PhysicalParams(beta=2.0)
     g = SpatialGrid(-3.0, 3.0, 50)
     kernel = DiscreteReweightedKernel(ORDER3[0], quartic(), ORDER3[1])
     # the plain build: every upper-triangle entry from the kernel, reflected
     # across the diagonal only
-    x = g.points
-    iu, ju = np.triu_indices(x.size)
-    a = np.empty((x.size, x.size))
-    a[iu, ju] = a[ju, iu] = g.h * kernel.rho0(p.with_beta(p.beta / 3), x[iu], x[ju])
+    a = four_scatter_build(kernel, p, g, 2, mirror=False)
     b = build_matrix(kernel, p, g, 2).values
     # the quartic is even, so the build takes the mirror fill
     assert np.array_equal(b, b[::-1, ::-1])
     np.testing.assert_allclose(a, b, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "potential, cells, mirror",
+    [(quartic, 50, True), (quartic, 51, True), (tilted_quartic, 50, False)],
+    ids=["mirrored-even-cells", "mirrored-odd-cells", "plain"],
+)
+def test_build_matrix_is_the_four_scatter_fill(potential, cells, mirror):
+    p = PhysicalParams(beta=2.0)
+    g = SpatialGrid(-3.0, 3.0, cells)
+    kernel = DiscreteReweightedKernel(ORDER4[0], potential(), ORDER4[1])
+    got = build_matrix(kernel, p, g, 3).values
+    assert np.array_equal(got, four_scatter_build(kernel, p, g, 3, mirror))
+    assert np.array_equal(got, got[::-1, ::-1]) == mirror
+
+
+def test_build_matrix_layout_cache_does_not_alias():
+    p = PhysicalParams(beta=2.0)
+    kernel = TrotterKernel(quartic())
+    grids = [SpatialGrid(-3.0, 3.0, cells) for cells in (50, 51, 50)]
+    mats = [build_matrix(kernel, p, g, 1).values for g in grids]
+    assert mats[1].shape == (52, 52)
+    assert np.array_equal(mats[0], mats[2])
+    for g, m in zip(grids, mats):
+        assert np.array_equal(m, four_scatter_build(kernel, p, g, 1, True))
+
+
+@pytest.mark.parametrize("cells", [8, 9])
+@pytest.mark.parametrize("mirror", [True, False])
+def test_pair_layout_is_read_only_and_maps_entries_to_their_pairs(mirror, cells):
+    iu, ju, entry = _pair_layout(cells, mirror)
+    for arr in (iu, ju, entry):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert entry.dtype == np.intp
+    assert np.array_equal(entry, entry.T)
+    assert np.array_equal(entry, entry[::-1, ::-1]) == mirror
+    assert np.array_equal(np.unique(entry), np.arange(iu.size))
+    assert np.array_equal(entry[iu, ju], np.arange(iu.size))
+
+
+class PoisonedPairKernel(ShortTimeKernel):
+    """Free-particle ratio except at one grid pair (either order), where it
+    is ``bad``."""
+
+    kind = "poisoned"
+
+    def __init__(self, potential, xi, xj, bad):
+        self.potential = potential
+        self.pair = (xi, xj)
+        self.bad = bad
+
+    def ratio(self, params, x, xp):
+        x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
+        xi, xj = self.pair
+        hit = ((x == xi) & (xp == xj)) | ((x == xj) & (xp == xi))
+        return np.where(hit, self.bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("potential", [quartic, tilted_quartic], ids=["mirrored", "plain"])
+def test_build_matrix_names_the_non_finite_pair(potential, bad):
+    # (5, 12) is the only evaluated pair holding the poisoned value on both
+    # layouts: its reflection (18, 25) lies past i + j <= cells; NaN makes
+    # rho0 raise, inf reaches the finiteness check
+    g = SpatialGrid(-3.0, 3.0, 30)
+    x = g.points
+    kernel = PoisonedPairKernel(potential(), x[5], x[12], bad)
+    with pytest.raises(FloatingPointError, match=r"grid indices \(5, 12\)"):
+        build_matrix(kernel, PhysicalParams(beta=1.0), g, 0)
 
 
 def test_build_matrix_reports_nan_location():
@@ -170,10 +268,17 @@ def test_folded_power_matches_plain_products(n):
         assert np.all(np.abs(folded - plain) <= tol * (plain + plain[:, ::-1]))
 
 
-@pytest.mark.parametrize("n", [40, 41])
-def test_power_of_non_centrosymmetric_matrix_keeps_plain_products(n):
+@pytest.mark.parametrize(
+    "n, row, col",
+    [(40, 0, 1), (41, 0, 1), (40, 39, 3), (41, 40, 3), (41, 20, 2), (41, 20, 40)],
+    ids=["40", "41", "bottom-40", "bottom-41", "centre-row-41", "centre-row-end-41"],
+)
+def test_power_of_non_centrosymmetric_matrix_keeps_plain_products(n, row, col):
+    # the centrosymmetry test reads the top n // 2 rows against the rotated
+    # bottom rows, and the centre row of an odd n against itself reversed,
+    # so one asymmetric entry anywhere must keep the plain products
     a = centrosymmetric(n, n)
-    a[0, 1] = np.nextafter(a[0, 1], np.inf)
+    a[row, col] = np.nextafter(a[row, col], np.inf)
     for power in (2, 7, 64):
         assert np.array_equal(matrix_power(a, power), plain_power(a, power))
 
@@ -527,6 +632,21 @@ def test_mc_density_ratio_seed_zero_pin():
     est, se = mc_density_ratio(kernel, PhysicalParams(beta=1.0), 0.0, 0.0, 3, 200_000, seed=0)
     assert est == pytest.approx(0.9554448496135921, rel=1e-12)
     assert se == pytest.approx(0.0001724729247325162, rel=1e-12)
+
+
+def test_mc_density_ratio_batch_memory_is_capped():
+    # a batch draws at most 2^22 normals (32 MiB), whatever the level: at
+    # levels 6 a row holds 255 normals, so 40k samples in one batch would
+    # take 82 MB
+    kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
+    tracemalloc.start()
+    try:
+        est, se = mc_density_ratio(kernel, PhysicalParams(beta=1.0), 0.0, 0.0, 6, 40_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    assert math.isfinite(est) and se > 0.0
 
 
 @pytest.mark.parametrize("samples", [1, 0])
