@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .processes import LambdaSystem, make_order3, make_order4
-from .quadrature import Rule1D, composite_legendre_01, gauss_legendre_01
+from .quadrature import _EXACT_TIME_RULE, Rule1D, gauss_legendre_01
 
 __all__ = [
     "CalibrationResult",
@@ -26,33 +27,9 @@ __all__ = [
     "calibrated_system",
 ]
 
-FAMILIES = ("order3-continuous", "order3-discrete", "order4-continuous", "order4-discrete")
-
-# Continuous-mode integrals carry sqrt(u(1-u)) endpoint factors; the
-# substituted composite rule makes them analytic and converges past 1e-13.
-_CONT_RULE = composite_legendre_01(64, 8, sqrt_endpoints=True)
-
-_DEFAULT_GUESS = {
-    "order3-continuous": (3.0,),
-    "order3-discrete": (2.5,),
-    "order4-continuous": (6.0, 13.0),
-    "order4-discrete": (6.0, 8.0),
-}
-
 # Iteration cap of the order-4 solver; the order-3 bisection gets ten times
 # as many halvings.
 _MAX_ITER = 100
-
-
-def default_rule(family: str) -> Rule1D | None:
-    """The time-average rule each family is calibrated against: none for the
-    continuous variants, the 2- and 4-point Gauss-Legendre rules on [0, 1]
-    for the discrete order-3 and order-4 variants."""
-    if family == "order3-discrete":
-        return gauss_legendre_01(2)
-    if family == "order4-discrete":
-        return gauss_legendre_01(4)
-    return None
 
 
 def _check_rule_exactness(rule: Rule1D, degree: int) -> None:
@@ -67,7 +44,7 @@ def _check_rule_exactness(rule: Rule1D, degree: int) -> None:
 
 
 def _bridge_averages(system: LambdaSystem, rule: Rule1D | None) -> np.ndarray:
-    r = _CONT_RULE if rule is None else rule
+    r = _EXACT_TIME_RULE if rule is None else rule
     vals = system.bridge_values(r.points)
     return vals @ r.weights
 
@@ -89,7 +66,7 @@ def residual_order4(alpha1: float, alpha2: float, rule: Rule1D | None = None) ->
     if rule is not None:
         _check_rule_exactness(rule, 3)
     system = make_order4(alpha1, alpha2)
-    r = _CONT_RULE if rule is None else rule
+    r = _EXACT_TIME_RULE if rule is None else rule
     u = r.points
     vals = np.vstack([u, system.bridge_values(u)])  # (4, N) profiles incl. reference
     gram = (vals * r.weights) @ vals.T
@@ -191,29 +168,61 @@ def _levenberg_marquardt(fun, x0, max_iter: int):
     return x, max_iter
 
 
+class _Family(NamedTuple):
+    """One path-system family: the maker of its system from the constants,
+    the residual system that fixes them (constants, then the rule), the
+    fixed solver guess, and the time rule of the discrete variants (None
+    for exact time integrals)."""
+
+    make: Callable[..., LambdaSystem]
+    residual: Callable
+    guess: tuple[float, ...]
+    rule: Rule1D | None
+
+
+# The residual systems have several roots; each guess seeds the solver next
+# to the intended branch. The discrete variants average over the 2- and
+# 4-point Gauss-Legendre rules on [0, 1].
+_FAMILIES = {
+    "order3-continuous": _Family(make_order3, residual_order3, (3.0,), None),
+    "order3-discrete": _Family(make_order3, residual_order3, (2.5,), gauss_legendre_01(2)),
+    "order4-continuous": _Family(make_order4, residual_order4, (6.0, 13.0), None),
+    "order4-discrete": _Family(make_order4, residual_order4, (6.0, 8.0), gauss_legendre_01(4)),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _row(family: str) -> _Family:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    return _FAMILIES[family]
+
+
+def default_rule(family: str) -> Rule1D | None:
+    """The time-average rule ``family`` is calibrated against: none for the
+    continuous variants, the 2- and 4-point Gauss-Legendre rules on [0, 1]
+    for the discrete order-3 and order-4 variants."""
+    return _row(family).rule
+
+
 def calibrate(family: str) -> CalibrationResult:
     """Solve the residual system of ``family`` against its ``default_rule``
-    and return the constants.
+    and return the constants: by bisection for one constant, by damped
+    least squares for two.
 
-    The residual systems have several roots; a fixed guess per family seeds
-    the solver next to the intended branch, so calibration is reproducible:
-    it always yields bit-identical constants.
+    A fixed guess per family seeds the solver next to the intended root, so
+    calibration is reproducible: it always yields bit-identical constants.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    rule = default_rule(family)
-    guess = _DEFAULT_GUESS[family]
-
-    if family.startswith("order3"):
-        root, iters = _bracketed_root(
-            lambda a: residual_order3(a, rule), guess[0] - 0.5, guess[0] + 0.5, _MAX_ITER * 10
-        )
+    row = _row(family)
+    if len(row.guess) == 1:
+        fun = lambda a: row.residual(a, row.rule)
+        root, iters = _bracketed_root(fun, row.guess[0] - 0.5, row.guess[0] + 0.5, _MAX_ITER * 10)
         constants = (float(root),)
-        resid = abs(residual_order3(root, rule))
+        resid = abs(fun(root))
     else:
-        fun = lambda x: np.array(residual_order4(x[0], x[1], rule))
-        x, iters = _levenberg_marquardt(fun, np.asarray(guess), _MAX_ITER)
-        constants = (float(x[0]), float(x[1]))
+        fun = lambda x: np.array(row.residual(*x, row.rule))
+        x, iters = _levenberg_marquardt(fun, np.asarray(row.guess), _MAX_ITER)
+        constants = tuple(float(c) for c in x)
         resid = float(np.max(np.abs(fun(x))))
     if resid > 1e-10:
         raise CalibrationError(
@@ -228,7 +237,5 @@ def calibrated_system(family: str) -> tuple[LambdaSystem, Rule1D | None]:
     """Calibrate ``family`` and build its path system, together with the time
     rule of the discrete variants (None for continuous ones)."""
     result = calibrate(family)
-    rule = default_rule(family)
-    if family.startswith("order3"):
-        return make_order3(result.constants[0]), rule
-    return make_order4(*result.constants), rule
+    row = _FAMILIES[family]
+    return row.make(*result.constants), row.rule

@@ -21,17 +21,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .calibration import (
-    FAMILIES,
-    CalibrationError,
-    calibrate,
-    calibrated_system,
-    default_rule,
-)
+from .calibration import FAMILIES, CalibrationError, calibrate, calibrated_system, default_rule
 from .kernels import (
     ContinuousReweightedKernel,
     DiscreteReweightedKernel,
@@ -42,7 +36,7 @@ from .kernels import (
 )
 from .moments import continuous_spec, discrete_spec, verify_order
 from .potentials import Potential, harmonic, he_cage, quartic
-from .processes import exact_brownian, finite_kernel, make_order3, make_order4
+from .processes import exact_brownian, finite_kernel
 from .propagation import (
     ReferenceZ,
     SpatialGrid,
@@ -57,14 +51,15 @@ from .quadrature import endpoint_trapezoid
 USAGE_ERROR = 2
 TOLERANCE_FAILURE = 1
 
-KERNEL_CHOICES = (
-    "trotter",
-    "free-particle",
-    "order3",
-    "order4",
-    "order3-continuous",
-    "order4-continuous",
-)
+# --kernel names of the calibrated families; any other family name passes
+# through unchanged
+_FAMILY_OF = {
+    "order3": "order3-discrete",
+    "order4": "order4-discrete",
+    "order3-continuous": "order3-continuous",
+    "order4-continuous": "order4-continuous",
+}
+KERNEL_CHOICES = ("trotter", "free-particle", *_FAMILY_OF)
 POTENTIAL_CHOICES = ("quartic", "he-cage", "harmonic")
 
 
@@ -90,10 +85,6 @@ class ExperimentConfig:
     xp: float = 0.0
     tol: float | None = None
     out: str | None = None
-    # explicit system constants; omitted means "calibrate"
-    alpha: float | None = None
-    alpha1: float | None = None
-    alpha2: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -170,21 +161,9 @@ def _system_defaults(cfg: ExperimentConfig) -> tuple[Potential, PhysicalParams, 
     return pot, params, grid
 
 
-def _resolve_family(cfg: ExperimentConfig):
-    """(system, rule) of a reweighted kernel name. The system uses explicit
-    constants from the configuration when given, otherwise it is freshly
-    calibrated; the rule is the family's calibration rule, None for the
-    continuous families."""
-    name = cfg.kernel
-    family = name + "-discrete" if name in ("order3", "order4") else name
-    if family not in FAMILIES:
-        raise ValueError(f"unknown kernel family {name!r}")
-    if family.startswith("order3"):
-        if cfg.alpha is not None:
-            return make_order3(cfg.alpha), default_rule(family)
-    elif cfg.alpha1 is not None and cfg.alpha2 is not None:
-        return make_order4(cfg.alpha1, cfg.alpha2), default_rule(family)
-    return calibrated_system(family)
+def _family(cfg: ExperimentConfig) -> str:
+    """The calibration family of the configured kernel name."""
+    return _FAMILY_OF.get(cfg.kernel, cfg.kernel)
 
 
 def _build_kernel(cfg: ExperimentConfig, pot: Potential):
@@ -192,20 +171,21 @@ def _build_kernel(cfg: ExperimentConfig, pot: Potential):
         return TrotterKernel(pot)
     if cfg.kernel == "free-particle":
         return FreeParticleKernel(pot)
-    system, rule = _resolve_family(cfg)
+    system, rule = calibrated_system(_family(cfg))
     if rule is None:
         return ContinuousReweightedKernel(system, pot, gh_points=cfg.gh_points)
     return DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
 
 
 def _order4_reference(
-    cfg: ExperimentConfig, pot: Potential, params: PhysicalParams, grid: SpatialGrid
+    cfg: ExperimentConfig, pot: Potential, params: PhysicalParams, grid: SpatialGrid, kernel=None
 ) -> ReferenceZ:
     """The order-4 reference Z both ladders are measured against, at
-    n_ref = 8 (2 m_max + 1), eight times the top rung, unless set."""
+    n_ref = 8 (2 m_max + 1), eight times the top rung, unless set. The
+    ladder's ``kernel`` is reused when it is the order-4 kernel."""
     n_ref = 8 * (2 * cfg.m_max + 1) if cfg.n_ref is None else cfg.n_ref
-    system, rule = calibrated_system("order4-discrete")
-    kernel = DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
+    if kernel is None or _family(cfg) != "order4-discrete":
+        kernel = _build_kernel(replace(cfg, kernel="order4"), pot)
     return reference_z(kernel, params, grid, n_ref)
 
 
@@ -214,7 +194,9 @@ def _moment_spec(cfg: ExperimentConfig):
         # the splitting kernel samples the path at its endpoints only, where
         # every system's covariance is Brownian
         return discrete_spec(exact_brownian(), endpoint_trapezoid())
-    system, rule = _resolve_family(cfg)
+    if cfg.kernel == "free-particle":
+        raise ValueError("the free-particle kernel has no moment identities to verify")
+    system, rule = calibrated_system(_family(cfg))
     if rule is None:
         return continuous_spec(finite_kernel(system))
     return discrete_spec(finite_kernel(system), rule)
@@ -239,12 +221,8 @@ def _fmt(v) -> str:
 
 def cmd_calibrate(args) -> int:
     cfg = resolve_config(args)
-    family = args.family
-    if family not in FAMILIES:
-        print(f"error: unknown family {family!r}; choose from {', '.join(FAMILIES)}", file=sys.stderr)
-        return USAGE_ERROR
     try:
-        result = calibrate(family)
+        result = calibrate(args.family)
     except CalibrationError as exc:
         _emit({"config": cfg.to_dict(), "error": str(exc), "best": list(exc.best)})
         return TOLERANCE_FAILURE
@@ -272,7 +250,7 @@ def cmd_order(args) -> int:
     cfg = resolve_config(args)
     pot, params, grid = _system_defaults(cfg)
     kernel = _build_kernel(cfg, pot)
-    ref = _order4_reference(cfg, pot, params, grid)
+    ref = _order4_reference(cfg, pot, params, grid, kernel)
     series = order_diagnostic(kernel, params, grid, range(1, cfg.m_max + 1), ref.value)
     rows = []
     alpha_by_m = dict(zip(series.alpha_m_index.tolist(), series.alpha_m.tolist()))
@@ -320,7 +298,8 @@ def cmd_trotter_constant(args) -> int:
 def cmd_mc_check(args) -> int:
     cfg = resolve_config(args)
     pot, params, grid = _system_defaults(cfg)
-    if cfg.kernel not in ("order3", "order4"):
+    family = _family(cfg)
+    if family not in FAMILIES or default_rule(family) is None:
         print("error: mc-check needs a discrete reweighted kernel (order3 or order4)", file=sys.stderr)
         return USAGE_ERROR
     kernel = _build_kernel(cfg, pot)

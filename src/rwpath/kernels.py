@@ -23,12 +23,7 @@ import numpy as np
 
 from .potentials import Potential
 from .processes import LambdaSystem, path_basis
-from .quadrature import (
-    Rule1D,
-    composite_legendre_01,
-    is_palindromic,
-    tensor_gauss_hermite,
-)
+from .quadrature import _EXACT_TIME_RULE, Rule1D, is_palindromic, tensor_gauss_hermite
 
 __all__ = [
     "PhysicalParams",
@@ -236,7 +231,7 @@ class ContinuousReweightedKernel(_ReweightedKernel):
 
     def __init__(self, system, potential, time_rule: Rule1D | None = None, gh_points: int = 10):
         if time_rule is None:
-            time_rule = composite_legendre_01(64, 8, sqrt_endpoints=True)
+            time_rule = _EXACT_TIME_RULE
         super().__init__(system, potential, time_rule, gh_points)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .kernels import _WORK_UNIT
 from .processes import CovarianceKernel, covariance, exact_brownian, path_basis
-from .quadrature import Rule1D, composite_legendre_01, gauss_legendre_01
+from .quadrature import Rule1D, _tensor_rule, composite_legendre_01, gauss_legendre_01
 
 __all__ = [
     "MomentIndex",
@@ -277,12 +277,7 @@ def _moment_exact_brownian_integral(idx: MomentIndex) -> float:
     tensor rule is exact.
     """
     d = idx.time_dim
-    base = gauss_legendre_01(12)
-    grids = np.meshgrid(*([base.points] * d), indexing="ij")
-    t = np.stack([g.ravel() for g in grids], axis=1)
-    wt = np.ones(t.shape[0])
-    for g in np.meshgrid(*([base.weights] * d), indexing="ij"):
-        wt = wt * g.ravel()
+    t, wt = _tensor_rule(gauss_legendre_01(12), d)
     # ordered coordinates 0 <= W[:,0] <= ... <= W[:,d-1] <= 1 and Jacobian
     w_coord = np.empty_like(t)
     w_coord[:, d - 1] = t[:, d - 1]

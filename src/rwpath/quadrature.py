@@ -93,6 +93,12 @@ def composite_legendre_01(cells: int = 64, panel: int = 8, sqrt_endpoints: bool 
     return Rule1D(pts, wts)
 
 
+# Stand-in for the exact time integrals of the continuous path systems: their
+# integrands carry sqrt(u(1-u)) endpoint factors, which the substituted
+# composite rule makes analytic, so it converges past 1e-13.
+_EXACT_TIME_RULE = composite_legendre_01(64, 8, sqrt_endpoints=True)
+
+
 def endpoint_trapezoid() -> Rule1D:
     """The two-point endpoint rule on [0, 1]: points {0, 1}, weights {1/2, 1/2}.
 
@@ -132,11 +138,16 @@ def tensor_gauss_hermite(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if q < 1:
         raise ValueError("q must be positive")
-    rule = gauss_hermite(p)
-    grids = np.meshgrid(*([rule.points] * q), indexing="ij")
+    return _tensor_rule(gauss_hermite(p), q)
+
+
+def _tensor_rule(rule: Rule1D, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``d``-fold product of ``rule``: nodes of shape (len(rule)**d, d),
+    the last coordinate varying fastest, and their weights, each a running
+    product over the coordinates in order."""
+    grids = np.meshgrid(*([rule.points] * d), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([rule.weights] * q), indexing="ij")
-    weights = np.ones(p**q)
-    for wg in wgrids:
+    weights = np.ones(nodes.shape[0])
+    for wg in np.meshgrid(*([rule.weights] * d), indexing="ij"):
         weights = weights * wg.ravel()
     return nodes, weights

@@ -9,6 +9,7 @@ from rwpath.calibration import (
     CalibrationError,
     calibrate,
     calibrated_system,
+    default_rule,
     residual_order3,
     residual_order4,
 )
@@ -112,6 +113,13 @@ def test_result_serializes_to_json():
     payload = json.loads(res.to_json())
     assert payload["family"] == "order3-continuous"
     assert len(payload["constants"]) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_calibrated_system_carries_the_calibrated_constants_and_rule(family):
+    system, rule = calibrated_system(family)
+    assert system.params == calibrate(family).constants
+    assert rule is default_rule(family)
 
 
 def test_calibrated_system_shapes():

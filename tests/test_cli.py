@@ -74,6 +74,20 @@ def test_order_subcommand_writes_csv_and_json(tmp_path, capsys):
     assert len(lines) == 9  # header + one row per m
 
 
+def test_order4_ladder_reuses_its_kernel_for_the_reference(capsys, monkeypatch):
+    import rwpath.cli as cli
+
+    calls = []
+    real = cli.calibrated_system
+    monkeypatch.setattr(cli, "calibrated_system", lambda family: calls.append(family) or real(family))
+    code, _, _ = run_cli(
+        capsys, "order", "--potential", "harmonic", "--kernel", "order4", "--beta", "2.0",
+        "--grid-a", "-6", "--grid-b", "6", "--grid-m", "80", "--m-max", "4", "--n-ref", "72",
+    )
+    assert code == 0
+    assert calls == ["order4-discrete"]
+
+
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     args = [
         "order",
@@ -137,6 +151,20 @@ def test_mc_check_rejects_trotter_kernel(capsys):
     code, _, err = run_cli(capsys, "mc-check", "--kernel", "trotter")
     assert code == 2
     assert "reweighted" in err
+
+
+def test_mc_check_rejects_continuous_kernel(capsys):
+    # a family without a time rule has no discrete slices to chain
+    code, _, err = run_cli(capsys, "mc-check", "--kernel", "order4-continuous")
+    assert code == 2
+    assert "reweighted" in err
+
+
+def test_verify_free_particle_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "free-particle")
+    assert code == 2
+    assert out == ""
+    assert "no moment identities to verify" in err
 
 
 def test_order_refused_reference_is_a_usage_error(capsys):
@@ -234,6 +262,28 @@ def test_config_file_unknown_key(tmp_path):
     cfg_file.write_text("nonsense = 3\n")
     with pytest.raises(ValueError):
         load_config(str(cfg_file))
+
+
+@pytest.mark.parametrize("key", ["alpha", "alpha1", "alpha2"])
+def test_config_file_explicit_constants_are_unknown_keys(tmp_path, capsys, key):
+    # the system constants are always calibrated; no key sets them
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"kernel = order4\n{key} = 9.0\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg_file), "--nu", "2")
+    assert code == 2
+    assert out == ""
+    assert f"unknown configuration key {key!r}" in err
+
+
+def test_config_keys_are_the_flag_names():
+    import argparse
+
+    from rwpath.cli import _add_common
+
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    flags = set(vars(parser.parse_args([]))) - {"config"}
+    assert flags == set(ExperimentConfig().to_dict())
 
 
 def test_cli_flag_overrides_config_file(tmp_path, capsys):

@@ -168,7 +168,7 @@ def test_pair_layout_is_read_only_and_maps_entries_to_their_pairs(mirror, cells)
 
 class PoisonedPairKernel(ShortTimeKernel):
     """Free-particle ratio except at one grid pair (either order), where it
-    is ``bad``."""
+    is ``bad``; counts its ``ratio`` calls."""
 
     kind = "poisoned"
 
@@ -176,8 +176,10 @@ class PoisonedPairKernel(ShortTimeKernel):
         self.potential = potential
         self.pair = (xi, xj)
         self.bad = bad
+        self.ratio_calls = 0
 
     def ratio(self, params, x, xp):
+        self.ratio_calls += 1
         x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
         xi, xj = self.pair
         hit = ((x == xi) & (xp == xj)) | ((x == xj) & (xp == xi))
@@ -188,13 +190,14 @@ class PoisonedPairKernel(ShortTimeKernel):
 @pytest.mark.parametrize("potential", [quartic, tilted_quartic], ids=["mirrored", "plain"])
 def test_build_matrix_names_the_non_finite_pair(potential, bad):
     # (5, 12) is the only evaluated pair holding the poisoned value on both
-    # layouts: its reflection (18, 25) lies past i + j <= cells; NaN makes
-    # rho0 raise, inf reaches the finiteness check
+    # layouts: its reflection (18, 25) lies past i + j <= cells; one
+    # evaluation of the pairs both finds and names it
     g = SpatialGrid(-3.0, 3.0, 30)
     x = g.points
     kernel = PoisonedPairKernel(potential(), x[5], x[12], bad)
     with pytest.raises(FloatingPointError, match=r"grid indices \(5, 12\)"):
         build_matrix(kernel, PhysicalParams(beta=1.0), g, 0)
+    assert kernel.ratio_calls == 1
 
 
 def test_build_matrix_reports_nan_location():
