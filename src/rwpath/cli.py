@@ -98,6 +98,9 @@ def _coerce(name: str, raw: str):
         raise ValueError(f"unknown configuration key {name!r}")
     if raw == "none":
         return None
+    choices = {"potential": POTENTIAL_CHOICES, "kernel": KERNEL_CHOICES}.get(name)
+    if choices is not None and raw not in choices:
+        raise ValueError(f"invalid {name} {raw!r} (choose from {', '.join(choices)})")
     if name in ("potential", "kernel", "out"):
         return raw
     if name in ("nu", "grid_m", "m_max", "n_ref", "gh_points", "levels", "samples", "seed"):

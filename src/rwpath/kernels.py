@@ -11,12 +11,18 @@ The reweighted ``ratio`` works in fixed cache-sized units: chunks of pairs
 times a fixed block of Gauss-Hermite nodes, about 64k points each, reusing
 two buffers. Each pair's nodes are summed in an order set by the block
 alone, so a pair's value is bit-identical however many pairs share the call
-(chunk-invariant).
+(chunk-invariant). A call splits its whole units over the usable cores, in
+contiguous runs that the caller's thread and a per-call worker pool evaluate
+at once; the results are bit-identical for any worker count. A potential's
+``value`` is therefore called from several threads at once, so a custom
+potential must not mutate shared state.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,13 @@ _HBAR_SI = 1.054571817e-34
 _AMU_SI = 1.66053906892e-27
 _KB_SI = 1.380649e-23
 _ANGSTROM_SI = 1e-10
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the worker count of a reweighted ratio."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def units_constant() -> float:
@@ -180,7 +193,6 @@ class _ReweightedKernel(ShortTimeKernel):
         scalar = x.ndim == 0
         xf = np.atleast_1d(x).ravel()
         dxf = np.atleast_1d(xp).ravel() - xf
-        beta = params.beta
         acc = np.zeros(xf.size)
         # the density vanishes where either argument sits on an infinite wall,
         # even when the interior time rule never samples the endpoints
@@ -189,16 +201,51 @@ class _ReweightedKernel(ShortTimeKernel):
                 np.isfinite(np.asarray(self.potential.value(xf), dtype=float))
                 & np.isfinite(np.asarray(self.potential.value(xf + dxf), dtype=float))
             )
-        u, w = self._u, self._w
         sdisp = params.sigma * self._disp  # (T, G)
-        ng = sdisp.shape[1]
-        gblock = min(ng, _GH_BLOCK)
+        gblock = min(sdisp.shape[1], _GH_BLOCK)
         pblock = max(1, _WORK_UNIT // gblock)
-        # flat buffers reshaped per unit, so every unit is C-contiguous
-        pts_buf = np.empty(min(pblock, xf.size) * gblock)
-        avg_buf = np.empty_like(pts_buf)
-        for p0 in range(0, xf.size, pblock):
-            p1 = min(p0 + pblock, xf.size)
+        # contiguous runs of whole units, one per worker; run k is pairs
+        # cuts[k]:cuts[k + 1]
+        units = -(-xf.size // pblock)
+        workers = max(1, min(_usable_cpus(), units))
+        cuts = [min(xf.size, pblock * (units * k // workers)) for k in range(workers + 1)]
+        # flat buffers reshaped per unit, so every unit is C-contiguous; the
+        # caller allocates them all
+        bufs = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            size = min(pblock, hi - lo) * gblock
+            bufs.append((np.empty(size), np.empty(size)))
+
+        def run(k: int) -> None:
+            self._ratio_units(
+                params.beta, sdisp, xf, dxf, acc, pblock, gblock, cuts[k], cuts[k + 1], *bufs[k]
+            )
+
+        if workers == 1:
+            run(0)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(workers - 1) as pool:
+                # each worker runs in a copy of the caller's context, which
+                # carries numpy's errstate
+                futures = [
+                    pool.submit(contextvars.copy_context().run, run, k) for k in range(1, workers)
+                ]
+                run(0)
+                for f in futures:
+                    f.result()
+        acc[wall] = 0.0
+        out = acc.reshape(x.shape) if not scalar else float(acc[0])
+        return out
+
+    def _ratio_units(self, beta, sdisp, xf, dxf, acc, pblock, gblock, lo, hi, pts_buf, avg_buf):
+        """Write acc[lo:hi] for the pair units starting at lo, lo + pblock, ...;
+        each unit is pblock pairs times gblock Gauss-Hermite nodes."""
+        u, w = self._u, self._w
+        ng = sdisp.shape[1]
+        for p0 in range(lo, hi, pblock):
+            p1 = min(p0 + pblock, hi)
             ref = [(xf[p0:p1] + dxf[p0:p1] * u[t])[:, None] for t in range(u.size)]
             for g0 in range(0, ng, gblock):
                 g1 = min(g0 + gblock, ng)
@@ -218,9 +265,6 @@ class _ReweightedKernel(ShortTimeKernel):
                 # a row sum reduces each pair's nodes in an order fixed by the
                 # block width alone, whatever the number of rows
                 acc[p0:p1] += avg.sum(axis=1)
-        acc[wall] = 0.0
-        out = acc.reshape(x.shape) if not scalar else float(acc[0])
-        return out
 
 
 class ContinuousReweightedKernel(_ReweightedKernel):

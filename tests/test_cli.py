@@ -275,6 +275,22 @@ def test_config_file_explicit_constants_are_unknown_keys(tmp_path, capsys, key):
     assert f"unknown configuration key {key!r}" in err
 
 
+@pytest.mark.parametrize(
+    "line", ["kernel = bogus", "kernel = order3-discrete", "potential = bogus"]
+)
+def test_config_file_values_are_the_flag_choices(tmp_path, capsys, line):
+    # a config value is held to the same choices as its flag
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    code, out, err = run_cli(
+        capsys, "trotter-constant", "--potential", "harmonic", "--m-max", "4", "--config", str(cfg_file)
+    )
+    assert code == 2
+    assert out == ""
+    key, value = (part.strip() for part in line.split("="))
+    assert f"invalid {key} {value!r}" in err
+
+
 def test_config_keys_are_the_flag_names():
     import argparse
 

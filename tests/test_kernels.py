@@ -1,8 +1,12 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from rwpath import kernels
 from rwpath.calibration import calibrated_system
 from rwpath.kernels import (
     ContinuousReweightedKernel,
@@ -14,6 +18,7 @@ from rwpath.kernels import (
     units_constant,
 )
 from rwpath.potentials import custom_potential, harmonic, he_cage, quartic
+from rwpath.propagation import SpatialGrid, build_matrix
 from rwpath.quadrature import Rule1D
 
 
@@ -128,6 +133,116 @@ def test_ratio_is_chunk_invariant(pot, params, lo, hi):
     assert np.count_nonzero(whole) > x.size // 2
     assert np.array_equal(singles, whole)
     assert np.array_equal(slices, whole)
+
+
+# pairs per unit of an order-4 ratio: 1000 Gauss-Hermite nodes in blocks of 100
+ORDER4_PBLOCK = kernels._WORK_UNIT // kernels._GH_BLOCK
+HE_PARAMS = PhysicalParams(1 / 5.11, math.sqrt(units_constant()), 4.0)
+
+
+@pytest.mark.parametrize(
+    "pot,params,lo,hi",
+    [(he_cage(), HE_PARAMS, 0.0, 7.153), (quartic(), PhysicalParams(beta=0.25), -2.0, 2.0)],
+)
+def test_ratio_and_build_matrix_do_not_depend_on_worker_count(monkeypatch, pot, params, lo, hi):
+    # 4 units, the last one partial, so 3 workers get runs of 1, 1 and 2 units
+    rng = np.random.default_rng(3)
+    x = rng.uniform(lo, hi, size=3 * ORDER4_PBLOCK + 17)
+    xp = rng.uniform(lo, hi, size=x.size)
+    kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
+    grid = SpatialGrid(lo, hi, 90)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        results.append(
+            (
+                kernel.ratio(params, x, xp),
+                kernel.ratio(params, x[5], xp[5]),
+                build_matrix(kernel, params, grid, 3).values,
+            )
+        )
+    assert np.count_nonzero(results[0][0]) > x.size // 2
+    for got in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
+
+
+def test_ratio_split_survives_fast_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond
+    x = np.linspace(0.5, 6.5, 6 * ORDER4_PBLOCK + 1)
+    kernel = DiscreteReweightedKernel(ORDER4[0], he_cage(), ORDER4[1])
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+    want = kernel.ratio(HE_PARAMS, x, x[::-1])
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = kernel.ratio(HE_PARAMS, x, x[::-1])
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+
+
+def test_ratio_joins_its_workers_and_passes_on_their_errors(monkeypatch):
+    baseline = threading.active_count()
+    caller = threading.current_thread()
+    calls = []  # (thread, active thread count) per potential call
+    fail = []
+
+    def value(x):
+        calls.append((threading.current_thread(), threading.active_count()))
+        if fail and threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        return np.asarray(x, dtype=float) ** 2
+
+    pot = custom_potential(value, lambda x: 2.0 * np.asarray(x, dtype=float))
+    kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
+    p = PhysicalParams(beta=0.5)
+    x = np.linspace(-1.0, 1.0, 2 * ORDER4_PBLOCK + 5)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    kernel.ratio(p, x, x[::-1])
+    threads = {t for t, _ in calls}
+    assert caller in threads and len(threads) == 2
+    assert {n for t, n in calls if t is not caller} == {baseline + 1}
+    assert threading.active_count() == baseline
+
+    fail.append(True)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        kernel.ratio(p, x, x[::-1])
+    assert threading.active_count() == baseline
+
+    # a one-unit call, scalar or not, starts no thread
+    fail.clear()
+    calls.clear()
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+    kernel.ratio(p, x[:ORDER4_PBLOCK], x[:ORDER4_PBLOCK])
+    kernel.ratio(p, 0.2, 0.3)
+    assert {t for t, _ in calls} == {caller}
+    assert {n for _, n in calls} == {baseline}
+
+
+def test_ratio_workers_keep_the_callers_errstate(monkeypatch):
+    # V overflows where |x| > 37.5, which the widest Gauss-Hermite paths
+    # reach at this beta (sigma = 12.2) and the endpoints never do
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(x * x - 700.0)
+
+    pot = custom_potential(value, lambda x: 2.0 * np.asarray(x, dtype=float) * value(x))
+    kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
+    p = PhysicalParams(beta=150.0)
+    x = np.linspace(-1.0, 1.0, 2 * ORDER4_PBLOCK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            kernel.ratio(p, x, x[::-1])
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+            with np.errstate(over="ignore"):
+                results.append(kernel.ratio(p, x, x[::-1]))
+    assert np.all((results[0] > 0.0) & (results[0] < 1.0))
+    assert np.array_equal(results[0], results[1])
 
 
 def test_kernel_positivity():

@@ -3,10 +3,13 @@
 Every test is derandomized, so each run draws the same examples.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwpath import kernels as kernels_module
 from rwpath.calibration import calibrated_system
 from rwpath.kernels import DiscreteReweightedKernel, PhysicalParams, TrotterKernel
 from rwpath.potentials import custom_potential
@@ -104,3 +107,25 @@ def test_ratio_is_chunk_invariant_on_random_potentials(pot, beta, size, split, s
     whole = kernel.ratio(params, x, xp)
     parts = np.concatenate([kernel.ratio(params, x[:cut], xp[:cut]), kernel.ratio(params, x[cut:], xp[cut:])])
     assert np.array_equal(whole, parts)
+
+
+@settings(PROPERTY, max_examples=8)
+@given(
+    pot=polynomials(),
+    beta=betas,
+    size=st.integers(656, 2700),
+    workers=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ratio_does_not_depend_on_the_worker_count(pot, beta, size, workers, seed):
+    # 655-pair units, so every draw has 2 to 5 of them
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, size=size)
+    xp = rng.uniform(-2.0, 2.0, size=size)
+    kernel = make_kernel("order3", pot)
+    params = PhysicalParams(beta=beta)
+    with mock.patch.object(kernels_module, "_usable_cpus", return_value=1):
+        one = kernel.ratio(params, x, xp)
+    with mock.patch.object(kernels_module, "_usable_cpus", return_value=workers):
+        many = kernel.ratio(params, x, xp)
+    assert np.array_equal(one, many)
