@@ -301,23 +301,38 @@ def dvr_eigenvalues(
     variable representation on the interior points, which is spectrally
     accurate for smooth potentials. Hard walls are handled by capping the
     potential at 2000/beta, far above any thermally relevant energy, so the
-    eigensolve stays well conditioned.
+    eigensolve stays well conditioned. A potential that is NaN or -inf at an
+    interior grid point raises ValueError naming the first such point.
     """
     v_max = 2000.0 / params.beta
     nn = grid.cells
-    idx = np.arange(1, nn)
+    pts = grid.points[1:-1]
+    v = np.minimum(np.asarray(potential.value(pts), dtype=float), v_max)
+    bad = np.nonzero(~np.isfinite(v))[0]
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"potential is {v[k]} at grid point x = {float(pts[k])!r}")
+    idx = np.arange(1.0, nn)
     pref = params.hbar**2 / (2.0 * params.mass) * math.pi**2 / (2.0 * (grid.b - grid.a) ** 2)
-    diff = idx[:, None] - idx[None, :]
-    summ = idx[:, None] + idx[None, :]
+    # off-diagonal: (-1)^(i-j) [1/sin^2(pi (i-j) / 2N) - 1/sin^2(pi (i+j) / 2N)],
+    # built in place in h with one work array
+    h = np.subtract.outer(idx, idx)
+    work = np.add.outer(idx, idx)
     with np.errstate(divide="ignore"):
-        off = ((-1.0) ** diff) * (
-            1.0 / np.sin(math.pi * diff / (2.0 * nn)) ** 2
-            - 1.0 / np.sin(math.pi * summ / (2.0 * nn)) ** 2
-        )
-    diag = (2.0 * nn**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * idx / nn) ** 2
-    t = pref * np.where(diff == 0, diag[:, None] * np.eye(idx.size), off)
-    v = np.minimum(np.asarray(potential.value(grid.points[1:-1]), dtype=float), v_max)
-    h = t + np.diag(v)
+        for arr in (h, work):
+            arr *= math.pi
+            arr /= 2.0 * nn
+            np.sin(arr, out=arr)
+            np.square(arr, out=arr)
+            np.divide(1.0, arr, out=arr)
+    h -= work
+    del work
+    # i - j is odd on this checkerboard
+    np.negative(h[::2, 1::2], out=h[::2, 1::2])
+    np.negative(h[1::2, ::2], out=h[1::2, ::2])
+    np.fill_diagonal(h, (2.0 * nn**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * idx / nn) ** 2)
+    h *= pref
+    h.flat[:: idx.size + 1] += v
     return np.linalg.eigvalsh(h)
 
 
@@ -578,10 +593,12 @@ def nmm_density_ratio(
     return ratio
 
 
-# Samples whose normals are drawn together, at most _MC_NORMALS normals
-# (32 MiB) per batch; the draw order, and so every seeded estimate, depends
-# on both. Rows of 31 or fewer normals (the calibrated systems up to
-# levels 3) keep whole batches.
+# Samples per batch, at most _MC_NORMALS normals per batch. A batch draws
+# its tent normals level by level and then its bridge normals, so both caps
+# fix the draw order and with it every seeded estimate. Only the tent
+# normals are held for the whole batch, at most 2^22 / (q + 1) of them;
+# the bridge normals are drawn block by block. Rows of 31 or fewer normals
+# (the calibrated systems up to levels 3) keep whole batches.
 _MC_BATCH = 100_000
 _MC_NORMALS = 2**22
 
@@ -598,10 +615,12 @@ def mc_density_ratio(
     """Monte Carlo estimate of rho_n(x, x'; beta) / rho_fp(x, x'; beta) for
     n = 2^levels - 1, sampling the chained-path representation directly:
     tent coefficients fill in the dyadic skeleton and one compressed copy of
-    the kernel's bridge system lives in each of the 2^levels cells. The
-    normals are drawn in batches of at most 2^22, so memory does not grow
-    with the level. Returns (estimate, standard error); raises ValueError
-    when x or x' is not finite.
+    the kernel's bridge system lives in each of the 2^levels cells. Each
+    batch of at most 2^22 normals draws its 2^levels - 1 tent normals per
+    sample into buffers allocated once per call, and its bridge normals
+    block by block into one reused buffer, continuing the same stream, so
+    memory does not grow with the level. Returns (estimate, standard
+    error); raises ValueError when x or x' is not finite.
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
@@ -613,20 +632,26 @@ def mc_density_ratio(
     beta, sigma = params.beta, params.sigma
     ref = x + (xp - x) * basis.times
     rows = max(1, _WORK_UNIT // basis.times.size)
-    batch = min(_MC_BATCH, max(1, _MC_NORMALS // basis.values.shape[0]))
+    batch = min(_MC_BATCH, samples, max(1, _MC_NORMALS // basis.values.shape[0]))
+    # coefficients in the basis's row order: tents level by level, then the
+    # (bridge, cell) grid
+    tents = [np.empty((batch, 2 ** (lvl - 1))) for lvl in range(1, levels + 1)]
+    bridge = np.empty((min(rows, batch), system.q * 2**levels))
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         nb = min(batch, samples - done)
-        # coefficients in the basis's row order: tents level by level, then
-        # the (bridge, cell) grid
-        draws = [rng.standard_normal((nb, 2 ** (lvl - 1))) for lvl in range(1, levels + 1)]
-        draws.append(rng.standard_normal((nb, system.q * 2**levels)))
+        for t in tents:
+            rng.standard_normal(out=t[:nb])
         # the paths are built and weighed in blocks of about _WORK_UNIT points
         for r0 in range(0, nb, rows):
-            coeff = np.hstack([d[r0 : r0 + rows] for d in draws])
+            r1 = min(r0 + rows, nb)
+            # standard_normal fills in C order, so block draws continue the
+            # stream of one whole-batch draw
+            rng.standard_normal(out=bridge[: r1 - r0])
+            coeff = np.hstack([t[r0:r1] for t in tents] + [bridge[: r1 - r0]])
             pts = coeff @ basis.values
             pts *= sigma
             pts += ref

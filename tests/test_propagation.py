@@ -6,21 +6,27 @@ import pytest
 
 from rwpath.calibration import calibrated_system
 from rwpath.kernels import (
+    _WORK_UNIT,
     DiscreteReweightedKernel,
     FreeParticleKernel,
     PhysicalParams,
     ShortTimeKernel,
     TrotterKernel,
     rho_fp,
+    units_constant,
 )
-from rwpath.potentials import custom_potential, harmonic, quartic
+from rwpath.potentials import custom_potential, harmonic, he_cage, quartic
+from rwpath.processes import path_basis
 from rwpath.propagation import (
+    _MC_BATCH,
+    _MC_NORMALS,
     KernelMatrix,
     ReferenceZ,
     SpatialGrid,
     _pair_layout,
     _square_multiply,
     build_matrix,
+    dvr_eigenvalues,
     dvr_partition_function,
     matrix_power,
     mc_density_ratio,
@@ -327,6 +333,57 @@ def test_dvr_matches_analytic_harmonic_spectrum():
     z = dvr_partition_function(harmonic(1.0), p, g)
     want = 1.0 / (2.0 * math.sinh(5.0))
     assert abs(z - want) / want < 1e-6
+
+
+def dense_dvr_eigenvalues(potential, params, grid):
+    # the grid Hamiltonian from whole-matrix temporaries, as first written
+    v_max = 2000.0 / params.beta
+    nn = grid.cells
+    idx = np.arange(1, nn)
+    pref = params.hbar**2 / (2.0 * params.mass) * math.pi**2 / (2.0 * (grid.b - grid.a) ** 2)
+    diff = idx[:, None] - idx[None, :]
+    summ = idx[:, None] + idx[None, :]
+    with np.errstate(divide="ignore"):
+        off = ((-1.0) ** diff) * (
+            1.0 / np.sin(math.pi * diff / (2.0 * nn)) ** 2
+            - 1.0 / np.sin(math.pi * summ / (2.0 * nn)) ** 2
+        )
+    diag = (2.0 * nn**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * idx / nn) ** 2
+    t = pref * np.where(diff == 0, diag[:, None] * np.eye(idx.size), off)
+    v = np.minimum(np.asarray(potential.value(grid.points[1:-1]), dtype=float), v_max)
+    return np.linalg.eigvalsh(t + np.diag(v))
+
+
+HE_PARAMS = PhysicalParams(beta=1.0 / 5.11, hbar=math.sqrt(units_constant()), mass=4.0)
+
+
+@pytest.mark.parametrize(
+    "potential, params, grid",
+    [
+        (he_cage(), HE_PARAMS, SpatialGrid(0.0, he_cage().params["box"], 500)),
+        (quartic(), PhysicalParams(beta=10.0), SpatialGrid(-4.0, 4.0, 400)),
+        (harmonic(1.0), PhysicalParams(beta=10.0), SpatialGrid(-5.0, 5.0, 7)),
+    ],
+    ids=["helium", "quartic", "harmonic-odd"],
+)
+def test_dvr_eigenvalues_keep_the_dense_formula_bits(potential, params, grid):
+    # the in-place build keeps the elementwise order of the dense formula
+    want = dense_dvr_eigenvalues(potential, params, grid)
+    assert np.array_equal(dvr_eigenvalues(potential, params, grid), want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_dvr_eigenvalues_fail_closed_on_a_potential_that_is_not_a_number(bad):
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.5, bad, 0.5 * x * x)
+
+    pot = custom_potential(value, lambda x: np.asarray(x, dtype=float))
+    grid = SpatialGrid(-3.0, 3.0, 60)
+    with pytest.raises(ValueError, match=r"potential is -?(nan|inf) at grid point x = 0\.6"):
+        dvr_eigenvalues(pot, PhysicalParams(beta=1.0), grid)
+    with pytest.raises(ValueError, match="grid point"):
+        dvr_partition_function(pot, PhysicalParams(beta=1.0), grid)
 
 
 def test_reference_z_cross_checks_and_self_convergence():
@@ -650,6 +707,62 @@ def test_mc_density_ratio_batch_memory_is_capped():
         tracemalloc.stop()
     assert peak < 48 * 2**20
     assert math.isfinite(est) and se > 0.0
+
+
+def whole_batch_mc_density_ratio(kernel, params, x, xp, levels, samples, seed):
+    # every normal of a batch drawn before any path is built, as first written
+    system = kernel.system
+    basis = path_basis(system, kernel.time_rule, levels)
+    ref = x + (xp - x) * basis.times
+    rows = max(1, _WORK_UNIT // basis.times.size)
+    batch = min(_MC_BATCH, max(1, _MC_NORMALS // basis.values.shape[0]))
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    done = 0
+    while done < samples:
+        nb = min(batch, samples - done)
+        draws = [rng.standard_normal((nb, 2 ** (lvl - 1))) for lvl in range(1, levels + 1)]
+        draws.append(rng.standard_normal((nb, system.q * 2**levels)))
+        for r0 in range(0, nb, rows):
+            coeff = np.hstack([d[r0 : r0 + rows] for d in draws])
+            pts = coeff @ basis.values
+            pts *= params.sigma
+            pts += ref
+            avg = np.asarray(kernel.potential.value(pts)) @ basis.weights
+            avg *= -params.beta
+            np.exp(avg, out=avg)
+            total += float(avg.sum())
+            total_sq += float(np.dot(avg, avg))
+        done += nb
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
+
+@pytest.mark.parametrize("system", [ORDER3, ORDER4], ids=["order3", "order4"])
+@pytest.mark.parametrize("levels, samples", [(0, None), (3, None), (4, 70_001)])
+def test_mc_density_ratio_streams_the_whole_batch_draws(system, levels, samples):
+    # block-by-block bridge draws continue the stream of one whole-batch
+    # draw, also across a partial last block and a partial last batch; at
+    # levels 4 the order-4 batch is capped at 2^22 // 63 = 66,576 samples
+    kernel = DiscreteReweightedKernel(system[0], quartic(), system[1])
+    if samples is None:
+        samples = _MC_BATCH + 7
+    p = PhysicalParams(beta=1.0)
+    got = mc_density_ratio(kernel, p, 0.3, -0.1, levels, samples, seed=5)
+    assert got == whole_batch_mc_density_ratio(kernel, p, 0.3, -0.1, levels, samples, seed=5)
+
+
+def test_mc_density_ratio_holds_only_the_tent_normals_of_a_batch():
+    # at levels 3 a whole batch of 100k x 31 normals is 24.8 MB; its 7 tent
+    # normals per sample are 5.6 MB
+    kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
+    tracemalloc.start()
+    try:
+        mc_density_ratio(kernel, PhysicalParams(beta=1.0), 0.0, 0.0, 3, 200_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("samples", [1, 0])

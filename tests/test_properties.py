@@ -13,7 +13,7 @@ from rwpath import kernels as kernels_module
 from rwpath.calibration import calibrated_system
 from rwpath.kernels import DiscreteReweightedKernel, PhysicalParams, TrotterKernel
 from rwpath.potentials import custom_potential
-from rwpath.propagation import SpatialGrid, build_matrix
+from rwpath.propagation import SpatialGrid, build_matrix, matrix_power, partition_function
 
 ORDER3 = calibrated_system("order3-discrete")
 
@@ -107,6 +107,35 @@ def test_ratio_is_chunk_invariant_on_random_potentials(pot, beta, size, split, s
     whole = kernel.ratio(params, x, xp)
     parts = np.concatenate([kernel.ratio(params, x[:cut], xp[:cut]), kernel.ratio(params, x[cut:], xp[cut:])])
     assert np.array_equal(whole, parts)
+
+
+@PROPERTY
+@given(
+    pot=polynomials(),
+    name=kernels,
+    beta=betas,
+    k=rungs,
+    a=st.floats(-3.0, 0.0),
+    width=st.floats(1.0, 5.0),
+    cells=st.integers(2, 12),
+)
+def test_slice_identity_on_random_potentials(pot, name, beta, k, a, width, cells):
+    # the kernel at (beta, 2k+1) and at (beta/2, k) share the slice
+    # beta/(2k+2), so the matrices are equal and Z(beta) = tr(P P) with
+    # P = A^{k+1} of the beta/2 build; the tolerance is the one derived in
+    # test_slice_identity_of_trotter_ladder
+    grid = SpatialGrid(a, a + width, cells)
+    kernel = make_kernel(name, pot)
+    params = PhysicalParams(beta=beta)
+    full = build_matrix(kernel, params, grid, 2 * k + 1)
+    half = build_matrix(kernel, params.with_beta(beta / 2.0), grid, k)
+    assert np.array_equal(full.values, half.values)
+    z = partition_function(full)
+    pk = matrix_power(half.values, k + 1)
+    z_half = float(np.trace(pk @ pk))
+    n = grid.points.size
+    tol = 2 * (2 * (2 * k + 1) + 4) * n * np.finfo(float).eps
+    assert abs(z - z_half) / z <= tol
 
 
 @settings(PROPERTY, max_examples=8)
