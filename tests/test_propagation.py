@@ -336,7 +336,7 @@ def test_dvr_matches_analytic_harmonic_spectrum():
 
 
 def dense_dvr_eigenvalues(potential, params, grid):
-    # the grid Hamiltonian from whole-matrix temporaries, as first written
+    # reference: the grid Hamiltonian from whole-matrix temporaries
     v_max = 2000.0 / params.beta
     nn = grid.cells
     idx = np.arange(1, nn)
@@ -710,7 +710,7 @@ def test_mc_density_ratio_batch_memory_is_capped():
 
 
 def whole_batch_mc_density_ratio(kernel, params, x, xp, levels, samples, seed):
-    # every normal of a batch drawn before any path is built, as first written
+    # reference: every normal of a batch drawn before any path is built
     system = kernel.system
     basis = path_basis(system, kernel.time_rule, levels)
     ref = x + (xp - x) * basis.times
