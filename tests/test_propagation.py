@@ -739,14 +739,12 @@ def whole_batch_mc_density_ratio(kernel, params, x, xp, levels, samples, seed):
 
 
 @pytest.mark.parametrize("system", [ORDER3, ORDER4], ids=["order3", "order4"])
-@pytest.mark.parametrize("levels, samples", [(0, None), (3, None), (4, 70_001)])
+@pytest.mark.parametrize("levels, samples", [(0, _MC_BATCH + 7), (3, _MC_BATCH + 7), (4, 70_001)])
 def test_mc_density_ratio_streams_the_whole_batch_draws(system, levels, samples):
     # block-by-block bridge draws continue the stream of one whole-batch
     # draw, also across a partial last block and a partial last batch; at
     # levels 4 the order-4 batch is capped at 2^22 // 63 = 66,576 samples
     kernel = DiscreteReweightedKernel(system[0], quartic(), system[1])
-    if samples is None:
-        samples = _MC_BATCH + 7
     p = PhysicalParams(beta=1.0)
     got = mc_density_ratio(kernel, p, 0.3, -0.1, levels, samples, seed=5)
     assert got == whole_batch_mc_density_ratio(kernel, p, 0.3, -0.1, levels, samples, seed=5)
