@@ -9,8 +9,10 @@ cross-check:
   trotter-constant observed vs predicted splitting-kernel constant
   mc-check         chained-path Monte Carlo vs matrix propagation
 
-Results are printed as JSON (with the fully resolved configuration echoed
-back); ladders are additionally written as CSV with `--out`. Exit codes:
+Each subcommand accepts exactly the options it reads (``READS``), as flags
+or config keys. Results are printed as JSON, echoing the resolved values
+of those options; ladders are additionally written as CSV with `--out`.
+Exit codes:
 0 success, 1 tolerance failure, 2 usage or configuration error (including a
 reference Z that is refused, overflows or underflows).
 """
@@ -21,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,7 +62,16 @@ _FAMILY_OF = {
     "order4-continuous": "order4-continuous",
 }
 KERNEL_CHOICES = ("trotter", "free-particle", *_FAMILY_OF)
-POTENTIAL_CHOICES = ("quartic", "he-cage", "harmonic")
+
+# One row per potential: its maker, the default inverse temperature, the
+# unit system (hbar, mass) and the default grid window (a, b, cells).
+_POTENTIALS = {
+    "quartic": (quartic, 10.0, (1.0, 1.0), (-4.0, 4.0, 400)),
+    "he-cage": (he_cage, 1.0 / 5.11, (math.sqrt(units_constant()), 4.0),
+                (0.0, he_cage().params["box"], 500)),
+    "harmonic": (lambda: harmonic(1.0), 10.0, (1.0, 1.0), (-5.0, 5.0, 300)),
+}
+POTENTIAL_CHOICES = tuple(_POTENTIALS)
 
 
 @dataclass
@@ -86,26 +97,58 @@ class ExperimentConfig:
     tol: float | None = None
     out: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_dict(self, keys=None) -> dict:
+        """The fields named in ``keys`` (all of them by default)."""
+        full = asdict(self)
+        return full if keys is None else {k: full[k] for k in keys}
 
 
-_CONFIG_TYPES = {f.name: f for f in fields(ExperimentConfig)}
+# Each option's type and choices: its flag is --name with '_' as '-', and
+# its config key is the name with either separator.
+OPTIONS = {
+    "potential": (str, POTENTIAL_CHOICES),
+    "kernel": (str, KERNEL_CHOICES),
+    "nu": (int, None),
+    "beta": (float, None),
+    "grid_a": (float, None),
+    "grid_b": (float, None),
+    "grid_m": (int, None),
+    "m_max": (int, None),
+    "n_ref": (int, None),
+    "gh_points": (int, None),
+    "levels": (int, None),
+    "samples": (int, None),
+    "seed": (int, None),
+    "x": (float, None),
+    "xp": (float, None),
+    "tol": (float, None),
+    "out": (str, None),
+}
+
+# The options each subcommand reads; it accepts no other flag or config key.
+_GRID = ("beta", "grid_a", "grid_b", "grid_m")
+READS = {
+    "calibrate": (),
+    "verify": ("kernel", "nu", "tol", "out"),
+    "order": ("potential", "kernel", *_GRID, "m_max", "n_ref", "gh_points", "out"),
+    "trotter-constant": ("potential", *_GRID, "m_max", "n_ref", "gh_points", "out"),
+    "mc-check": ("potential", "kernel", *_GRID, "gh_points", "levels", "samples", "seed", "x", "xp"),
+}
 
 
 def _coerce(name: str, raw: str):
-    if name not in _CONFIG_TYPES:
+    if name not in OPTIONS:
         raise ValueError(f"unknown configuration key {name!r}")
-    if raw == "none":
-        return None
-    choices = {"potential": POTENTIAL_CHOICES, "kernel": KERNEL_CHOICES}.get(name)
+    kind, choices = OPTIONS[name]
     if choices is not None and raw not in choices:
         raise ValueError(f"invalid {name} {raw!r} (choose from {', '.join(choices)})")
-    if name in ("potential", "kernel", "out"):
-        return raw
-    if name in ("nu", "grid_m", "m_max", "n_ref", "gh_points", "levels", "samples", "seed"):
-        return int(raw)
-    return float(raw)
+    # 'none' restores a default of None; no other option can be unset
+    if raw == "none" and getattr(ExperimentConfig, name) is None:
+        return None
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"invalid {name} {raw!r}") from None
 
 
 def load_config(path: str) -> dict:
@@ -124,44 +167,29 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides.update(load_config(args.config))
-    for f in fields(ExperimentConfig):
-        val = getattr(args, f.name, None)
+    """Defaults, then the config file, then the flags; a config key the
+    subcommand does not read is a configuration error."""
+    reads = READS[args.command]
+    overrides = load_config(args.config) if getattr(args, "config", None) else {}
+    for key in overrides:
+        if key not in reads:
+            raise ValueError(f"{args.command} does not read configuration key {key!r}")
+    for name in reads:
+        val = getattr(args, name, None)
         if val is not None:
-            overrides[f.name] = val
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    return cfg
+            overrides[name] = val
+    return ExperimentConfig(**overrides)
 
 
-# Per-potential defaults: grid window, inverse temperature and unit system.
 def _system_defaults(cfg: ExperimentConfig) -> tuple[Potential, PhysicalParams, SpatialGrid]:
-    if cfg.potential == "quartic":
-        pot = quartic()
-        beta = 10.0 if cfg.beta is None else cfg.beta
-        params = PhysicalParams(beta=beta)
-        a, b, m = -4.0, 4.0, 400
-    elif cfg.potential == "he-cage":
-        pot = he_cage()
-        beta = 1.0 / 5.11 if cfg.beta is None else cfg.beta
-        params = PhysicalParams(beta=beta, hbar=math.sqrt(units_constant()), mass=4.0)
-        a, b, m = 0.0, pot.params["box"], 500
-    elif cfg.potential == "harmonic":
-        pot = harmonic(1.0)
-        beta = 10.0 if cfg.beta is None else cfg.beta
-        params = PhysicalParams(beta=beta)
-        a, b, m = -5.0, 5.0, 300
-    else:
-        raise ValueError(f"unknown potential {cfg.potential!r}")
+    make, beta, (hbar, mass), (a, b, m) = _POTENTIALS[cfg.potential]
+    params = PhysicalParams(beta=beta if cfg.beta is None else cfg.beta, hbar=hbar, mass=mass)
     grid = SpatialGrid(
         a if cfg.grid_a is None else cfg.grid_a,
         b if cfg.grid_b is None else cfg.grid_b,
         m if cfg.grid_m is None else cfg.grid_m,
     )
-    return pot, params, grid
+    return make(), params, grid
 
 
 def _family(cfg: ExperimentConfig) -> str:
@@ -205,8 +233,11 @@ def _moment_spec(cfg: ExperimentConfig):
     return discrete_spec(finite_kernel(system), rule)
 
 
-def _emit(payload: dict, stream=None) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2), file=stream or sys.stdout)
+def _emit(args, cfg: ExperimentConfig, payload: dict) -> dict:
+    """Print ``payload`` as JSON, echoing the options the subcommand read."""
+    payload = {"config": cfg.to_dict(READS[args.command]), **payload}
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    return payload
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -222,35 +253,27 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def cmd_calibrate(args) -> int:
-    cfg = resolve_config(args)
+def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
     try:
         result = calibrate(args.family)
     except CalibrationError as exc:
-        _emit({"config": cfg.to_dict(), "error": str(exc), "best": list(exc.best)})
+        _emit(args, cfg, {"error": str(exc), "best": list(exc.best)})
         return TOLERANCE_FAILURE
-    _emit({"config": cfg.to_dict(), "result": result.to_dict(), "pass": True})
+    _emit(args, cfg, {"result": result.to_dict(), "pass": True})
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = resolve_config(args)
-    try:
-        spec = _moment_spec(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_verify(args, cfg: ExperimentConfig) -> int:
+    spec = _moment_spec(cfg)
     report = verify_order(spec, cfg.nu, cfg.tol)
-    payload = {"config": cfg.to_dict(), "report": report.to_dict()}
-    _emit(payload)
+    payload = _emit(args, cfg, {"report": report.to_dict()})
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
     return 0 if report.passed else TOLERANCE_FAILURE
 
 
-def cmd_order(args) -> int:
-    cfg = resolve_config(args)
+def cmd_order(args, cfg: ExperimentConfig) -> int:
     pot, params, grid = _system_defaults(cfg)
     kernel = _build_kernel(cfg, pot)
     ref = _order4_reference(cfg, pot, params, grid, kernel)
@@ -264,20 +287,20 @@ def cmd_order(args) -> int:
     if cfg.out:
         _write_csv(cfg.out, ["n", "Z_n", "R", "alpha_m"], rows)
     _emit(
+        args,
+        cfg,
         {
-            "config": cfg.to_dict(),
             "slope": series.slope,
             "fit_window": list(series.fit_window),
             "z_ref": series.z_ref,
             "reference_gap": ref.rel_gap,
             "monotone": series.monotone,
-        }
+        },
     )
     return 0
 
 
-def cmd_trotter_constant(args) -> int:
-    cfg = resolve_config(args)
+def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
     pot, params, grid = _system_defaults(cfg)
     n_list = [2 * m + 1 for m in range(1, cfg.m_max + 1)]
     ref = _order4_reference(cfg, pot, params, grid)
@@ -287,62 +310,43 @@ def cmd_trotter_constant(args) -> int:
     if cfg.out:
         _write_csv(cfg.out, ["n", "Z_n", "R", "c_n"], rows)
     _emit(
+        args,
+        cfg,
         {
-            "config": cfg.to_dict(),
             "c_th": series.c_th,
             "c_last": float(series.c_n[-1]),
             "rel_err_last": series.rel_err_last,
             "z_ref": series.z_ref,
-        }
+        },
     )
     return 0
 
 
-def cmd_mc_check(args) -> int:
-    cfg = resolve_config(args)
+def cmd_mc_check(args, cfg: ExperimentConfig) -> int:
     pot, params, grid = _system_defaults(cfg)
     family = _family(cfg)
     if family not in FAMILIES or default_rule(family) is None:
-        print("error: mc-check needs a discrete reweighted kernel (order3 or order4)", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("mc-check needs a discrete reweighted kernel (order3 or order4)")
     kernel = _build_kernel(cfg, pot)
     est, se = mc_density_ratio(
         kernel, params, cfg.x, cfg.xp, cfg.levels, cfg.samples, cfg.seed
     )
+    if se == 0:
+        # every sampled path has the same weight, typically 0 with an
+        # endpoint on a wall: a z-score would pass vacuously
+        raise ValueError(
+            f"every sampled path has the same weight {est!r} at x = {cfg.x!r}, x' = {cfg.xp!r}: "
+            "move x and x' to where the potential is finite"
+        )
     n = 2**cfg.levels - 1
     nmm = nmm_density_ratio(kernel, params, grid, n, cfg.x, cfg.xp)
-    z = abs(est - nmm) / se if se > 0 else 0.0
-    payload = {
-        "config": cfg.to_dict(),
-        "estimate": est,
-        "standard_error": se,
-        "nmm": nmm,
-        "z_score": z,
-        "pass": bool(z < 4.0),
-    }
-    _emit(payload)
+    z = abs(est - nmm) / se
+    _emit(
+        args,
+        cfg,
+        {"estimate": est, "standard_error": se, "nmm": nmm, "z_score": z, "pass": bool(z < 4.0)},
+    )
     return 0 if z < 4.0 else TOLERANCE_FAILURE
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--potential", choices=POTENTIAL_CHOICES)
-    sub.add_argument("--kernel", choices=KERNEL_CHOICES)
-    sub.add_argument("--nu", type=int)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--grid-a", dest="grid_a", type=float)
-    sub.add_argument("--grid-b", dest="grid_b", type=float)
-    sub.add_argument("--grid-m", dest="grid_m", type=int)
-    sub.add_argument("--m-max", dest="m_max", type=int)
-    sub.add_argument("--n-ref", dest="n_ref", type=int)
-    sub.add_argument("--gh-points", dest="gh_points", type=int)
-    sub.add_argument("--levels", type=int)
-    sub.add_argument("--samples", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--x", type=float)
-    sub.add_argument("--xp", type=float)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--out", help="CSV/JSON output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,38 +356,33 @@ def build_parser() -> argparse.ArgumentParser:
         "order verification, and convergence diagnostics.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("calibrate", help="solve for a family's constants")
-    p.add_argument("family", help=f"one of: {', '.join(FAMILIES)}")
-    _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = subs.add_parser("verify", help="check the order identities of a kernel family")
-    p.add_argument("kernel_name", nargs="?", help="kernel family (same as --kernel)")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("order", help="convergence-order ladder for a kernel/potential")
-    _add_common(p)
-    p.set_defaults(func=cmd_order)
-
-    p = subs.add_parser("trotter-constant", help="observed vs predicted convergence constant")
-    _add_common(p)
-    p.set_defaults(func=cmd_trotter_constant)
-
-    p = subs.add_parser("mc-check", help="chained-path Monte Carlo vs matrix propagation")
-    _add_common(p)
-    p.set_defaults(func=cmd_mc_check)
+    for command, func, help_text in (
+        ("calibrate", cmd_calibrate, "solve for a family's constants"),
+        ("verify", cmd_verify, "check the order identities of a kernel family"),
+        ("order", cmd_order, "convergence-order ladder for a kernel/potential"),
+        ("trotter-constant", cmd_trotter_constant, "observed vs predicted convergence constant"),
+        ("mc-check", cmd_mc_check, "chained-path Monte Carlo vs matrix propagation"),
+    ):
+        p = subs.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        if command == "calibrate":
+            p.add_argument("family", help=f"one of: {', '.join(FAMILIES)}")
+            continue
+        flags = READS[command]
+        if command == "verify":
+            p.add_argument("kernel", nargs="?", choices=KERNEL_CHOICES, help="kernel family")
+            flags = [name for name in flags if name != "kernel"]
+        p.add_argument("--config", help="flat key=value file of the options below")
+        for name in flags:
+            kind, choices = OPTIONS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, choices=choices)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "kernel_name", None) and not args.kernel:
-        args.kernel = args.kernel_name
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_config(args))
     # RuntimeError and OverflowError: a reference Z the grid eigensolve
     # refutes, or one that overflows; both are fixed by the grid or n_ref
     except (ValueError, FileNotFoundError, OverflowError, RuntimeError) as exc:

@@ -620,7 +620,9 @@ def mc_density_ratio(
     sample into buffers allocated once per call, and its bridge normals
     block by block into one reused buffer, continuing the same stream, so
     memory does not grow with the level. Returns (estimate, standard
-    error); raises ValueError when x or x' is not finite.
+    error); raises ValueError when x or x' is not finite or the potential
+    is NaN or -inf on a sampled path, and OverflowError when the path
+    weights overflow.
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
@@ -656,6 +658,9 @@ def mc_density_ratio(
             pts *= sigma
             pts += ref
             avg = np.asarray(kernel.potential.value(pts)) @ basis.weights
+            # written so that NaN fails; +inf (a wall) weighs 0
+            if not (avg > -np.inf).all():
+                raise ValueError("the potential is NaN or -inf on a sampled path")
             avg *= -beta
             with np.errstate(under="ignore", over="ignore"):
                 np.exp(avg, out=avg)

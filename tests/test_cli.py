@@ -2,11 +2,15 @@ import json
 
 import pytest
 
-from rwpath.cli import ExperimentConfig, load_config, main, resolve_config
+from rwpath.cli import OPTIONS, READS, ExperimentConfig, build_parser, load_config, main, resolve_config
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr); an argparse rejection counts as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -250,7 +254,7 @@ def test_config_file_round_trip(tmp_path, capsys):
     # a config echoed back parses to an identical config
     import argparse
 
-    ns = argparse.Namespace(config=str(cfg_file))
+    ns = argparse.Namespace(command="order", config=str(cfg_file))
     cfg = resolve_config(ns)
     echoed = cfg.to_dict()
     cfg2 = ExperimentConfig(**echoed)
@@ -292,14 +296,14 @@ def test_config_file_values_are_the_flag_choices(tmp_path, capsys, line):
 
 
 def test_config_keys_are_the_flag_names():
-    import argparse
-
-    from rwpath.cli import _add_common
-
-    parser = argparse.ArgumentParser()
-    _add_common(parser)
-    flags = set(vars(parser.parse_args([]))) - {"config"}
-    assert flags == set(ExperimentConfig().to_dict())
+    # each subcommand's options, as flags or the verify positional, are
+    # exactly the options it reads
+    parser = build_parser()
+    for command, reads in READS.items():
+        argv = [command, "order3-discrete"] if command == "calibrate" else [command]
+        dests = set(vars(parser.parse_args(argv))) - {"command", "func", "config", "family"}
+        assert dests == set(reads), command
+    assert set(OPTIONS) == set(ExperimentConfig().to_dict())
 
 
 def test_cli_flag_overrides_config_file(tmp_path, capsys):
@@ -311,3 +315,94 @@ def test_cli_flag_overrides_config_file(tmp_path, capsys):
     assert payload["config"]["nu"] == 3
     assert payload["config"]["kernel"] == "order3"
     assert payload["report"]["nu"] == 3
+
+
+UNREAD = [(command, name) for command in READS for name in OPTIONS if name not in READS[command]]
+
+
+@pytest.mark.parametrize("command, name", UNREAD)
+def test_options_a_subcommand_does_not_read_are_refused(tmp_path, capsys, command, name):
+    kind, choices = OPTIONS[name]
+    value = choices[0] if choices else str(tmp_path / "written") if kind is str else "3"
+    base = [command, "order3-discrete"] if command == "calibrate" else [command]
+    code, out, err = run_cli(capsys, *base, f"--{name.replace('_', '-')}={value}")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {value}\n")
+    code, out, err = run_cli(capsys, *base, "--config", str(cfg_file))
+    assert (code, out) == (2, "")
+    if command == "calibrate":
+        # calibrate reads no option, so it takes no config file either
+        assert "unrecognized arguments: --config" in err
+    else:
+        assert f"{command} does not read configuration key {name!r}" in err
+    assert not (tmp_path / "written").exists()
+
+
+def test_verify_kernel_is_the_positional_only(capsys):
+    code, out, err = run_cli(capsys, "verify", "order3", "--kernel", "order4")
+    assert (code, out) == (2, "")
+    code, out, err = run_cli(capsys, "verify", "order4-discrete")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'order4-discrete'" in err
+
+
+def test_config_echo_is_the_read_set(capsys):
+    code, out, _ = run_cli(capsys, "calibrate", "order3-discrete")
+    assert code == 0
+    assert json.loads(out)["config"] == {}
+    code, out, _ = run_cli(capsys, "verify", "order4", "--nu", "2")
+    assert code == 0
+    assert json.loads(out)["config"] == {"kernel": "order4", "nu": 2, "tol": None, "out": None}
+
+
+@pytest.mark.parametrize("line", ["m_max = none", "potential = none", "kernel = none", "m_max = 2.5"])
+def test_config_value_must_parse_as_its_option(tmp_path, capsys, line):
+    # 'none' only restores a default of None; m_max = none used to crash
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "order", "--config", str(cfg_file))
+    assert (code, out) == (2, "")
+    key, value = (part.strip() for part in line.split("="))
+    assert err.startswith(f"error: invalid {key} {value!r}")
+
+
+def test_mc_check_on_a_wall_is_a_usage_error(capsys, monkeypatch):
+    # x = x' = 0 is on the he-cage wall: every path weight is 0, so the
+    # standard error is 0 and a z-score would pass vacuously
+    import rwpath.cli as cli
+
+    monkeypatch.setattr(cli, "nmm_density_ratio", lambda *a: pytest.fail("nmm built"))
+    code, out, err = run_cli(capsys, "mc-check", "--potential", "he-cage", "--samples", "2000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "x = 0.0, x' = 0.0" in err
+
+
+def readme_command_block():
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    return section.split("```bash\n", 1)[1].split("```", 1)[0], section.split("\n## ", 1)[0]
+
+
+def test_readme_commands_parse():
+    import shlex
+
+    block, _ = readme_command_block()
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("rwpath ")]
+    assert len(lines) >= len(READS)
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_lists_each_subcommands_options():
+    import re
+
+    _, section = readme_command_block()
+    for command, reads in READS.items():
+        row = next(r for r in section.splitlines() if r.startswith(f"| `{command}` |"))
+        listed = set(re.findall(r"`--([a-z-]+)`", row)) | set(re.findall(r"`\[(\w+)\]`", row))
+        assert listed - {"config"} == {name.replace("_", "-") for name in reads}, command

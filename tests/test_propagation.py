@@ -460,6 +460,19 @@ def test_mc_density_ratio_fails_closed_on_overflow():
         mc_density_ratio(kernel, PhysicalParams(beta=10.0), 0.0, 0.0, 2, 1000)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_mc_density_ratio_names_a_nan_or_minus_inf_potential(bad):
+    # shifting the energy zero cannot fix these, so they are not overflow
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.5, bad, 0.5 * x * x)
+
+    pot = custom_potential(value, lambda x: np.asarray(x, dtype=float))
+    kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
+    with pytest.raises(ValueError, match="NaN or -inf"):
+        mc_density_ratio(kernel, PhysicalParams(beta=1.0), 0.0, 0.0, 2, 1000)
+
+
 def test_dvr_partition_function_fails_closed_on_overflow():
     def deep_well(x):
         x = np.asarray(x, dtype=float)
