@@ -364,12 +364,16 @@ def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderRe
     Brownian values; the spec has convergence order nu iff all pass.
 
     Default tolerances: 1e-12 for discrete specs (finite sums, exact) and
-    1e-9 for continuous specs (quadrature-limited).
+    1e-9 for continuous specs (quadrature-limited). A given ``tol`` must be
+    finite and positive.
     """
     if nu < 1:
         raise ValueError("nu must be a positive integer")
     if tol is None:
         tol = 1e-12 if spec.is_discrete else 1e-9
+    # written so that NaN fails
+    elif not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     entries = []
     for mu in range(1, nu + 1):
         for idx in enumerate_indices(mu):

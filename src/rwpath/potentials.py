@@ -9,6 +9,7 @@ rather than an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +33,13 @@ class Potential:
         return self.value(x)
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        # written so that NaN fails
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def quartic() -> Potential:
     """V(x) = x^4 / 2 on the whole line."""
 
@@ -49,8 +57,7 @@ def quartic() -> Potential:
 
 def harmonic(omega: float, mass: float = 1.0) -> Potential:
     """V(x) = m omega^2 x^2 / 2; the analytic-reference oscillator."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    _check_positive(omega=omega, mass=mass)
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -73,6 +80,7 @@ def he_cage(
     well depth eps = 10.22 K, sigma_lj = 2.556 A, box = 7.153 A. The value
     is +inf outside the open interval (0, box).
     """
+    _check_positive(eps=eps, sigma_lj=sigma_lj, box=box)
 
     def _pow6(t):
         t2 = t * t

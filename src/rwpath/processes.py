@@ -52,6 +52,12 @@ class LambdaSystem:
         return np.stack([f(u) for f in self.bridge])
 
 
+def _check_finite(**constants: float) -> None:
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def make_order3(alpha: float) -> LambdaSystem:
     """Two-bridge system whose free rotation rate ``alpha`` is calibrated to
     give a third-order short-time approximation.
@@ -59,6 +65,7 @@ def make_order3(alpha: float) -> LambdaSystem:
     bridge[0](u) = sqrt(u(1-u)) cos(alpha (u - 1/2))   (symmetric)
     bridge[1](u) = sqrt(u(1-u)) sin(alpha (u - 1/2))   (antisymmetric)
     """
+    _check_finite(alpha=alpha)
 
     def lam1(u):
         u = np.asarray(u, dtype=float)
@@ -78,6 +85,7 @@ def make_order4(alpha1: float, alpha2: float) -> LambdaSystem:
     envelope r(u) = sqrt(u(1-u)(1 - 3u(1-u))) rotated by the odd phase
     alpha1 (u - 1/2) + alpha2 (u - 1/2)^3.
     """
+    _check_finite(alpha1=alpha1, alpha2=alpha2)
 
     def lam1(u):
         u = np.asarray(u, dtype=float)

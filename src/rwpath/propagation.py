@@ -274,8 +274,7 @@ def partition_function(matrix: KernelMatrix) -> float:
     itself is accumulated in compensated summation. Raises OverflowError
     instead of returning inf or NaN.
     """
-    p = _finite_power(matrix.values, matrix.n + 1)
-    return float(math.fsum(np.diagonal(p)))
+    return float(math.fsum(_power_diagonal(matrix.values, matrix.n + 1)))
 
 
 def _finite_power(a: np.ndarray, power: int) -> np.ndarray:
@@ -288,6 +287,12 @@ def _finite_power(a: np.ndarray, power: int) -> np.ndarray:
             "matrix power overflowed; rescale by shifting the potential energy zero"
         )
     return p
+
+
+def _power_diagonal(a: np.ndarray, power: int) -> np.ndarray:
+    """A copy of the diagonal of ``_finite_power(a, power)``, so that the
+    power's block is freed when this returns."""
+    return np.diagonal(_finite_power(a, power)).copy()
 
 
 def dvr_eigenvalues(
@@ -303,6 +308,8 @@ def dvr_eigenvalues(
     potential at 2000/beta, far above any thermally relevant energy, so the
     eigensolve stays well conditioned. A potential that is NaN or -inf at an
     interior grid point raises ValueError naming the first such point.
+    At its peak it holds one (N-1)^2 array, the Hamiltonian, beside
+    LAPACK's own workspace.
     """
     v_max = 2000.0 / params.beta
     nn = grid.cells
@@ -315,18 +322,18 @@ def dvr_eigenvalues(
     idx = np.arange(1.0, nn)
     pref = params.hbar**2 / (2.0 * params.mass) * math.pi**2 / (2.0 * (grid.b - grid.a) ** 2)
     # off-diagonal: (-1)^(i-j) [1/sin^2(pi (i-j) / 2N) - 1/sin^2(pi (i+j) / 2N)],
-    # built in place in h with one work array
+    # built in place in h; the second term depends on i + j alone, so it is
+    # one table over the 2N - 3 sums, subtracted as a Hankel view of it
     h = np.subtract.outer(idx, idx)
-    work = np.add.outer(idx, idx)
+    sums = np.arange(2.0, 2.0 * nn - 1.0)
     with np.errstate(divide="ignore"):
-        for arr in (h, work):
+        for arr in (h, sums):
             arr *= math.pi
             arr /= 2.0 * nn
             np.sin(arr, out=arr)
             np.square(arr, out=arr)
             np.divide(1.0, arr, out=arr)
-    h -= work
-    del work
+    h -= np.lib.stride_tricks.sliding_window_view(sums, idx.size)
     # i - j is odd on this checkerboard
     np.negative(h[::2, 1::2], out=h[::2, 1::2])
     np.negative(h[1::2, ::2], out=h[1::2, ::2])
@@ -386,10 +393,14 @@ def reference_z(
     cross-checked against the independent grid eigensolve; a gap beyond
     1e-5 means the grid is under-resolved and raises, as do an overflowed
     matrix power, an underflowed eigensolve sum and a NaN gap.
+
+    Only the power's diagonal outlives the power, so the peak is that of
+    ``partition_function``: the N^2 kernel matrix beside the power's block
+    (about 2.5 N^2 when folded). The eigensolve that follows holds one
+    (N-1)^2 Hamiltonian.
     """
-    mat = build_matrix(kernel, params, grid, n_ref)
-    p = _finite_power(mat.values, n_ref + 1)
-    z = float(math.fsum(np.diagonal(p)))
+    diag = _power_diagonal(build_matrix(kernel, params, grid, n_ref).values, n_ref + 1)
+    z = float(math.fsum(diag))
     z_dvr = dvr_partition_function(kernel.potential, params, grid)
     gap = abs(z - z_dvr) / z_dvr
     # written so that a NaN gap fails
@@ -398,7 +409,7 @@ def reference_z(
             f"reference Z disagrees with the grid eigensolve by {gap:.2e} "
             f"(> {_REFERENCE_GAP_TOL:.0e}); refine the grid or raise n_ref"
         )
-    return ReferenceZ(z, n_ref, z_dvr, gap, np.diagonal(p) / grid.h, grid)
+    return ReferenceZ(z, n_ref, z_dvr, gap, diag / grid.h, grid)
 
 
 @dataclass(frozen=True)
@@ -577,8 +588,9 @@ def nmm_density_ratio(
         raise ValueError("x and x' must lie on the grid")
     mat = build_matrix(kernel, params, grid, n)
     p = _finite_power(mat.values, n + 1)
-    entry = float(p[i, j])
-    if entry < p[i, -1 - j]:
+    entry, mirror = float(p[i, j]), float(p[i, -1 - j])
+    del p
+    if entry < mirror:
         col = mat.values[:, j]
         for _ in range(n):
             col = mat.values @ col

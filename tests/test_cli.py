@@ -164,6 +164,14 @@ def test_mc_check_rejects_continuous_kernel(capsys):
     assert "reweighted" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_verify_tol_not_finite_and_positive_is_a_usage_error(capsys, tol):
+    code, out, err = run_cli(capsys, "verify", "order4", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol must be finite and positive" in err
+
+
 def test_verify_free_particle_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "free-particle")
     assert code == 2

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from rwpath.calibration import calibrated_system
+from rwpath.moments import discrete_spec, verify_order
 from rwpath.potentials import custom_potential, harmonic, he_cage, quartic
+from rwpath.processes import finite_kernel, make_order3, make_order4
 
 
 def central_diff(f, x, h=1e-6):
@@ -135,3 +138,37 @@ def test_custom_potential_wrapping():
     pot = custom_potential(lambda x: np.abs(x), lambda x: np.sign(x), domain=(-2, 2))
     assert pot.kind == "custom"
     assert pot.value(1.5) == 1.5
+
+
+def _order4_spec():
+    system, rule = calibrated_system("order4-discrete")
+    return discrete_spec(finite_kernel(system), rule)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: harmonic(math.nan), "omega"),
+        (lambda: harmonic(math.inf), "omega"),
+        (lambda: harmonic(0.0), "omega"),
+        (lambda: harmonic(1.0, mass=-1.0), "mass"),
+        (lambda: he_cage(eps=math.nan), "eps"),
+        (lambda: he_cage(box=-1.0), "box"),
+        (lambda: he_cage(sigma_lj=0.0), "sigma_lj"),
+        (lambda: make_order3(math.nan), "alpha"),
+        (lambda: make_order4(math.nan, 1.0), "alpha1"),
+        (lambda: make_order4(1.0, -math.inf), "alpha2"),
+        (lambda: verify_order(_order4_spec(), 4, tol=math.nan), "tol"),
+        (lambda: verify_order(_order4_spec(), 4, tol=-1.0), "tol"),
+    ],
+    ids=[
+        "harmonic-omega-nan", "harmonic-omega-inf", "harmonic-omega-0", "harmonic-mass-neg",
+        "he-eps-nan", "he-box-neg", "he-sigma-0", "order3-nan", "order4-alpha1-nan",
+        "order4-alpha2-inf", "verify-tol-nan", "verify-tol-neg",
+    ],
+)
+def test_constructors_refuse_hostile_inputs(make, name):
+    # physical parameters must be finite and positive, path-system constants
+    # finite, and a given tolerance finite and positive; NaN fails each
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make()

@@ -372,6 +372,44 @@ def test_dvr_eigenvalues_keep_the_dense_formula_bits(potential, params, grid):
     assert np.array_equal(dvr_eigenvalues(potential, params, grid), want)
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize(
+    "potential, params, grid",
+    [
+        (he_cage(), HE_PARAMS, SpatialGrid(0.0, he_cage().params["box"], 500)),
+        (quartic(), PhysicalParams(beta=10.0), SpatialGrid(-4.0, 4.0, 400)),
+    ],
+    ids=["helium", "quartic"],
+)
+def test_dvr_eigenvalues_hold_one_hamiltonian(potential, params, grid):
+    # the (N-1)^2 Hamiltonian is the only matrix-sized array; a second one
+    # for the 1/sin^2(pi (i+j) / 2N) term doubled the peak
+    _, peak = traced_peak(dvr_eigenvalues, potential, params, grid)
+    assert peak <= 1.2 * (grid.cells - 1) ** 2 * 8
+
+
+def test_reference_z_peaks_no_higher_than_its_partition_function():
+    # the kernel matrix and its power are freed before the eigensolve, so
+    # the power is the peak, as in partition_function
+    kernel = TrotterKernel(harmonic(1.0))
+    p = PhysicalParams(beta=1.0)
+    g = SpatialGrid(-8.0, 8.0, 300)
+    build_matrix(kernel, p, g, 127)  # fills the pair-layout cache for both
+    ref, ref_peak = traced_peak(reference_z, kernel, p, g, 127)
+    z, z_peak = traced_peak(lambda: partition_function(build_matrix(kernel, p, g, 127)))
+    assert ref.value == z
+    assert ref_peak <= 1.01 * z_peak
+
+
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_dvr_eigenvalues_fail_closed_on_a_potential_that_is_not_a_number(bad):
     def value(x):
