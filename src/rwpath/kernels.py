@@ -184,8 +184,6 @@ class _ReweightedKernel(ShortTimeKernel):
         self._w = basis.weights
         nodes, weights = tensor_gauss_hermite(system.q, self.gh_points)
         self._gh_weights = weights
-        # below this exponent a node's weighted exp(-beta <V>) is subnormal
-        self._exp_floor = math.log(np.finfo(float).tiny / float(weights.max()))
         self._disp = np.ascontiguousarray((nodes @ basis.values).T)  # (T, G)
 
     def ratio(self, params, x, xp):
@@ -244,7 +242,7 @@ class _ReweightedKernel(ShortTimeKernel):
     def _ratio_units(self, beta, sdisp, xf, dxf, acc, pblock, gblock, lo, hi, pts_buf, avg_buf):
         """Write acc[lo:hi] for the pair units starting at lo, lo + pblock, ...;
         each unit is pblock pairs times gblock Gauss-Hermite nodes."""
-        u, w, floor = self._u, self._w, self._exp_floor
+        u, w = self._u, self._w
         ng = sdisp.shape[1]
         for p0 in range(lo, hi, pblock):
             p1 = min(p0 + pblock, hi)
@@ -262,18 +260,8 @@ class _ReweightedKernel(ShortTimeKernel):
                     avg += vt
                 avg *= -beta
                 with np.errstate(under="ignore"):
-                    if avg.min() < floor:
-                        # exp is 15-150x slower per element when its result
-                        # is subnormal; such a node adds less than DBL_MIN to
-                        # its pair, so it is clamped to the floor and zeroed
-                        # through a mask written into the free pts buffer
-                        np.greater_equal(avg, floor, out=pts)
-                        np.maximum(avg, floor, out=avg)
-                        np.exp(avg, out=avg)
-                        avg *= pts
-                    else:
-                        np.exp(avg, out=avg)
-                    avg *= self._gh_weights[g0:g1]
+                    np.exp(avg, out=avg)
+                avg *= self._gh_weights[g0:g1]
                 # a row sum reduces each pair's nodes in an order fixed by the
                 # block width alone, whatever the number of rows
                 acc[p0:p1] += avg.sum(axis=1)

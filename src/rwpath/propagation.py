@@ -588,9 +588,8 @@ def nmm_density_ratio(
         raise ValueError("x and x' must lie on the grid")
     mat = build_matrix(kernel, params, grid, n)
     p = _finite_power(mat.values, n + 1)
-    entry, mirror = float(p[i, j]), float(p[i, -1 - j])
-    del p
-    if entry < mirror:
+    entry = float(p[i, j])
+    if entry < p[i, -1 - j]:
         col = mat.values[:, j]
         for _ in range(n):
             col = mat.values @ col

@@ -245,44 +245,6 @@ def test_ratio_workers_keep_the_callers_errstate(monkeypatch):
     assert np.array_equal(results[0], results[1])
 
 
-def unflushed_ratio(kernel, params, x, xp):
-    # reference: every node's weighted exp(-beta <V>) kept, subnormal or
-    # not, and each pair's nodes summed block by block as a ratio unit does;
-    # also returns the share of exponents below the kernel's floor
-    sdisp = params.sigma * kernel._disp
-    avg = np.zeros((x.size, sdisp.shape[1]))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        for t, (u, w) in enumerate(zip(kernel._u, kernel._w)):
-            vt = kernel.potential.value((x + (xp - x) * u)[:, None] + sdisp[t])
-            vt *= w
-            avg += vt
-        avg *= -params.beta
-        terms = np.exp(avg) * kernel._gh_weights
-    acc = np.zeros(x.size)
-    for g0 in range(0, terms.shape[1], kernels._GH_BLOCK):
-        acc += terms[:, g0 : g0 + kernels._GH_BLOCK].sum(axis=1)
-    acc[~(np.isfinite(kernel.potential.value(x)) & np.isfinite(kernel.potential.value(xp)))] = 0.0
-    return acc, np.mean(avg < kernel._exp_floor)
-
-
-def test_ratio_flushes_only_subnormal_node_weights():
-    # pairs from wall to wall at the n = 57 helium slice, where a quarter to
-    # all of a row's path nodes sit deep in the repulsive cores: a node below
-    # the exponent floor adds less than DBL_MIN, so the ratio keeps every bit
-    # of any value above 1e-290 and moves the rest by less than 1000 DBL_MIN
-    params = HE_PARAMS.with_beta(HE_PARAMS.beta / 58)
-    pts = SpatialGrid(0.0, 7.153, 500).points
-    x, xp = (a.ravel() for a in np.meshgrid(pts[::20], pts[::10]))
-    kernel = DiscreteReweightedKernel(ORDER4[0], he_cage(), ORDER4[1])
-    want, below = unflushed_ratio(kernel, params, x, xp)
-    got = kernel.ratio(params, x, xp)
-    assert below > 0.1
-    big = want >= 1e-290
-    assert np.count_nonzero(big) > x.size // 4 and np.count_nonzero(~big & (want > 0.0)) > 0
-    assert np.array_equal(got[big], want[big])
-    assert np.all(np.abs(got[~big] - want[~big]) <= 1000 * np.finfo(float).tiny)
-
-
 def test_kernel_positivity():
     p = PhysicalParams(beta=0.5)
     kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
