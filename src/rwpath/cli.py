@@ -322,29 +322,40 @@ def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _grid_point(grid: SpatialGrid, name: str, value: float) -> float:
+    """The grid point nearest ``value``, which must lie in the grid window."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not grid.a - grid.h / 2 <= value <= grid.b + grid.h / 2:
+        raise ValueError(f"{name} = {value!r} lies outside the grid [{grid.a!r}, {grid.b!r}]")
+    pts = grid.points
+    return float(pts[np.argmin(np.abs(pts - value))])
+
+
 def cmd_mc_check(args, cfg: ExperimentConfig) -> int:
     pot, params, grid = _system_defaults(cfg)
     family = _family(cfg)
     if family not in FAMILIES or default_rule(family) is None:
         raise ValueError("mc-check needs a discrete reweighted kernel (order3 or order4)")
+    # both estimators run at the grid points nearest x and x'
+    x, xp = _grid_point(grid, "x", cfg.x), _grid_point(grid, "x'", cfg.xp)
     kernel = _build_kernel(cfg, pot)
-    est, se = mc_density_ratio(
-        kernel, params, cfg.x, cfg.xp, cfg.levels, cfg.samples, cfg.seed
-    )
+    est, se = mc_density_ratio(kernel, params, x, xp, cfg.levels, cfg.samples, cfg.seed)
     if se == 0:
         # every sampled path has the same weight, typically 0 with an
         # endpoint on a wall: a z-score would pass vacuously
         raise ValueError(
-            f"every sampled path has the same weight {est!r} at x = {cfg.x!r}, x' = {cfg.xp!r}: "
+            f"every sampled path has the same weight {est!r} at x = {x!r}, x' = {xp!r}: "
             "move x and x' to where the potential is finite"
         )
     n = 2**cfg.levels - 1
-    nmm = nmm_density_ratio(kernel, params, grid, n, cfg.x, cfg.xp)
+    nmm = nmm_density_ratio(kernel, params, grid, n, x, xp)
     z = abs(est - nmm) / se
     _emit(
         args,
         cfg,
-        {"estimate": est, "standard_error": se, "nmm": nmm, "z_score": z, "pass": bool(z < 4.0)},
+        {"x_grid": x, "xp_grid": xp, "estimate": est, "standard_error": se, "nmm": nmm,
+         "z_score": z, "pass": bool(z < 4.0)},
     )
     return 0 if z < 4.0 else TOLERANCE_FAILURE
 

@@ -4,10 +4,16 @@ An approximation built from a finite path system has convergence order nu
 exactly when a family of mixed moments of (endpoint value, time averages of
 path powers) matches the corresponding Brownian moments, for every moment
 index up to nu. This module enumerates those indices, evaluates both sides
-through Isserlis pairing sums over the covariance kernel, and provides an
-independent Monte Carlo oracle for cross-checking. The pairing sum counts
-the pairings of the endpoint and time-variable slots from their
-multiplicities instead of listing all (g-1)!! of them.
+exactly, and provides an independent Monte Carlo oracle for cross-checking.
+
+Each path law has one exact integrator, in any number of time variables. A
+finite path's moment of order mu is the tensor Gauss-Hermite average, mu
+points per coefficient, of the per-path statistics the oracle averages. An
+exact-Brownian moment is an Isserlis pairing sum over the min kernel on
+weighted time tuples: the rule's grid, or the ordering simplex under an exact
+Gauss-Legendre rule. The pairing sum counts pairings from the slot
+multiplicities instead of listing all (g-1)!! of them. A moment over a fixed
+budget of quadrature points is refused before anything is allocated.
 
 The sampler streams fixed blocks of about 64k path values through buffers
 allocated once per call, and reduces each sample in an order set by the
@@ -25,14 +31,16 @@ import contextlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .kernels import _WORK_UNIT
-from .processes import CovarianceKernel, covariance, exact_brownian, path_basis
-from .quadrature import Rule1D, _tensor_rule, composite_legendre_01, gauss_legendre_01
+from .processes import CovarianceKernel, LambdaSystem, covariance, exact_brownian, path_basis
+from .quadrature import _EXACT_TIME_RULE, Rule1D, _tensor_rule, composite_legendre_01
+from .quadrature import gauss_legendre_01, tensor_gauss_hermite
 
 __all__ = [
     "MomentIndex",
@@ -194,11 +202,10 @@ def _isserlis_sum(counts: tuple[int, ...], cov):
     return total
 
 
-# Fixed composite resolutions for exact time integrals against smooth finite
-# kernels; coarser grids for higher dimension keep the tensor mesh small.
-_FINITE_RULES: dict[int, tuple[int, int]] = {1: (64, 8), 2: (64, 8), 3: (24, 6), 4: (12, 4)}
-
-_MAX_TIME_DIM = 4
+# Points one moment may sum over: Gauss-Hermite nodes times time nodes for a
+# finite path (continuous order 4 stays inside up to mu = 9), or weighted time
+# tuples for exact Brownian, at most 32 MiB per time variable.
+_MAX_QUADRATURE_POINTS = 2**22
 
 # Sample blocks with fewer time nodes than this are summed column by column:
 # one numpy call costs about as much as many short per-row inner loops, so
@@ -208,98 +215,84 @@ _MAX_TIME_DIM = 4
 _NARROW = 16
 
 
-@lru_cache(maxsize=8)
-def _finite_time_rule(d: int) -> Rule1D:
-    cells, panel = _FINITE_RULES[d]
-    return composite_legendre_01(cells, panel, sqrt_endpoints=True)
+def _check_budget(points: int) -> None:
+    if points > _MAX_QUADRATURE_POINTS:
+        raise ValueError(f"this moment needs {points} quadrature points, over the budget of "
+                         f"{_MAX_QUADRATURE_POINTS}; use mc_moment_oracle for this index")
 
 
 def moment(spec: MomentSpec, idx: MomentIndex) -> float:
     """Expected value of the product (endpoint)^{j_1} * prod_k (M_k)^{j_{k+2}}
     for the spec's process, where M_k is the time average of the k-th path
-    power (exact integral or quadrature sum).
-
-    Expands every time average, applies the Isserlis pairing formula over the
-    covariance kernel, and integrates/sums over the time variables.
+    power (exact integral or quadrature sum; ``_EXACT_TIME_RULE`` stands in
+    for a finite path's time integrals). Exact in any number of time
+    variables; raises ValueError, pointing to `mc_moment_oracle`, over
+    ``_MAX_QUADRATURE_POINTS``.
     """
-    if not spec.is_discrete and idx.time_dim > _MAX_TIME_DIM:
-        raise ValueError(
-            f"time-integral dimension {idx.time_dim} exceeds {_MAX_TIME_DIM}; "
-            "use mc_moment_oracle for this index"
-        )
+    return _moment(spec, idx)
+
+
+def _moment(spec: MomentSpec, idx: MomentIndex, finite: tuple | None = None) -> float:
+    """`moment`, reading a finite spec's `_finite_statistics` for idx.mu
+    from ``finite`` when given; an endpoint-only index needs only C(1, 1)."""
     if idx.time_dim == 0:
         c11 = float(covariance(spec.kernel, 1.0, 1.0))
         return _isserlis_sum(idx.slot_counts, lambda sa, sb: c11)
-    if spec.is_discrete:
-        return _moment_finite_integral(spec.kernel, idx, spec.rule)
     if spec.kernel.is_exact_brownian:
-        return _moment_exact_brownian_integral(idx)
-    return _moment_finite_integral(spec.kernel, idx, _finite_time_rule(idx.time_dim))
+        return _moment_brownian(idx, spec.rule)
+    data, weights = finite or _finite_statistics(spec, idx.mu, max(idx.time_powers))
+    return math.fsum(weights * moment_product_from_samples(data, idx))
 
 
-def _moment_finite_integral(kernel: CovarianceKernel, idx: MomentIndex, rule: Rule1D) -> float:
-    """Isserlis pairing sum over the covariance kernel, summed on the tensor
-    grid of ``rule`` in every time variable: the exact moment of a discrete
-    spec on its own rule, or a quadrature of the time integrals."""
-    d = idx.time_dim
-    u = rule.points
-    n = len(u)
-    cvv = covariance(kernel, u[:, None], u[None, :])
-    cv1 = covariance(kernel, u, np.ones_like(u))
-    c11 = float(covariance(kernel, 1.0, 1.0))
-    var_u = np.diagonal(cvv).copy()
-
-    def view(arr, *axes):
-        shape = [1] * d
-        for axis in axes:
-            shape[axis] = n
-        return arr.reshape(shape)
-
-    def cov(sa, sb):
-        if sb < 0:
-            return c11
-        if sa < 0:
-            return view(cv1, sb)
-        if sa == sb:
-            return view(var_u, sa)
-        return view(cvv, sa, sb)
-
-    total = _isserlis_sum(idx.slot_counts, cov)
-    for _ in range(d):
-        total = np.tensordot(rule.weights, total, axes=(0, 0))
-    return float(total)
+def _finite_statistics(spec: MomentSpec, mu: int, max_power: int) -> tuple[dict, np.ndarray]:
+    """The `sample_spec_moments` payload of a finite spec's paths at the
+    tensor Gauss-Hermite nodes of its q + 1 coefficients, mu points each, and
+    their weights: exact for every order-mu index with a time average, whose
+    Gaussian degree is at most 2 mu - 2."""
+    system = spec.kernel.system
+    rule = _EXACT_TIME_RULE if spec.rule is None else spec.rule
+    _check_budget(mu ** (system.q + 1) * rule.points.size)
+    nodes, weights = tensor_gauss_hermite(system.q + 1, mu)
+    n = nodes.shape[0]
+    rows = min(n, max(1, _WORK_UNIT // rule.points.size))
+    blocks = ((r0, min(n, r0 + rows), nodes[r0 : r0 + rows]) for r0 in range(0, n, rows))
+    paths = _finite_paths(blocks, system, rule, rows)
+    return _path_statistics(paths, n, rows, rule.weights, max_power), weights
 
 
-def _moment_exact_brownian_integral(idx: MomentIndex) -> float:
-    """Time integrals against the min kernel, split over ordering simplices
-    where the kernel is coordinate-monotone; each simplex is mapped onto the
-    unit cube, where the integrand is polynomial and a fixed Gauss-Legendre
-    tensor rule is exact.
+def _moment_brownian(idx: MomentIndex, rule: Rule1D | None) -> float:
+    """Isserlis pairing sum over the min kernel, summed over weighted time
+    tuples: the tensor grid of ``rule``, or for exact time integrals the
+    ordered tuples 0 <= t_0 <= ... <= t_{d-1} <= 1 of each distinct
+    arrangement of the time powers, weighted by the prod m_p! orderings that
+    give it. The simplex maps onto the cube by t_i = prod_{j >= i} c_j, with
+    Jacobian prod_j c_j^j. Each pair of factors contributes one min(t_a, t_b),
+    so the integrand has degree gaussian_degree / 2 in the times and at most
+    d - 1 more in each c_j, which Gauss-Legendre integrates exactly.
     """
     d = idx.time_dim
-    t, wt = _tensor_rule(gauss_legendre_01(12), d)
-    # ordered coordinates 0 <= W[:,0] <= ... <= W[:,d-1] <= 1 and Jacobian
-    w_coord = np.empty_like(t)
-    w_coord[:, d - 1] = t[:, d - 1]
-    for i in range(d - 2, -1, -1):
-        w_coord[:, i] = w_coord[:, i + 1] * t[:, i]
-    jac = np.ones(t.shape[0])
-    for jpos in range(1, d):
-        jac *= t[:, jpos] ** jpos
-    times: list[np.ndarray] = []
+    if rule is not None:
+        _check_budget(rule.points.size**d)
+        t, w = _tensor_rule(rule, d)
+        arrangements = [idx.time_powers]
+    else:
+        powers = idx.time_powers
+        orderings = math.prod(math.factorial(powers.count(p)) for p in set(powers))
+        g = (idx.gaussian_degree // 2 + d + 1) // 2
+        _check_budget(math.factorial(d) // orderings * g**d)
+        cube, w = _tensor_rule(gauss_legendre_01(g), d)
+        t = np.cumprod(cube[:, ::-1], axis=1)[:, ::-1]
+        w = w * np.prod(cube ** np.arange(d), axis=1) * orderings
+        arrangements = sorted(set(itertools.permutations(powers)))
 
     def cov(sa, sb):
         if sb < 0:
             return 1.0
         if sa < 0 or sa == sb:
-            return times[sb]
-        return np.minimum(times[sa], times[sb])
+            return t[:, sb]
+        return np.minimum(t[:, sa], t[:, sb])
 
-    total = 0.0
-    for perm in itertools.permutations(range(d)):
-        times = [w_coord[:, perm[i]] for i in range(d)]
-        total += float(np.dot(wt * jac, _isserlis_sum(idx.slot_counts, cov)))
-    return total
+    return math.fsum(np.concatenate([w * _isserlis_sum((idx.j[0],) + p, cov) for p in arrangements]))
 
 
 @lru_cache(maxsize=None)
@@ -364,8 +357,10 @@ def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderRe
     Brownian values; the spec has convergence order nu iff all pass.
 
     Default tolerances: 1e-12 for discrete specs (finite sums, exact) and
-    1e-9 for continuous specs (quadrature-limited). A given ``tol`` must be
-    finite and positive.
+    1e-9 for continuous specs (limited by ``_EXACT_TIME_RULE``). A given
+    ``tol`` must be finite and positive. A finite spec's Gauss-Hermite
+    payload is built once per mu, so each ``rhs`` is bit-identical to
+    ``moment(spec, idx)``.
     """
     if nu < 1:
         raise ValueError("nu must be a positive integer")
@@ -376,9 +371,10 @@ def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderRe
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     entries = []
     for mu in range(1, nu + 1):
+        finite = None if spec.kernel.is_exact_brownian else _finite_statistics(spec, mu, max(1, 2 * mu - 2))
         for idx in enumerate_indices(mu):
             lhs = brownian_moment(idx)
-            rhs = moment(spec, idx)
+            rhs = _moment(spec, idx, finite)
             res = rhs - lhs
             entries.append(OrderEntry(idx, lhs, rhs, res, abs(res) < tol))
     return OrderReport(nu, tol, tuple(entries))
@@ -434,99 +430,99 @@ def _normal_blocks(rng: np.random.Generator, samples: int, rows: int, width: int
             yield r0, r0 + block.shape[0], block
 
 
-def sample_spec_moments(
-    spec: MomentSpec,
-    samples: int,
-    truncation: int | None = None,
-    seed: int = 0,
-    max_power: int = 6,
-) -> dict:
-    """Monte Carlo sample of the endpoint value and the time averages of the
-    first ``max_power`` path powers, shared across oracle evaluations.
+def _finite_paths(blocks, system: LambdaSystem, rule: Rule1D, rows: int):
+    """Yield (r0, r1, paths, endpoints) for each (r0, r1, block) of
+    coefficients: block @ [u; bridges] at the rule's nodes and at u = 1, in
+    buffers reused across blocks."""
+    lam = np.vstack([rule.points, path_basis(system, rule).values])
+    end = np.append(1.0, system.bridge_values(1.0))[:, None]
+    paths, ends = np.empty((rows, lam.shape[1])), np.empty((rows, 1))
+    for r0, r1, zb in blocks:
+        _series_paths(zb, lam, paths[: r1 - r0])
+        _series_paths(zb, end, ends[: r1 - r0])
+        yield r0, r1, paths[: r1 - r0], ends[: r1 - r0, 0]
 
-    Finite-kernel paths are sampled exactly from their series representation.
-    Exact Brownian paths are sampled exactly (independent Gaussian
-    increments) on the time nodes; for continuous averages the nodes come
-    from a composite panel rule whose panel count is ``truncation``
-    (minimum 50 for exact Brownian, the default being 256).
 
-    Samples are drawn and reduced in fixed blocks of about ``_WORK_UNIT``
-    elements, reusing the same buffers, so memory does not grow with
-    ``samples`` and sample i is the same whatever ``samples`` is. The normals
-    are drawn one block ahead by one worker thread, into two buffers of
-    ``_WORK_UNIT`` elements, from the same stream in the same order; the
-    worker is joined before the call returns or raises.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if spec.is_discrete:
-        rule = spec.rule
-    elif spec.kernel.is_exact_brownian:
-        panels = 256 if truncation is None else int(truncation)
-        if panels < 50:
-            raise ValueError("truncation must be >= 50 for exact Brownian sampling")
-        rule = composite_legendre_01(panels, 2, sqrt_endpoints=False)
-    else:
-        panels = 64 if truncation is None else int(truncation)
-        rule = composite_legendre_01(panels, 2, sqrt_endpoints=True)
-    nodes = rule.points
-    weights = rule.weights
+def _brownian_paths(blocks, sdt: np.ndarray, nt: int):
+    """Yield (r0, r1, paths, endpoints): the running sums of each block's
+    normals scaled by ``sdt``, in place, at the first ``nt`` nodes and last."""
+    for r0, r1, zb in blocks:
+        zb *= sdt
+        np.cumsum(zb, axis=1, out=zb)
+        yield r0, r1, zb[:, :nt], zb[:, -1]
 
-    rng = np.random.default_rng(seed)
-    b1 = np.empty(samples)
-    mk = {k: np.empty(samples) for k in range(1, max_power + 1)}
-    finite = not spec.kernel.is_exact_brownian
-    if finite:
-        lam = np.vstack([nodes, path_basis(spec.kernel.system, rule).values])  # (q+1, T)
-        draws = lam.shape[0]
-    else:
-        ts = nodes if nodes[-1] >= 1.0 - 1e-15 else np.append(nodes, 1.0)
-        sdt = np.sqrt(np.diff(np.concatenate([[0.0], ts])))
-        draws = sdt.size
-    rows = min(samples, max(1, _WORK_UNIT // max(draws, nodes.size)))
-    paths = np.empty((rows, nodes.size)) if finite else None
-    acc = np.empty((rows, nodes.size))
 
-    with contextlib.closing(_normal_blocks(rng, samples, rows, draws)) as blocks:
-        for r0, r1, zb in blocks:
-            if finite:
-                pb = paths[: r1 - r0]
-                _series_paths(zb, lam, pb)
-                b1[r0:r1] = zb[:, 0]
-            else:
-                zb *= sdt
-                np.cumsum(zb, axis=1, out=zb)
-                # the path at the nodes; the endpoint is the last column either way
-                pb = zb[:, : nodes.size]
-                b1[r0:r1] = zb[:, -1]
-            # acc holds weights * path^k, raised one power at a time
-            ab = acc[: r1 - r0]
-            np.multiply(pb, weights, out=ab)
-            for k in range(1, max_power + 1):
-                if k > 1:
-                    ab *= pb
-                _row_sums(ab, mk[k][r0:r1])
+def _path_statistics(paths, n: int, rows: int, weights: np.ndarray, max_power: int) -> dict:
+    """The `sample_spec_moments` payload of n paths from ``paths``, which
+    yields (r0, r1, paths, endpoints) for rows r0:r1, at most ``rows``."""
+    b1 = np.empty(n)
+    mk = {k: np.empty(n) for k in range(1, max_power + 1)}
+    acc = np.empty((rows, weights.size))
+    for r0, r1, pb, end in paths:
+        b1[r0:r1] = end
+        # acc holds weights * path^k, raised one power at a time
+        ab = acc[: r1 - r0]
+        np.multiply(pb, weights, out=ab)
+        for k in range(1, max_power + 1):
+            if k > 1:
+                ab *= pb
+            _row_sums(ab, mk[k][r0:r1])
     return {"B1": b1, "M": mk}
 
 
-def mc_moment_oracle(
-    spec: MomentSpec,
-    idx: MomentIndex,
-    samples: int,
-    truncation: int | None = None,
-    seed: int = 0,
-) -> tuple[float, float]:
+def sample_spec_moments(spec: MomentSpec, samples: int, truncation: int | None = None,
+                        seed: int = 0, max_power: int = 6) -> dict:
+    """Monte Carlo sample of the endpoint value and the time averages of the
+    first ``max_power`` path powers, shared across oracle evaluations.
+
+    Finite-kernel paths are sampled exactly from their series representation,
+    the endpoint included; exact Brownian paths from independent Gaussian
+    increments. For continuous averages the nodes come from a composite panel
+    rule of ``truncation`` panels (an integer; default 64, or 256 and at
+    least 50 for exact Brownian).
+
+    Samples are drawn and reduced in fixed blocks of about ``_WORK_UNIT``
+    elements in reused buffers, so memory does not grow with ``samples`` and
+    sample i is the same whatever ``samples`` is. One worker thread draws the
+    normals a block ahead, from the same stream in the same order, into a
+    second buffer; it is joined before the call returns or raises.
+    """
+    # written so that NaN and non-integers fail
+    for name, value in (("samples", samples), ("max_power", max_power),
+                        ("truncation", 1 if truncation is None else truncation)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    brownian = spec.kernel.is_exact_brownian
+    rule = spec.rule
+    if rule is None:
+        panels = truncation or (256 if brownian else 64)
+        if brownian and panels < 50:
+            raise ValueError("truncation must be >= 50 for exact Brownian sampling")
+        rule = composite_legendre_01(panels, 2, sqrt_endpoints=not brownian)
+    nodes = rule.points
+    # normal increments up to t = 1, or the q + 1 coefficients
+    ts = nodes if nodes[-1] == 1.0 else np.append(nodes, 1.0)
+    draws = ts.size if brownian else spec.kernel.system.q + 1
+    rows = min(samples, max(1, _WORK_UNIT // max(draws, nodes.size)))
+    rng = np.random.default_rng(seed)
+    with contextlib.closing(_normal_blocks(rng, samples, rows, draws)) as blocks:
+        if brownian:
+            paths = _brownian_paths(blocks, np.sqrt(np.diff(ts, prepend=0.0)), nodes.size)
+        else:
+            paths = _finite_paths(blocks, spec.kernel.system, rule, rows)
+        return _path_statistics(paths, samples, rows, rule.weights, max_power)
+
+
+def mc_moment_oracle(spec: MomentSpec, idx: MomentIndex, samples: int,
+                     truncation: int | None = None, seed: int = 0) -> tuple[float, float]:
     """Plain Monte Carlo estimate of the same expectation as `moment`,
     usable in any time dimension. Returns (estimate, standard error).
     """
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")
-    max_power = max([1] + list(idx.time_powers))
-    data = sample_spec_moments(spec, samples, truncation, seed, max_power=max_power)
+    data = sample_spec_moments(spec, samples, truncation, seed, max_power=max(idx.time_powers, default=1))
     vals = moment_product_from_samples(data, idx)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples))
-    return mean, se
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 def moment_product_from_samples(data: dict, idx: MomentIndex) -> np.ndarray:

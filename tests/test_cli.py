@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rwpath.cli import OPTIONS, READS, ExperimentConfig, build_parser, load_config, main, resolve_config
@@ -214,6 +215,45 @@ def test_non_finite_endpoint_is_a_usage_error(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("kernel", ["order4", "order4-continuous"])
+def test_verify_nu_8_lists_its_violations_in_seconds(capsys, kernel):
+    # eighth-order identities need five time variables (and 5! orderings of
+    # the exact-Brownian side), past the old four-variable cap
+    import time
+
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", kernel, "--nu", "8")
+    assert time.perf_counter() - t0 < 10.0
+    assert (code, err) == (1, "")
+    entries = json.loads(out)["report"]["entries"]
+    assert len(entries) == 525 and any(len(e["index"]) == 16 for e in entries)
+    # orders 1..4 pass, and every mu = 5 index is still checked
+    assert all(e["pass"] for e in entries[:40])
+    assert not all(e["pass"] for e in entries[40:82])
+
+
+def test_mc_check_snaps_its_endpoints_to_the_grid(capsys):
+    # the he-cage grid spacing is 7.153/500, so neither 3.0 nor 3.5 is a grid
+    # point; both estimators run at the nearest ones, echoed outside "config"
+    from rwpath.potentials import he_cage
+
+    code, out, err = run_cli(
+        capsys, "mc-check", "--potential", "he-cage", "--x", "3.0", "--xp", "3.5",
+        "--levels", "1", "--samples", "2000",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    pts = np.linspace(0.0, he_cage().params["box"], 501)
+    assert payload["x_grid"] == pts[210] and payload["xp_grid"] == pts[245]
+    assert (payload["config"]["x"], payload["config"]["xp"]) == (3.0, 3.5)
+
+
+def test_mc_check_endpoint_outside_the_grid_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mc-check", "--potential", "quartic", "--x", "4.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: x = 4.5 lies outside the grid")
 
 
 def test_mc_check_levels_over_the_basis_budget_is_a_usage_error(capsys):

@@ -22,7 +22,7 @@ from rwpath.moments import (
     verify_order,
 )
 from rwpath.processes import LambdaSystem, covariance, exact_brownian, finite_kernel, make_order3, path_basis
-from rwpath.quadrature import composite_legendre_01, endpoint_trapezoid, gauss_legendre_01
+from rwpath.quadrature import _EXACT_TIME_RULE, composite_legendre_01, endpoint_trapezoid, gauss_legendre_01
 
 EB = continuous_spec(exact_brownian())
 
@@ -34,6 +34,15 @@ def ix(mu, mults):
 def trotter_spec():
     system, _ = calibrated_system("order3-discrete")
     return discrete_spec(finite_kernel(system), endpoint_trapezoid())
+
+
+def lifted_system():
+    """A custom system whose bridges do not vanish at u = 1, where its
+    covariance C(1, 1) = 1.25 + sin(1)^2 is about 1.958."""
+    return LambdaSystem(
+        (lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, lambda u: np.sin(np.asarray(u, dtype=float))),
+        (1, 1),
+    )
 
 
 # -- index enumeration --------------------------------------------------
@@ -163,10 +172,7 @@ def test_endpoint_only_moments_match_closed_form():
     # with no time average the pairing sum has (g-1)!! equal terms
     # C(1,1)^(g/2); the custom system's bridges do not vanish at u = 1, so
     # there C(1,1) != 1
-    lifted = LambdaSystem(
-        (lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, lambda u: np.sin(np.asarray(u, dtype=float))),
-        (1, 1),
-    )
+    lifted = lifted_system()
     assert covariance(finite_kernel(lifted), 1.0, 1.0) == pytest.approx(1.25 + math.sin(1.0) ** 2)
     system3, rule3 = calibrated_system("order3-discrete")
     specs = [EB, trotter_spec(), discrete_spec(finite_kernel(system3), rule3)]
@@ -185,10 +191,64 @@ def test_endpoint_only_moments_match_closed_form():
 
 
 def test_time_dimension_bound_raises_toward_oracle():
-    # five cubic averages: d = 5 > 4
-    idx = MomentIndex(8, (1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+    # six averages of the distinct powers 1..6: 720 arrangements of 9^6
+    # simplex points each, far over the quadrature budget
+    idx = ix(17, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1})
+    assert idx.time_dim == 6
     with pytest.raises(ValueError, match="mc_moment_oracle"):
         moment(EB, idx)
+    # the continuous order-4 system passes the budget at mu = 10
+    system, _ = calibrated_system("order4-continuous")
+    with pytest.raises(ValueError, match="mc_moment_oracle"):
+        moment(continuous_spec(finite_kernel(system)), ix(10, {20: 1}))
+
+
+def test_five_time_variables_match_steins_lemma():
+    # E[X Y^5] = 5 Cov(X, Y) E[Y^4] = 15 Cov(X, Y) Var(Y)^2 for the endpoint
+    # X and the path centroid Y; for Brownian motion Cov = 1/2, Var = 1/3
+    idx = MomentIndex(8, (1, 0, 5) + (0,) * 13)
+    assert idx.time_dim == 5
+    assert abs(brownian_moment(idx) - 5.0 / 6.0) <= 1e-14
+    # a finite path is phi(u) . a: Cov = phi(1) . m and Var = m . m, where m
+    # is phi averaged over the time rule
+    system, _ = calibrated_system("order4-continuous")
+    u, w = _EXACT_TIME_RULE.points, _EXACT_TIME_RULE.weights
+    m = np.vstack([u, system.bridge_values(u)]) @ w
+    phi1 = np.append(1.0, system.bridge_values(1.0))
+    want = 15.0 * (phi1 @ m) * (m @ m) ** 2
+    assert moment(continuous_spec(finite_kernel(system)), idx) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("case", ["lifted", "order4-discrete"])
+def test_finite_moments_match_the_covariance_pairing_sum(case):
+    # the Gauss-Hermite average over the coefficients against the Isserlis
+    # sum over the covariance kernel on the rule's tensor grid
+    if case == "lifted":
+        system, rule = lifted_system(), gauss_legendre_01(3)
+    else:
+        system, rule = calibrated_system(case)
+    spec = discrete_spec(finite_kernel(system), rule)
+    u = rule.points
+    for mu in range(1, 5):
+        for idx in enumerate_indices(mu):
+            grids = np.meshgrid(*([u] * idx.time_dim), indexing="ij")
+            t = [g.ravel() for g in grids]
+
+            def cov(sa, sb):
+                return covariance(spec.kernel, 1.0 if sa < 0 else t[sa], 1.0 if sb < 0 else t[sb])
+
+            wt = np.ones(1)
+            for _ in range(idx.time_dim):
+                wt = np.multiply.outer(wt, rule.weights).ravel()
+            want = float(np.sum(wt * _isserlis_sum(idx.slot_counts, cov)))
+            assert moment(spec, idx) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+def test_verify_order_rhs_is_the_moment_bit_for_bit():
+    system, rule = calibrated_system("order4-continuous")
+    for spec in (order4_spec(), continuous_spec(finite_kernel(system))):
+        for entry in verify_order(spec, 5).entries:
+            assert entry.rhs == moment(spec, entry.index)
 
 
 # -- discrete endpoint rule (splitting kernel) ---------------------------
@@ -411,6 +471,48 @@ def test_mc_oracle_rejects_too_few_samples():
             mc_moment_oracle(EB, ix(1, {1: 2}), samples=samples)
     with pytest.raises(ValueError, match="samples"):
         sample_spec_moments(EB, 0)
+
+
+def test_mc_oracle_endpoint_includes_the_bridges_at_one():
+    spec = discrete_spec(finite_kernel(lifted_system()), gauss_legendre_01(3))
+    idx = ix(1, {1: 2})
+    assert moment(spec, idx) == pytest.approx(1.25 + math.sin(1.0) ** 2, rel=1e-14)
+    est, se = mc_moment_oracle(spec, idx, samples=200_000, seed=6)
+    assert abs(est - moment(spec, idx)) < 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_spec_moments(EB, 1000, truncation=50.7),
+        lambda: sample_spec_moments(order4_spec(), 1000, truncation=50.7),
+        lambda: sample_spec_moments(EB, 1000, truncation=10),
+        lambda: sample_spec_moments(EB, 1000, max_power=0),
+        lambda: sample_spec_moments(EB, 1000, max_power=-1),
+        lambda: sample_spec_moments(EB, 1000, max_power=2.5),
+        lambda: sample_spec_moments(EB, 0),
+        lambda: sample_spec_moments(EB, 10.0),
+        lambda: mc_moment_oracle(EB, ix(1, {1: 2}), samples=1),
+        lambda: verify_order(EB, 0),
+        lambda: verify_order(EB, 1, tol=float("nan")),
+        lambda: verify_order(EB, 1, tol=-1.0),
+        lambda: verify_order(EB, 1, tol=float("inf")),
+        lambda: enumerate_indices(0),
+        lambda: MomentIndex(0, ()),
+        lambda: MomentIndex(1, (-2, 2)),
+        lambda: MomentIndex(1, (1, 1)),
+        lambda: moment(EB, ix(17, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1})),
+    ],
+    ids=[
+        "truncation-fraction", "truncation-fraction-discrete", "truncation-under-50",
+        "max-power-0", "max-power-negative", "max-power-fraction", "samples-0",
+        "samples-float", "oracle-one-sample", "nu-0", "tol-nan", "tol-negative", "tol-inf",
+        "mu-0", "index-mu-0", "index-negative", "index-weight-sum", "moment-over-budget",
+    ],
+)
+def test_moments_api_refuses_hostile_input(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_sample_spec_moments_memory_is_bounded():
