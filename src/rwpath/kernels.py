@@ -11,17 +11,24 @@ The reweighted ``ratio`` works in fixed cache-sized units: chunks of pairs
 times a fixed block of Gauss-Hermite nodes, about 64k points each, reusing
 two buffers. Each pair's nodes are summed in an order set by the block
 alone, so a pair's value is bit-identical however many pairs share the call
-(chunk-invariant). A call splits its whole units over the usable cores, in
-contiguous runs that the caller's thread and a per-call worker pool evaluate
-at once; the results are bit-identical for any worker count. A potential's
-``value`` is therefore called from several threads at once, so a custom
-potential must not mutate shared state.
+(chunk-invariant). A call hands its whole units to the caller's thread and
+a per-call worker pool, one per usable core: worker k takes unit k, then
+pulls the next free unit from one shared counter. A unit writes only its own
+pairs, so the results are bit-identical for any worker count and any
+schedule. A potential's ``value`` is therefore called from several threads
+at once, so a custom potential must not mutate shared state.
+
+Two shortcuts keep every bit: exponents below ``_EXP_ZERO``, where ``exp``
+is exactly +0.0, are set instead of computed, and a Gauss-Hermite block
+whose exponents all lie there adds nothing to its pairs.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -46,6 +53,9 @@ __all__ = [
 # elements (pairs x nodes) per unit, sized so a unit's buffers stay in L2.
 _GH_BLOCK = 100
 _WORK_UNIT = 65_536
+# np.exp is exactly +0.0 below about -745.13 (half the smallest subnormal);
+# ratio sets the lanes below this cut instead of computing them
+_EXP_ZERO = -746.0
 
 # CODATA values: hbar in J s, atomic mass unit in kg, Boltzmann constant in
 # J/K, angstrom in m.
@@ -173,6 +183,10 @@ class _ReweightedKernel(ShortTimeKernel):
     ):
         if not is_palindromic(time_rule, tol=1e-12):
             raise ValueError("time-average rule must be palindromic")
+        # a bool or a fraction would otherwise run int(gh_points) points
+        integral = isinstance(gh_points, numbers.Integral) and not isinstance(gh_points, bool)
+        if not (integral and gh_points >= 1):
+            raise ValueError(f"gh_points must be an integer >= 1, got {gh_points!r}")
         self.system = system
         self.potential = potential
         self.time_rule = time_rule
@@ -204,21 +218,20 @@ class _ReweightedKernel(ShortTimeKernel):
         sdisp = params.sigma * self._disp  # (T, G)
         gblock = min(sdisp.shape[1], _GH_BLOCK)
         pblock = max(1, _WORK_UNIT // gblock)
-        # contiguous runs of whole units, one per worker; run k is pairs
-        # cuts[k]:cuts[k + 1]
         units = -(-xf.size // pblock)
         workers = max(1, min(_usable_cpus(), units))
-        cuts = [min(xf.size, pblock * (units * k // workers)) for k in range(workers + 1)]
+        # worker k takes unit k, then pulls further units from one shared
+        # counter until they run out; a unit writes only its own slice of acc
+        shared = itertools.count(workers)
         # flat buffers reshaped per unit, so every unit is C-contiguous; the
         # caller allocates them all
-        bufs = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            size = min(pblock, hi - lo) * gblock
-            bufs.append((np.empty(size), np.empty(size)))
+        size = min(pblock, xf.size) * gblock
+        bufs = [(np.empty(size), np.empty(size)) for _ in range(workers)]
 
         def run(k: int) -> None:
             self._ratio_units(
-                params.beta, sdisp, xf, dxf, acc, pblock, gblock, cuts[k], cuts[k + 1], *bufs[k]
+                params.beta, sdisp, xf, dxf, acc, pblock, gblock,
+                itertools.chain((k,), shared), *bufs[k],
             )
 
         if workers == 1:
@@ -239,28 +252,49 @@ class _ReweightedKernel(ShortTimeKernel):
         out = acc.reshape(x.shape) if not scalar else float(acc[0])
         return out
 
-    def _ratio_units(self, beta, sdisp, xf, dxf, acc, pblock, gblock, lo, hi, pts_buf, avg_buf):
-        """Write acc[lo:hi] for the pair units starting at lo, lo + pblock, ...;
-        each unit is pblock pairs times gblock Gauss-Hermite nodes."""
+    def _ratio_units(self, beta, sdisp, xf, dxf, acc, pblock, gblock, units, pts_buf, avg_buf):
+        """Write acc[p0:p0 + pblock], p0 = unit * pblock, for each unit index
+        drawn from ``units`` until one starts past the last pair; a unit is
+        pblock pairs times gblock Gauss-Hermite nodes at a time."""
         u, w = self._u, self._w
         ng = sdisp.shape[1]
-        for p0 in range(lo, hi, pblock):
-            p1 = min(p0 + pblock, hi)
+        masks = pts_buf.view(np.bool_)
+        for unit in units:
+            p0 = unit * pblock
+            if p0 >= xf.size:
+                return
+            p1 = min(p0 + pblock, xf.size)
             ref = [(xf[p0:p1] + dxf[p0:p1] * u[t])[:, None] for t in range(u.size)]
             for g0 in range(0, ng, gblock):
                 g1 = min(g0 + gblock, ng)
                 shape = (p1 - p0, g1 - g0)
-                pts = pts_buf[: shape[0] * shape[1]].reshape(shape)
-                avg = avg_buf[: pts.size].reshape(shape)
-                avg.fill(0.0)
+                n = shape[0] * shape[1]
+                pts = pts_buf[:n].reshape(shape)
+                avg = avg_buf[:n].reshape(shape)
                 for t in range(u.size):
-                    np.add(ref[t], sdisp[t, g0:g1], out=pts)
+                    # the same sums as np.add(ref[t], sdisp[t, g0:g1]), built
+                    # faster as a broadcast copy and an in-place add
+                    np.copyto(pts, sdisp[t, g0:g1])
+                    pts += ref[t]
                     vt = self.potential.value(pts)
-                    vt *= w[t]
-                    avg += vt
+                    if t == 0:
+                        np.multiply(vt, w[0], out=avg)
+                    else:
+                        vt *= w[t]
+                        avg += vt
                 avg *= -beta
+                # exp is exactly +0.0 below _EXP_ZERO, so those lanes are set
+                # rather than computed; the masks live in pts's bytes, free now
+                low = masks[:n].reshape(shape)
+                np.less(avg, _EXP_ZERO, out=low)
+                if low.all():
+                    # every term is +0.0, and adding +0.0 to acc is exact
+                    continue
+                high = masks[n : 2 * n].reshape(shape)
+                np.logical_not(low, out=high)
+                np.copyto(avg, 0.0, where=low)
                 with np.errstate(under="ignore"):
-                    np.exp(avg, out=avg)
+                    np.exp(avg, out=avg, where=high)
                 avg *= self._gh_weights[g0:g1]
                 # a row sum reduces each pair's nodes in an order fixed by the
                 # block width alone, whatever the number of rows

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -59,6 +60,8 @@ class SpatialGrid:
         # written so that NaN fails
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
             raise ValueError("grid requires finite a < b")
+        if isinstance(self.cells, bool) or not isinstance(self.cells, numbers.Integral):
+            raise ValueError(f"grid cells must be an integer, got {self.cells!r}")
         if self.cells < 2:
             raise ValueError("grid requires at least 2 cells")
 

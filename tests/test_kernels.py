@@ -245,6 +245,128 @@ def test_ratio_workers_keep_the_callers_errstate(monkeypatch):
     assert np.array_equal(results[0], results[1])
 
 
+def plain_exp_unit_loop(kernel, params, x, xp):
+    """The unit loop as it stood before the exp shortcuts, on one thread:
+    every lane goes through np.exp and every block is summed. Returns the
+    ratio and the exponents of each Gauss-Hermite block."""
+    xf = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    dxf = np.atleast_1d(np.asarray(xp, dtype=float)).ravel() - xf
+    acc = np.zeros(xf.size)
+    sdisp = params.sigma * kernel._disp
+    u, w = kernel._u, kernel._w
+    ng = sdisp.shape[1]
+    gblock = min(ng, kernels._GH_BLOCK)
+    pblock = max(1, kernels._WORK_UNIT // gblock)
+    exponents = []
+    for p0 in range(0, xf.size, pblock):
+        p1 = min(p0 + pblock, xf.size)
+        ref = [(xf[p0:p1] + dxf[p0:p1] * u[t])[:, None] for t in range(u.size)]
+        for g0 in range(0, ng, gblock):
+            g1 = min(g0 + gblock, ng)
+            avg = np.zeros((p1 - p0, g1 - g0))
+            for t in range(u.size):
+                vt = kernel.potential.value(ref[t] + sdisp[t, g0:g1])
+                vt *= w[t]
+                avg += vt
+            avg *= -params.beta
+            exponents.append(avg.copy())
+            with np.errstate(under="ignore"):
+                np.exp(avg, out=avg)
+            avg *= kernel._gh_weights[g0:g1]
+            acc[p0:p1] += avg.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        wall = ~(np.isfinite(kernel.potential.value(xf)) & np.isfinite(kernel.potential.value(xf + dxf)))
+    acc[wall] = 0.0
+    return acc, exponents
+
+
+# helium slice of an n = 57 rung
+HE_SLICE = PhysicalParams(1 / (5.11 * 58), math.sqrt(units_constant()), 4.0)
+
+
+@pytest.mark.parametrize(
+    "x, xp, case",
+    [
+        (np.linspace(2.6, 4.5, 12), np.linspace(4.5, 2.6, 12), "no lane underflows"),
+        (np.linspace(0.8, 6.3, 30), np.linspace(1.5, 5.6, 30), "some lanes underflow"),
+        (np.full(5, 0.4), np.linspace(0.35, 0.45, 5), "every lane underflows"),
+        (np.linspace(0.968, 0.972, 5), np.linspace(0.968, 0.972, 5), "only subnormal terms"),
+    ],
+)
+def test_ratio_keeps_the_bits_of_the_plain_exp_loop(x, xp, case):
+    kernel = DiscreteReweightedKernel(ORDER4[0], he_cage(), ORDER4[1])
+    want, exponents = plain_exp_unit_loop(kernel, HE_SLICE, x, xp)
+    low = [np.count_nonzero(e < kernels._EXP_ZERO) for e in exponents]
+    if case == "no lane underflows":
+        assert not any(low) and np.all(want > 0.0)
+    elif case == "some lanes underflow":
+        assert any(0 < n < e.size for n, e in zip(low, exponents))
+        # exponents in the subnormal band still go through exp
+        band = np.concatenate([e[(e > kernels._EXP_ZERO) & (e < -708.0)] for e in exponents])
+        assert band.size > 0
+    elif case == "every lane underflows":
+        assert all(n == e.size for n, e in zip(low, exponents)) and not np.any(want)
+    else:
+        # the largest exponent of a pair lies in the subnormal band, so its
+        # ratio is a sum of subnormal terms
+        top = np.max(np.hstack(exponents), axis=1)
+        assert np.any((top > kernels._EXP_ZERO) & (top < -708.0))
+        assert np.any((want > 0.0) & (want < np.finfo(float).tiny))
+    got = kernel.ratio(HE_SLICE, x, xp)
+    assert np.array_equal(got, want) and not np.any(np.signbit(got))
+
+
+def test_exp_below_the_cut_is_exactly_plus_zero():
+    # ratio sets these lanes to +0.0 instead of computing them
+    below = kernels._EXP_ZERO - np.concatenate([[0.0], np.geomspace(1e-12, 1e300, 4000)])
+    below = np.append(below, [np.nextafter(kernels._EXP_ZERO, -np.inf), -np.inf])
+    with np.errstate(under="ignore"):
+        got = np.exp(below)
+    assert np.all(got == 0.0) and not np.any(np.signbit(got))
+
+
+def test_a_slow_unit_leaves_the_other_units_to_the_worker(monkeypatch):
+    # the first unit's pairs sit at x = 50; its potential calls wait until
+    # the worker has evaluated every other unit, which a fixed split of the
+    # units into one run per worker never lets it do
+    units = 6
+    rest = np.linspace(-1.0, 1.0, (units - 1) * ORDER4_PBLOCK)
+    x = np.concatenate([np.full(ORDER4_PBLOCK, 50.0), rest])
+    xp = np.concatenate([np.full(ORDER4_PBLOCK, 50.5), rest[::-1]])
+    caller = threading.current_thread()
+    calls = []  # (thread, first unit) per call inside the unit loop
+    others_done = threading.Event()
+
+    def value(pts):
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 2:
+            first = bool(pts.min() > 25.0)
+            calls.append((threading.current_thread(), first))
+            if first and not others_done.wait(timeout=10.0):
+                others_done.set()  # wait once, then let the unit finish
+            elif sum(t is not caller for t, _ in calls) == (units - 1) * calls_per_unit:
+                others_done.set()
+        return 0.5 * pts * pts
+
+    pot = custom_potential(value, lambda x: np.asarray(x, dtype=float))
+    kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
+    calls_per_unit = kernel._u.size * (kernel._disp.shape[1] // kernels._GH_BLOCK)
+    p = PhysicalParams(beta=0.01)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+    others_done.set()
+    want = kernel.ratio(p, x, xp)
+    calls.clear()
+    others_done.clear()
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    got = kernel.ratio(p, x, xp)
+    assert np.array_equal(got, want) and np.count_nonzero(got) == x.size
+    mine = [first for t, first in calls if t is caller]
+    theirs = [first for t, first in calls if t is not caller]
+    # the caller evaluated the first unit alone, the worker the other five
+    assert mine == [True] * calls_per_unit
+    assert len(theirs) == (units - 1) * calls_per_unit and not any(theirs)
+
+
 def test_kernel_positivity():
     p = PhysicalParams(beta=0.5)
     kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from rwpath.calibration import calibrated_system
+from rwpath.kernels import ContinuousReweightedKernel, DiscreteReweightedKernel
 from rwpath.moments import discrete_spec, verify_order
 from rwpath.potentials import custom_potential, harmonic, he_cage, quartic
 from rwpath.processes import finite_kernel, make_order3, make_order4
+from rwpath.propagation import SpatialGrid
 
 
 def central_diff(f, x, h=1e-6):
@@ -106,6 +108,71 @@ def test_he_cage_fused_value_is_bit_identical_to_textbook_formula():
     assert np.array_equal(pot.value(ints), lj_cage_reference(ints.astype(float)))
 
 
+def masked_he_cage_value(x, eps=10.22, sigma_lj=2.556, box=7.153):
+    """he_cage().value as it stood with an unconditional domain mask."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    t2 = np.empty_like(x)
+    t6 = np.empty_like(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(sigma_lj, x, out=t2)
+        np.multiply(t2, t2, out=t2)
+        np.multiply(t2, t2, out=t6)
+        np.multiply(t6, t2, out=t6)
+        np.subtract(t6, 1.0, out=out)
+        np.multiply(t6, out, out=out)
+        np.subtract(x, box, out=t2)
+        np.divide(sigma_lj, t2, out=t2)
+        np.multiply(t2, t2, out=t2)
+        np.multiply(t2, t2, out=t6)
+        np.multiply(t6, t2, out=t6)
+        np.subtract(t6, 1.0, out=t2)
+        np.multiply(t6, t2, out=t2)
+        np.add(out, t2, out=out)
+        np.multiply(out, 4.0 * eps, out=out)
+    np.copyto(out, np.inf, where=~((x > 0.0) & (x < box)))
+    return float(out) if out.ndim == 0 else out
+
+
+def _block(*special):
+    """An 8 x 5 block of points inside the cage, its last ones ``special``."""
+    return np.concatenate([np.linspace(0.3, 6.8, 40 - len(special)), special]).reshape(8, 5)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        _block(),
+        _block(0.0, -0.0, -1.0, 7.153, 9.0),
+        _block(0.0),
+        _block(-0.0),
+        _block(7.153),
+        _block(math.nan, 3.0),
+        _block(math.inf, 3.0),
+        _block(-math.inf, 3.0),
+        np.array([math.nan, math.nan]),
+        np.array([5e-324, np.nextafter(7.153, 0.0)]),
+        np.empty(0),
+        np.empty((0, 3)),
+        np.array(3.0),
+        np.array(math.nan),
+        np.array(-2.0),
+        3.5,
+        math.inf,
+    ],
+    ids=[
+        "inside", "walls-and-outside", "left-wall", "minus-zero", "right-wall", "nan", "plus-inf", "minus-inf", "all-nan",
+        "just-inside", "empty", "empty-2d", "0d", "0d-nan", "0d-outside", "float", "float-inf",
+    ],
+)
+def test_he_cage_value_masks_only_when_needed_with_the_same_bits(x):
+    got = he_cage().value(x)
+    want = masked_he_cage_value(x)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+    assert np.shape(got) == np.shape(x)
+
+
 def test_he_cage_diverges_toward_walls():
     pot = he_cage()
     assert pot.value(0.01) > 1e10
@@ -145,30 +212,59 @@ def _order4_spec():
     return discrete_spec(finite_kernel(system), rule)
 
 
+def _reweighted(cls=DiscreteReweightedKernel, **kw):
+    system, rule = calibrated_system("order4-discrete")
+    if cls is ContinuousReweightedKernel:
+        return cls(system, quartic(), **kw)
+    return cls(system, quartic(), rule, **kw)
+
+
+FINITE = "must be finite"
+INTEGER = "must be an integer"
+
+
 @pytest.mark.parametrize(
-    "make, name",
+    "make, name, message",
     [
-        (lambda: harmonic(math.nan), "omega"),
-        (lambda: harmonic(math.inf), "omega"),
-        (lambda: harmonic(0.0), "omega"),
-        (lambda: harmonic(1.0, mass=-1.0), "mass"),
-        (lambda: he_cage(eps=math.nan), "eps"),
-        (lambda: he_cage(box=-1.0), "box"),
-        (lambda: he_cage(sigma_lj=0.0), "sigma_lj"),
-        (lambda: make_order3(math.nan), "alpha"),
-        (lambda: make_order4(math.nan, 1.0), "alpha1"),
-        (lambda: make_order4(1.0, -math.inf), "alpha2"),
-        (lambda: verify_order(_order4_spec(), 4, tol=math.nan), "tol"),
-        (lambda: verify_order(_order4_spec(), 4, tol=-1.0), "tol"),
+        (lambda: harmonic(math.nan), "omega", FINITE),
+        (lambda: harmonic(math.inf), "omega", FINITE),
+        (lambda: harmonic(0.0), "omega", FINITE),
+        (lambda: harmonic(1.0, mass=-1.0), "mass", FINITE),
+        (lambda: he_cage(eps=math.nan), "eps", FINITE),
+        (lambda: he_cage(box=-1.0), "box", FINITE),
+        (lambda: he_cage(sigma_lj=0.0), "sigma_lj", FINITE),
+        (lambda: make_order3(math.nan), "alpha", FINITE),
+        (lambda: make_order4(math.nan, 1.0), "alpha1", FINITE),
+        (lambda: make_order4(1.0, -math.inf), "alpha2", FINITE),
+        (lambda: verify_order(_order4_spec(), 4, tol=math.nan), "tol", FINITE),
+        (lambda: verify_order(_order4_spec(), 4, tol=-1.0), "tol", FINITE),
+        (lambda: _reweighted(gh_points=2.7), "gh_points", INTEGER),
+        (lambda: _reweighted(gh_points=10.0), "gh_points", INTEGER),
+        (lambda: _reweighted(gh_points=True), "gh_points", INTEGER),
+        (lambda: _reweighted(gh_points=math.nan), "gh_points", INTEGER),
+        (lambda: _reweighted(gh_points=0), "gh_points", INTEGER),
+        (lambda: _reweighted(ContinuousReweightedKernel, gh_points=2.5), "gh_points", INTEGER),
+        (lambda: SpatialGrid(0.0, 1.0, 2.5), "grid cells", INTEGER),
+        (lambda: SpatialGrid(0.0, 1.0, math.nan), "grid cells", INTEGER),
+        (lambda: SpatialGrid(0.0, 1.0, 400.0), "grid cells", INTEGER),
     ],
     ids=[
         "harmonic-omega-nan", "harmonic-omega-inf", "harmonic-omega-0", "harmonic-mass-neg",
         "he-eps-nan", "he-box-neg", "he-sigma-0", "order3-nan", "order4-alpha1-nan",
-        "order4-alpha2-inf", "verify-tol-nan", "verify-tol-neg",
+        "order4-alpha2-inf", "verify-tol-nan", "verify-tol-neg", "gh-points-fraction",
+        "gh-points-float", "gh-points-bool", "gh-points-nan", "gh-points-0",
+        "gh-points-continuous-fraction", "grid-cells-fraction", "grid-cells-nan",
+        "grid-cells-float",
     ],
 )
-def test_constructors_refuse_hostile_inputs(make, name):
+def test_constructors_refuse_hostile_inputs(make, name, message):
     # physical parameters must be finite and positive, path-system constants
-    # finite, and a given tolerance finite and positive; NaN fails each
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    # finite, and a given tolerance finite and positive; NaN fails each.
+    # Counts must be integers: a bool or a fraction is refused, not truncated
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
         make()
+
+
+def test_integer_counts_accept_numpy_integers():
+    assert _reweighted(gh_points=np.int64(3)).gh_points == 3
+    assert SpatialGrid(0.0, 1.0, np.int32(4)).points.size == 5

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rwpath import kernels
 from rwpath.calibration import calibrated_system
 from rwpath.kernels import (
+    _GH_BLOCK,
     _WORK_UNIT,
     DiscreteReweightedKernel,
     FreeParticleKernel,
@@ -38,6 +40,8 @@ from rwpath.propagation import (
 )
 
 ORDER4 = calibrated_system("order4-discrete")
+# pairs per unit of an order-4 ratio
+ORDER4_PBLOCK = _WORK_UNIT // _GH_BLOCK
 ORDER3 = calibrated_system("order3-discrete")
 
 
@@ -155,6 +159,43 @@ def test_build_matrix_layout_cache_does_not_alias():
     assert np.array_equal(mats[0], mats[2])
     for g, m in zip(grids, mats):
         assert np.array_equal(m, four_scatter_build(kernel, p, g, 1, True))
+
+
+def grid_symmetric_only(grid):
+    """x^2/2 + 1 + 0.3 sin(pi (x - a) / h): mirror-symmetric on the grid
+    points but not between them, so the mirror probe reads all its points
+    before it finds the potential asymmetric."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * x * x + 1.0 + 0.3 * np.sin(np.pi * (x - grid.a) / grid.h)
+
+    return custom_potential(value, lambda x: np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("mirror", [True, False], ids=["mirror-symmetric", "asymmetric"])
+def test_build_matrix_evaluates_the_counted_points(monkeypatch, mirror, workers):
+    # the count perfbench's traced run checks: every pair at every
+    # Gauss-Hermite and time node, its two wall checks, and the 2N - 1
+    # points of the mirror probe
+    grid = SpatialGrid(-3.0, 3.0, 80)
+    inner = quartic() if mirror else grid_symmetric_only(grid)
+    sizes = []
+
+    def value(x):
+        sizes.append(np.size(x))
+        return inner.value(x)
+
+    kernel = DiscreteReweightedKernel(ORDER4[0], custom_potential(value, inner.deriv1), ORDER4[1])
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    got = build_matrix(kernel, PhysicalParams(beta=2.0), grid, 3).values
+    npts = grid.cells + 1
+    pairs = sum(1 for i in range(npts) for j in range(i, npts) if not mirror or i + j <= grid.cells)
+    nodes = kernel.gh_points**kernel.system.q * kernel.time_rule.points.size
+    assert pairs > 2 * ORDER4_PBLOCK  # at least three units to share
+    assert sum(sizes) == pairs * (nodes + 2) + (2 * npts - 1)
+    assert np.array_equal(got, got[::-1, ::-1]) == mirror
 
 
 @pytest.mark.parametrize("cells", [8, 9])
