@@ -272,8 +272,8 @@ class _ReweightedKernel(ShortTimeKernel):
                 pts = pts_buf[:n].reshape(shape)
                 avg = avg_buf[:n].reshape(shape)
                 for t in range(u.size):
-                    # the same sums as np.add(ref[t], sdisp[t, g0:g1]), built
-                    # faster as a broadcast copy and an in-place add
+                    # pts = ref[t] + sdisp[t, g0:g1]; a broadcast copy and an
+                    # in-place add are faster than one broadcast add
                     np.copyto(pts, sdisp[t, g0:g1])
                     pts += ref[t]
                     vt = self.potential.value(pts)
