@@ -1,0 +1,30 @@
+"""Checks of the scalar arguments of the public entry points: a physical
+value is finite (and positive where required), a count is an integer at or
+above a floor. Each is written so that NaN fails, refuses a bool, accepts
+numpy numbers and raises ValueError naming the argument.
+"""
+
+import math
+import numbers
+
+import numpy as np
+
+
+def finite(name: str, value) -> None:
+    """Refuse ``value`` unless it is a finite real number."""
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def positive(name: str, value) -> None:
+    """Refuse ``value`` unless it is a finite real number above 0."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def count(name: str, value, low: int) -> int:
+    """``value`` as an int, refused unless it is an integer >= ``low``; an
+    integral float such as 2.0 is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

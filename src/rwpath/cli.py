@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import _checks
 from .calibration import FAMILIES, CalibrationError, calibrate, calibrated_system, default_rule
 from .kernels import (
     ContinuousReweightedKernel,
@@ -324,8 +325,7 @@ def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
 
 def _grid_point(grid: SpatialGrid, name: str, value: float) -> float:
     """The grid point nearest ``value``, which must lie in the grid window."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    _checks.finite(name, value)
     if not grid.a - grid.h / 2 <= value <= grid.b + grid.h / 2:
         raise ValueError(f"{name} = {value!r} lies outside the grid [{grid.a!r}, {grid.b!r}]")
     pts = grid.points

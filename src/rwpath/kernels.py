@@ -28,12 +28,12 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .potentials import Potential
 from .processes import LambdaSystem, path_basis
 from .quadrature import _EXACT_TIME_RULE, Rule1D, is_palindromic, tensor_gauss_hermite
@@ -96,9 +96,8 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails
-        if not all(math.isfinite(v) and v > 0 for v in (self.beta, self.hbar, self.mass)):
-            raise ValueError("beta, hbar and mass must all be finite and positive")
+        for name in ("beta", "hbar", "mass"):
+            _checks.positive(name, getattr(self, name))
 
     @property
     def sigma(self) -> float:
@@ -183,14 +182,10 @@ class _ReweightedKernel(ShortTimeKernel):
     ):
         if not is_palindromic(time_rule, tol=1e-12):
             raise ValueError("time-average rule must be palindromic")
-        # a bool or a fraction would otherwise run int(gh_points) points
-        integral = isinstance(gh_points, numbers.Integral) and not isinstance(gh_points, bool)
-        if not (integral and gh_points >= 1):
-            raise ValueError(f"gh_points must be an integer >= 1, got {gh_points!r}")
         self.system = system
         self.potential = potential
         self.time_rule = time_rule
-        self.gh_points = int(gh_points)
+        self.gh_points = _checks.count("gh_points", gh_points, 1)
         # cached per instance: the time nodes and the Gauss-Hermite
         # displacement table (rho0 is called ~M^2 times)
         basis = path_basis(system, time_rule)

@@ -31,12 +31,12 @@ import contextlib
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import _checks
 from .kernels import _WORK_UNIT
 from .processes import CovarianceKernel, LambdaSystem, covariance, exact_brownian, path_basis
 from .quadrature import _EXACT_TIME_RULE, Rule1D, _tensor_rule, composite_legendre_01
@@ -70,15 +70,13 @@ class MomentIndex:
     j: tuple[int, ...]
 
     def __post_init__(self):
-        if self.mu < 1:
-            raise ValueError("mu must be a positive integer")
-        j = tuple(int(v) for v in self.j)
-        if len(j) != 2 * self.mu:
+        mu = _checks.count("mu", self.mu, 1)
+        j = tuple(_checks.count("multiplicity", v, 0) for v in self.j)
+        if len(j) != 2 * mu:
             raise ValueError("index must have length 2*mu")
-        if any(v < 0 for v in j):
-            raise ValueError("multiplicities must be non-negative")
-        if sum((k + 1) * v for k, v in enumerate(j)) != 2 * self.mu:
+        if sum((k + 1) * v for k, v in enumerate(j)) != 2 * mu:
             raise ValueError("weighted multiplicities must sum to 2*mu")
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "j", j)
 
     @classmethod
@@ -132,8 +130,7 @@ def enumerate_indices(mu: int) -> list[MomentIndex]:
     as multiplicity tuples, largest part first. The count is the integer
     partition number p(2*mu).
     """
-    if mu < 1:
-        raise ValueError("mu must be a positive integer")
+    mu = _checks.count("mu", mu, 1)
     out = []
     for part in _partitions(2 * mu, 2 * mu):
         j = [0] * (2 * mu)
@@ -358,17 +355,15 @@ def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderRe
 
     Default tolerances: 1e-12 for discrete specs (finite sums, exact) and
     1e-9 for continuous specs (limited by ``_EXACT_TIME_RULE``). A given
-    ``tol`` must be finite and positive. A finite spec's Gauss-Hermite
+    ``tol`` is refused unless finite and positive. A finite spec's Gauss-Hermite
     payload is built once per mu, so each ``rhs`` is bit-identical to
     ``moment(spec, idx)``.
     """
-    if nu < 1:
-        raise ValueError("nu must be a positive integer")
+    nu = _checks.count("nu", nu, 1)
     if tol is None:
         tol = 1e-12 if spec.is_discrete else 1e-9
-    # written so that NaN fails
-    elif not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    else:
+        _checks.positive("tol", tol)
     entries = []
     for mu in range(1, nu + 1):
         finite = None if spec.kernel.is_exact_brownian else _finite_statistics(spec, mu, max(1, 2 * mu - 2))
@@ -487,11 +482,10 @@ def sample_spec_moments(spec: MomentSpec, samples: int, truncation: int | None =
     normals a block ahead, from the same stream in the same order, into a
     second buffer; it is joined before the call returns or raises.
     """
-    # written so that NaN and non-integers fail
-    for name, value in (("samples", samples), ("max_power", max_power),
-                        ("truncation", 1 if truncation is None else truncation)):
-        if not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    samples = _checks.count("samples", samples, 1)
+    max_power = _checks.count("max_power", max_power, 1)
+    if truncation is not None:
+        truncation = _checks.count("truncation", truncation, 1)
     brownian = spec.kernel.is_exact_brownian
     rule = spec.rule
     if rule is None:
@@ -518,8 +512,8 @@ def mc_moment_oracle(spec: MomentSpec, idx: MomentIndex, samples: int,
     """Plain Monte Carlo estimate of the same expectation as `moment`,
     usable in any time dimension. Returns (estimate, standard error).
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2 for a standard error")
+    # two samples at least, for a standard error
+    samples = _checks.count("samples", samples, 2)
     data = sample_spec_moments(spec, samples, truncation, seed, max_power=max(idx.time_powers, default=1))
     vals = moment_product_from_samples(data, idx)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

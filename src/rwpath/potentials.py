@@ -9,11 +9,12 @@ rather than an error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from . import _checks
 
 __all__ = ["Potential", "quartic", "harmonic", "he_cage", "custom_potential"]
 
@@ -33,13 +34,6 @@ class Potential:
         return self.value(x)
 
 
-def _check_positive(**values: float) -> None:
-    for name, value in values.items():
-        # written so that NaN fails
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 def quartic() -> Potential:
     """V(x) = x^4 / 2 on the whole line."""
 
@@ -57,7 +51,8 @@ def quartic() -> Potential:
 
 def harmonic(omega: float, mass: float = 1.0) -> Potential:
     """V(x) = m omega^2 x^2 / 2; the analytic-reference oscillator."""
-    _check_positive(omega=omega, mass=mass)
+    _checks.positive("omega", omega)
+    _checks.positive("mass", mass)
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -80,7 +75,8 @@ def he_cage(
     well depth eps = 10.22 K, sigma_lj = 2.556 A, box = 7.153 A. The value
     is +inf outside the open interval (0, box).
     """
-    _check_positive(eps=eps, sigma_lj=sigma_lj, box=box)
+    for name, value in (("eps", eps), ("sigma_lj", sigma_lj), ("box", box)):
+        _checks.positive(name, value)
 
     def _pow6(t):
         t2 = t * t

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _checks
 from .quadrature import Rule1D
 
 Bridge = Callable[[np.ndarray], np.ndarray]
@@ -52,12 +53,6 @@ class LambdaSystem:
         return np.stack([f(u) for f in self.bridge])
 
 
-def _check_finite(**constants: float) -> None:
-    for name, value in constants.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def make_order3(alpha: float) -> LambdaSystem:
     """Two-bridge system whose free rotation rate ``alpha`` is calibrated to
     give a third-order short-time approximation.
@@ -65,7 +60,7 @@ def make_order3(alpha: float) -> LambdaSystem:
     bridge[0](u) = sqrt(u(1-u)) cos(alpha (u - 1/2))   (symmetric)
     bridge[1](u) = sqrt(u(1-u)) sin(alpha (u - 1/2))   (antisymmetric)
     """
-    _check_finite(alpha=alpha)
+    _checks.finite("alpha", alpha)
 
     def lam1(u):
         u = np.asarray(u, dtype=float)
@@ -85,7 +80,8 @@ def make_order4(alpha1: float, alpha2: float) -> LambdaSystem:
     envelope r(u) = sqrt(u(1-u)(1 - 3u(1-u))) rotated by the odd phase
     alpha1 (u - 1/2) + alpha2 (u - 1/2)^3.
     """
-    _check_finite(alpha1=alpha1, alpha2=alpha2)
+    _checks.finite("alpha1", alpha1)
+    _checks.finite("alpha2", alpha2)
 
     def lam1(u):
         u = np.asarray(u, dtype=float)
@@ -118,12 +114,13 @@ def make_custom(bridge: Sequence[Bridge], symmetry: Sequence[int]) -> LambdaSyst
     not trusted). A system that must skip the checks is built as a
     ``LambdaSystem`` directly.
     """
-    bridge = tuple(bridge)
-    symmetry = tuple(int(s) for s in symmetry)
+    bridge, symmetry = tuple(bridge), tuple(symmetry)
     if len(bridge) != len(symmetry):
         raise ValueError("one symmetry tag per bridge function is required")
-    if any(s not in (-1, 1) for s in symmetry):
+    # checked before int(), which would take 1.5 for +1; NaN fails
+    if any(isinstance(s, (bool, np.bool_)) or s not in (-1, 1) for s in symmetry):
         raise ValueError("symmetry tags must be +1 (symmetric) or -1 (antisymmetric)")
+    symmetry = tuple(int(s) for s in symmetry)
     u = np.linspace(0.0, 1.0, 257)
     for f, s in zip(bridge, symmetry):
         vals = np.asarray(f(u), dtype=float)
@@ -159,7 +156,8 @@ def covariance(kernel: CovarianceKernel, u, v):
     """Covariance C(u, v) of the process at times u, v in [0, 1]."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0) or np.any(v < 0.0) or np.any(v > 1.0):
+    # written so that NaN fails
+    if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((v >= 0.0) & (v <= 1.0))):
         raise ValueError("covariance times must lie in [0, 1]")
     if kernel.is_exact_brownian:
         out = np.minimum(u, v)
@@ -203,8 +201,7 @@ def path_basis(system: LambdaSystem, rule: Rule1D, levels: int = 0) -> PathBasis
     are exactly ``system.bridge_values(rule.points)``. Raises ValueError,
     before allocating, when the table would exceed ``_MAX_BASIS_ENTRIES``.
     """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
+    levels = _checks.count("levels", levels, 0)
     ncell = 2**levels
     nq = rule.points.size
     entries = (ncell - 1 + system.q * ncell) * ncell * nq

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .kernels import (
     _WORK_UNIT,
     DiscreteReweightedKernel,
@@ -57,13 +57,11 @@ class SpatialGrid:
     cells: int
 
     def __post_init__(self):
-        # written so that NaN fails
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
+        _checks.finite("grid a", self.a)
+        _checks.finite("grid b", self.b)
+        if not self.b > self.a:
             raise ValueError("grid requires finite a < b")
-        if isinstance(self.cells, bool) or not isinstance(self.cells, numbers.Integral):
-            raise ValueError(f"grid cells must be an integer, got {self.cells!r}")
-        if self.cells < 2:
-            raise ValueError("grid requires at least 2 cells")
+        _checks.count("grid cells", self.cells, 2)
 
     @property
     def h(self) -> float:
@@ -154,8 +152,7 @@ def build_matrix(
     and is cached, so the matrix is one gather of the pair values. The
     first non-finite entry is reported with its location.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _checks.count("n", n, 0)
     slice_params = params.with_beta(params.beta / (n + 1))
     x = grid.points
     iu, ju, entry = _pair_layout(grid.cells, _potential_is_mirror_symmetric(kernel, grid))
@@ -191,8 +188,7 @@ def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
     and the result is a view of it. glibc's malloc maps and page-faults
     separate matrix-sized arrays anew on every call, but serves a block
     this size from its heap after the first call frees one."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
+    power = _checks.count("power", power, 1)
     a = np.asarray(a)
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype.kind in "fc":
         if _is_centrosymmetric(a):
@@ -437,12 +433,6 @@ class DiagnosticsSeries:
         return 2 * self.m + 1
 
 
-def _check_z_ref(z_ref: float) -> None:
-    # written so that NaN fails
-    if not (math.isfinite(z_ref) and z_ref > 0.0):
-        raise ValueError(f"reference Z must be finite and positive, got {z_ref!r}")
-
-
 def _fit_slope(ms: np.ndarray, alphas: np.ndarray) -> tuple[float, tuple[int, int]]:
     start = alphas.size // 2 if alphas.size > 3 else 0
     coef = np.polyfit(ms[start:], alphas[start:], 1)
@@ -465,8 +455,8 @@ def order_diagnostic(
     values of m, or a truncation that leaves fewer than 2 alpha values, leave
     no slope to fit and raise, as does a ``z_ref`` that is not finite and
     positive."""
-    _check_z_ref(z_ref)
-    m_arr = np.asarray(list(m_list), dtype=int)
+    _checks.positive("reference Z", z_ref)
+    m_arr = np.asarray([_checks.count("m", m, 0) for m in m_list], dtype=int)
     if m_arr.size < 3 or np.any(np.diff(m_arr) != 1):
         raise ValueError("m_list must be at least 3 consecutive increasing integers")
     z_vals = []
@@ -535,7 +525,7 @@ def trotter_constant(
     fourth-order run built on ``grid`` (grid points carrying zero density
     are excluded; hard walls have infinite derivative there). Its Z must be
     finite and positive."""
-    n_arr = np.asarray(list(n_list), dtype=int)
+    n_arr = np.asarray([_checks.count("n", n, 0) for n in n_list], dtype=int)
     if n_arr.size == 0:
         raise ValueError("n_list must hold at least one Trotter step count")
     if reference.grid != grid:
@@ -544,7 +534,7 @@ def trotter_constant(
             "density would be misaligned"
         )
     z_ref = reference.value
-    _check_z_ref(z_ref)
+    _checks.positive("reference Z", z_ref)
     rho = reference.diag_density
     vp = np.asarray(potential.deriv1(grid.points), dtype=float)
     mask = np.isfinite(vp) & (rho > 0.0)
@@ -563,12 +553,6 @@ def trotter_constant(
     return TrotterConstantSeries(n_arr, np.asarray(z_vals), c_arr, c_th, z_ref, rel)
 
 
-def _check_endpoints(x: float, xp: float) -> None:
-    for name, value in (("x", x), ("x'", xp)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def nmm_density_ratio(
     kernel: ShortTimeKernel,
     params: PhysicalParams,
@@ -583,7 +567,8 @@ def nmm_density_ratio(
     matrix-vector products. Raises ValueError when x or x' is not finite,
     and when the ratio is not representable: rho_fp underflows for points
     too far apart at this beta."""
-    _check_endpoints(x, xp)
+    _checks.finite("x", x)
+    _checks.finite("x'", xp)
     pts = grid.points
     i = int(np.argmin(np.abs(pts - x)))
     j = int(np.argmin(np.abs(pts - xp)))
@@ -640,9 +625,10 @@ def mc_density_ratio(
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
-    _check_endpoints(x, xp)
-    if samples < 2:
-        raise ValueError("samples must be >= 2 for a standard error")
+    _checks.finite("x", x)
+    _checks.finite("x'", xp)
+    # two samples at least, for a standard error
+    samples = _checks.count("samples", samples, 2)
     system = kernel.system
     basis = path_basis(system, kernel.time_rule, levels)
     beta, sigma = params.beta, params.sigma

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
+
 
 @dataclass(frozen=True)
 class Rule1D:
@@ -36,9 +38,9 @@ class Rule1D:
             raise ValueError("a rule needs at least one point")
         # written so that NaN fails
         if not (np.all(np.isfinite(pts)) and np.all(np.diff(pts) > 0)):
-            raise ValueError("points must be finite and strictly increasing")
+            raise ValueError("points must be strictly increasing and finite")
         if not np.all(np.isfinite(wts) & (wts > 0)):
-            raise ValueError("weights must be finite and positive")
+            raise ValueError("weights must be positive and finite")
         pts.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -54,9 +56,7 @@ def gauss_legendre_01(p: int) -> Rule1D:
     Exact for polynomials of degree <= 2p - 1. The rule is palindromic:
     points come in mirror pairs u, 1 - u carrying equal weights.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    x, w = np.polynomial.legendre.leggauss(p)
+    x, w = np.polynomial.legendre.leggauss(_checks.count("p", p, 1))
     return Rule1D(0.5 * (x + 1.0), 0.5 * w)
 
 
@@ -66,9 +66,7 @@ def gauss_hermite(p: int) -> Rule1D:
     Integrates against the standard normal density; the weights sum to 1,
     and polynomials of degree <= 2p - 1 are integrated exactly.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    x, w = np.polynomial.hermite_e.hermegauss(p)
+    x, w = np.polynomial.hermite_e.hermegauss(_checks.count("p", p, 1))
     return Rule1D(x, w / w.sum())
 
 
@@ -80,9 +78,8 @@ def composite_legendre_01(cells: int = 64, panel: int = 8, sqrt_endpoints: bool 
     u = sin^2(pi * theta / 2), which turns sqrt(u(1-u))-type endpoint
     behaviour into an analytic integrand and restores spectral accuracy.
     """
-    if cells < 1 or panel < 1:
-        raise ValueError("cells and panel must be positive")
-    base = gauss_legendre_01(panel)
+    cells = _checks.count("cells", cells, 1)
+    base = gauss_legendre_01(_checks.count("panel", panel, 1))
     edges = np.linspace(0.0, 1.0, cells + 1)
     pts = (edges[:-1, None] + np.diff(edges)[:, None] * base.points[None, :]).ravel()
     wts = (np.diff(edges)[:, None] * base.weights[None, :]).ravel()
@@ -123,6 +120,7 @@ def is_palindromic(rule: Rule1D, tol: float = 1e-14) -> bool:
     Checks that sorted points satisfy u_i + u_{n+1-i} = 1 and that the
     weight sequence is a palindrome.
     """
+    _checks.finite("tol", tol)
     p, w = rule.points, rule.weights
     return bool(
         np.all(np.abs(p + p[::-1] - 1.0) <= tol) and np.all(np.abs(w - w[::-1]) <= tol)
@@ -136,9 +134,7 @@ def tensor_gauss_hermite(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     summing to 1. Exact for multivariate polynomials of per-variable
     degree <= 2p - 1 against the q-dimensional standard normal.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
-    return _tensor_rule(gauss_hermite(p), q)
+    return _tensor_rule(gauss_hermite(p), _checks.count("q", q, 1))
 
 
 def _tensor_rule(rule: Rule1D, d: int) -> tuple[np.ndarray, np.ndarray]:

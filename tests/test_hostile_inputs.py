@@ -1,0 +1,441 @@
+"""One hostile-input row per public name of rwpath.
+
+Each row holds a valid call whose keyword arguments stand for the numeric
+parameters, and the values each parameter must refuse: NaN, +-inf, 0, a
+negative value, a fraction and a bool wherever they are invalid. A refusal is
+a ValueError whose message starts with the parameter's name, as
+``rwpath._checks`` words it. A row may also list other refused calls with
+their messages, and the result an elementwise function gives for NaN, which
+it passes through instead of refusing. Records that a public function
+returns, and the base classes, take no numeric input of their own; their
+rows hold a valid construction and say so.
+"""
+
+import dataclasses
+import inspect
+import math
+import re
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+import rwpath
+from rwpath import (
+    FAMILIES,
+    CalibrationError,
+    CalibrationResult,
+    ContinuousReweightedKernel,
+    CovarianceKernel,
+    DiagnosticsSeries,
+    DiscreteReweightedKernel,
+    FreeParticleKernel,
+    KernelMatrix,
+    LambdaSystem,
+    MomentIndex,
+    MomentSpec,
+    OrderReport,
+    PathBasis,
+    PhysicalParams,
+    Potential,
+    ReferenceZ,
+    Rule1D,
+    ShortTimeKernel,
+    SpatialGrid,
+    TrotterConstantSeries,
+    TrotterKernel,
+    brownian_moment,
+    build_matrix,
+    calibrate,
+    calibrated_system,
+    composite_legendre_01,
+    continuous_spec,
+    covariance,
+    custom_potential,
+    discrete_spec,
+    dvr_eigenvalues,
+    dvr_partition_function,
+    endpoint_trapezoid,
+    enumerate_indices,
+    exact_brownian,
+    finite_kernel,
+    gauss_hermite,
+    gauss_legendre_01,
+    harmonic,
+    he_cage,
+    integrate_01,
+    is_palindromic,
+    make_custom,
+    make_order3,
+    make_order4,
+    matrix_power,
+    mc_density_ratio,
+    mc_moment_oracle,
+    moment,
+    nmm_density_ratio,
+    order_diagnostic,
+    partition_function,
+    path_basis,
+    quartic,
+    reference_z,
+    residual_order3,
+    residual_order4,
+    rho_fp,
+    sample_spec_moments,
+    tensor_gauss_hermite,
+    trotter_constant,
+    units_constant,
+    variance_identity_error,
+    verify_order,
+)
+
+NAN, INF = math.nan, math.inf
+FINITE = (NAN, INF, -INF, True)
+POSITIVE = FINITE + (0.0, -1.0)
+
+
+def count(low: int) -> tuple:
+    """What a count of at least ``low`` refuses: NaN, +-inf, every integer
+    from -1 up to ``low`` - 1, a fraction, an integral float and a bool."""
+    return (NAN, INF, -INF, *range(-1, low), low + 0.5, float(low + 1), True)
+
+
+class Row(NamedTuple):
+    call: Callable  # the valid call; keywords replace its numeric arguments
+    hostile: dict = {}  # argument -> values it refuses
+    labels: dict = {}  # argument -> the name its refusal starts with, if not its own
+    refused: tuple = ()  # (message pattern, call) of other refused calls
+    at_nan: dict = {}  # elementwise argument -> the result at NaN
+    note: str = ""
+
+
+SYS4, RULE4 = calibrated_system("order4-discrete")
+SPEC4 = discrete_spec(finite_kernel(SYS4), RULE4)
+EB = continuous_spec(exact_brownian())
+IDX = MomentIndex(1, (2, 0))
+P = PhysicalParams(beta=10.0)
+G = SpatialGrid(-4.0, 4.0, 40)
+TK = TrotterKernel(quartic())
+K4 = DiscreteReweightedKernel(SYS4, quartic(), RULE4, gh_points=4)
+REF = reference_z(K4, P, G, 127)
+SERIES = order_diagnostic(TK, P, G, [1, 2, 3], REF.value)
+RECORD = "a result record: its fields were checked by the function that filled it"
+
+
+def tent(u):
+    return np.minimum(u, 1.0 - u)
+
+
+ROWS = {
+    # quadrature
+    "Rule1D": Row(
+        lambda points=(0.25, 0.75), weights=(0.5, 0.5): Rule1D(points, weights),
+        {"points": ((NAN, 0.75), (0.25, INF), (0.75, 0.25)),
+         "weights": ((NAN, 0.5), (0.5, INF), (0.0, 0.5), (-0.5, 0.5))},
+        note="array arguments: every entry finite, points increasing, weights positive",
+    ),
+    "composite_legendre_01": Row(
+        lambda cells=4, panel=2: composite_legendre_01(cells, panel),
+        {"cells": count(1), "panel": count(1)},
+    ),
+    "endpoint_trapezoid": Row(lambda: endpoint_trapezoid()),
+    "gauss_hermite": Row(lambda p=3: gauss_hermite(p), {"p": count(1)}),
+    "gauss_legendre_01": Row(lambda p=3: gauss_legendre_01(p), {"p": count(1)}),
+    "integrate_01": Row(
+        lambda: integrate_01(gauss_legendre_01(2), np.square),
+        refused=((r"^integrate_01 expects", lambda: integrate_01(gauss_hermite(2), np.square)),),
+        note="sums f at the rule's points; a NaN from f is its own result",
+    ),
+    "is_palindromic": Row(
+        lambda tol=1e-14: is_palindromic(gauss_legendre_01(2), tol), {"tol": FINITE},
+        note="tol = 0 asks for exact symmetry; a negative tol finds none",
+    ),
+    "tensor_gauss_hermite": Row(
+        lambda q=2, p=3: tensor_gauss_hermite(q, p), {"q": count(1), "p": count(1)}
+    ),
+    # processes
+    "CovarianceKernel": Row(lambda: CovarianceKernel(SYS4), note="holds a system; no numbers"),
+    "LambdaSystem": Row(
+        lambda: LambdaSystem((tent,), (1,)),
+        note="built directly it skips make_custom's checks, as documented there",
+    ),
+    "PathBasis": Row(lambda: PathBasis(np.ones((1, 2)), np.zeros(2), np.ones(2)), note=RECORD),
+    "covariance": Row(
+        lambda u=0.25, v=0.5: covariance(exact_brownian(), u, v),
+        {"u": (NAN, INF, -INF, -0.5, 1.5), "v": (NAN, INF, -INF, -0.5, 1.5)},
+        {"u": "covariance times", "v": "covariance times"},
+        note="elementwise over arrays of times in [0, 1]",
+    ),
+    "exact_brownian": Row(lambda: exact_brownian()),
+    "finite_kernel": Row(lambda: finite_kernel(SYS4)),
+    "make_custom": Row(
+        lambda tag=1: make_custom([tent], [tag]),
+        {"tag": (NAN, INF, -INF, 0, 2, 1.5, -1.5, True, np.True_)},
+        {"tag": "symmetry tags"},
+        refused=((r"^one symmetry tag per bridge", lambda: make_custom([tent], [1, 1])),
+                 (r"^declared symmetry tag", lambda: make_custom([tent], [-1]))),
+    ),
+    "make_order3": Row(lambda alpha=1.0: make_order3(alpha), {"alpha": FINITE}),
+    "make_order4": Row(
+        lambda alpha1=1.0, alpha2=1.0: make_order4(alpha1, alpha2),
+        {"alpha1": FINITE, "alpha2": FINITE},
+    ),
+    "path_basis": Row(lambda levels=1: path_basis(SYS4, RULE4, levels), {"levels": count(0)}),
+    "variance_identity_error": Row(lambda: variance_identity_error(SYS4)),
+    # moments
+    "MomentIndex": Row(
+        lambda mu=1, j=(2, 0): MomentIndex(mu, j),
+        {"mu": count(1), "j": ((-2, 2), (NAN, 1), (0.5, 0.75), (True, 0), (2.0, 0))},
+        {"j": "multiplicity"},
+        refused=((r"^index must have length", lambda: MomentIndex(1, (2,))),
+                 (r"^weighted multiplicities", lambda: MomentIndex(1, (1, 1)))),
+    ),
+    "MomentSpec": Row(
+        lambda: MomentSpec(exact_brownian(), endpoint_trapezoid()),
+        refused=((r"^discrete time-average weights",
+                  lambda: MomentSpec(exact_brownian(), Rule1D((0.5,), (0.5,)))),
+                 (r"^discrete time-average points",
+                  lambda: MomentSpec(exact_brownian(), Rule1D((0.5, 2.0), (0.5, 0.5))))),
+    ),
+    "OrderReport": Row(lambda: OrderReport(1, 1e-9, ()), note=RECORD),
+    "brownian_moment": Row(lambda: brownian_moment(IDX)),
+    "continuous_spec": Row(lambda: continuous_spec(exact_brownian())),
+    "discrete_spec": Row(lambda: discrete_spec(exact_brownian(), endpoint_trapezoid())),
+    "enumerate_indices": Row(lambda mu=2: enumerate_indices(mu), {"mu": count(1)}),
+    "mc_moment_oracle": Row(
+        lambda samples=100, truncation=None: mc_moment_oracle(EB, IDX, samples, truncation),
+        {"samples": count(2), "truncation": count(1)},
+        refused=((r"^truncation must be >= 50",
+                  lambda: mc_moment_oracle(EB, IDX, 100, truncation=10)),),
+        note="seed goes to np.random.default_rng, which refuses NaN, fractions and negatives",
+    ),
+    "moment": Row(
+        lambda: moment(EB, IDX),
+        refused=((r"^this moment needs \d+ quadrature points, over the budget",
+                  lambda: moment(EB, MomentIndex.from_multiplicities(
+                      17, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}))),),
+    ),
+    "sample_spec_moments": Row(
+        lambda samples=100, truncation=None, max_power=2: sample_spec_moments(
+            EB, samples, truncation, max_power=max_power),
+        {"samples": count(1), "truncation": count(1), "max_power": count(1)},
+        refused=((r"^truncation must be >= 50", lambda: sample_spec_moments(EB, 100, 10)),
+                 (r"^truncation must be an integer",
+                  lambda: sample_spec_moments(SPEC4, 100, truncation=50.7))),
+        note="seed goes to np.random.default_rng, which refuses NaN, fractions and negatives",
+    ),
+    "verify_order": Row(
+        lambda nu=1, tol=None: verify_order(EB, nu, tol), {"nu": count(1), "tol": POSITIVE}
+    ),
+    # calibration
+    "CalibrationError": Row(lambda: CalibrationError("no root", (0.5,), 1.0), note=RECORD),
+    "CalibrationResult": Row(lambda: CalibrationResult("order3-discrete", (1.0,), 0.0, 1), note=RECORD),
+    "FAMILIES": Row(lambda: FAMILIES, note="a tuple of family names, not a function"),
+    "calibrate": Row(
+        lambda: calibrate("order3-discrete"),
+        refused=((r"^unknown family 'bogus'", lambda: calibrate("bogus")),),
+    ),
+    "calibrated_system": Row(
+        lambda: calibrated_system("order3-discrete"),
+        refused=((r"^unknown family 'bogus'", lambda: calibrated_system("bogus")),),
+    ),
+    "residual_order3": Row(lambda alpha=1.0: residual_order3(alpha), {"alpha": FINITE}),
+    "residual_order4": Row(
+        lambda alpha1=1.0, alpha2=1.0: residual_order4(alpha1, alpha2),
+        {"alpha1": FINITE, "alpha2": FINITE},
+    ),
+    # potentials
+    "Potential": Row(
+        lambda x=0.5: Potential("custom", np.abs, np.sign, (-1.0, 1.0), {}).value(x),
+        at_nan={"x": NAN},
+        note="value is elementwise and passes NaN through",
+    ),
+    "custom_potential": Row(
+        lambda x=0.5: custom_potential(np.abs, np.sign)(x),
+        at_nan={"x": NAN},
+        note="wraps user code; the domain is metadata and is not read",
+    ),
+    "harmonic": Row(
+        lambda omega=1.0, mass=1.0, x=0.5: harmonic(omega, mass).value(x),
+        {"omega": POSITIVE, "mass": POSITIVE},
+        at_nan={"x": NAN},
+    ),
+    "he_cage": Row(
+        lambda eps=10.22, sigma_lj=2.556, box=7.153, x=3.0: he_cage(eps, sigma_lj, box).value(x),
+        {"eps": POSITIVE, "sigma_lj": POSITIVE, "box": POSITIVE},
+        at_nan={"x": INF},
+        note="value is +inf at NaN, which lies outside the open domain (0, box)",
+    ),
+    "quartic": Row(lambda x=0.5: quartic().value(x), at_nan={"x": NAN}),
+    # kernels
+    "ContinuousReweightedKernel": Row(
+        lambda gh_points=2: ContinuousReweightedKernel(SYS4, quartic(), gh_points=gh_points),
+        {"gh_points": count(1)},
+    ),
+    "DiscreteReweightedKernel": Row(
+        lambda gh_points=2: DiscreteReweightedKernel(SYS4, quartic(), RULE4, gh_points),
+        {"gh_points": count(1)},
+        refused=((r"^time-average rule must be palindromic", lambda: DiscreteReweightedKernel(
+            SYS4, quartic(), Rule1D((0.2, 0.5), (0.5, 0.5)))),),
+    ),
+    "FreeParticleKernel": Row(lambda: FreeParticleKernel(quartic())),
+    "PhysicalParams": Row(
+        lambda beta=1.0, hbar=1.0, mass=1.0: PhysicalParams(beta, hbar, mass),
+        {"beta": POSITIVE, "hbar": POSITIVE, "mass": POSITIVE},
+    ),
+    "ShortTimeKernel": Row(lambda: ShortTimeKernel(), note="abstract base class"),
+    "TrotterKernel": Row(lambda: TrotterKernel(quartic())),
+    "rho_fp": Row(
+        lambda x=0.0, xp=0.5: rho_fp(P, x, xp),
+        at_nan={"x": NAN, "xp": NAN},
+        note="elementwise: passes NaN through",
+    ),
+    "units_constant": Row(lambda: units_constant()),
+    # propagation
+    "DiagnosticsSeries": Row(lambda: DiagnosticsSeries(**vars(SERIES)), note=RECORD),
+    "KernelMatrix": Row(lambda: KernelMatrix(np.eye(2), G, 1.0, 0, "trotter"), note=RECORD),
+    "ReferenceZ": Row(lambda: ReferenceZ(**vars(REF)), note=RECORD),
+    "TrotterConstantSeries": Row(
+        lambda: TrotterConstantSeries(np.ones(1), np.ones(1), np.ones(1), 1.0, 1.0, 0.0),
+        note=RECORD,
+    ),
+    "SpatialGrid": Row(
+        lambda a=-1.0, b=1.0, cells=4: SpatialGrid(a, b, cells),
+        {"a": FINITE, "b": FINITE, "cells": count(2)},
+        {"a": "grid a", "b": "grid b", "cells": "grid cells"},
+        refused=((r"^grid requires finite a < b", lambda: SpatialGrid(1.0, 0.0, 4)),),
+    ),
+    "build_matrix": Row(lambda n=1: build_matrix(TK, P, G, n), {"n": count(0)}),
+    "dvr_eigenvalues": Row(
+        lambda: dvr_eigenvalues(quartic(), P, G),
+        refused=((r"^potential is nan at grid point", lambda: dvr_eigenvalues(
+            custom_potential(lambda x: x * NAN, np.sign), P, G)),),
+    ),
+    "dvr_partition_function": Row(lambda: dvr_partition_function(quartic(), P, G)),
+    "matrix_power": Row(lambda power=2: matrix_power(np.eye(3), power), {"power": count(1)}),
+    "mc_density_ratio": Row(
+        lambda x=0.0, xp=0.0, levels=1, samples=100: mc_density_ratio(K4, P, x, xp, levels, samples),
+        {"x": FINITE, "xp": FINITE, "levels": count(0), "samples": count(2)},
+        {"xp": "x'"},
+        note="seed goes to np.random.default_rng, which refuses NaN, fractions and negatives",
+    ),
+    "nmm_density_ratio": Row(
+        lambda n=1, x=0.0, xp=0.0: nmm_density_ratio(K4, P, G, n, x, xp),
+        {"n": count(0), "x": FINITE, "xp": FINITE},
+        {"xp": "x'"},
+        refused=((r"^x and x' must lie on the grid",
+                  lambda: nmm_density_ratio(K4, P, G, 1, 0.05, 0.0)),),
+    ),
+    "order_diagnostic": Row(
+        lambda z_ref=REF.value, m_list=(1, 2, 3): order_diagnostic(TK, P, G, m_list, z_ref),
+        {"z_ref": POSITIVE,
+         "m_list": ([1.5, 2.5, 3.5], [1, 2, 2.5], [True, 2, 3], [NAN, 1, 2], [-1, 0, 1])},
+        {"z_ref": "reference Z", "m_list": "m"},
+        refused=((r"^m_list must be at least 3 consecutive",
+                  lambda: order_diagnostic(TK, P, G, [1, 3, 5], REF.value)),),
+    ),
+    "partition_function": Row(lambda: partition_function(build_matrix(TK, P, G, 1))),
+    "reference_z": Row(
+        lambda n_ref=127: reference_z(K4, P, G, n_ref), {"n_ref": count(0)}, {"n_ref": "n"},
+        note="n_ref is checked by build_matrix as its n",
+    ),
+    "trotter_constant": Row(
+        lambda n_list=(3, 5), reference=REF: trotter_constant(P, G, quartic(), n_list, reference),
+        {"n_list": ([2.5], [3, True], [NAN], [-1]),
+         "reference": tuple(dataclasses.replace(REF, value=v) for v in POSITIVE)},
+        {"n_list": "n", "reference": "reference Z"},
+        refused=((r"^n_list must hold at least one", lambda: trotter_constant(P, G, quartic(), [], REF)),),
+    ),
+}
+
+
+def _short(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 24 else type(value).__name__
+
+
+HOSTILE = [
+    pytest.param(name, arg, value, id=f"{name}-{arg}-{k}-{_short(value)}")
+    for name, row in ROWS.items()
+    for arg, values in row.hostile.items()
+    for k, value in enumerate(values)
+]
+REFUSED = [
+    pytest.param(pattern, call, id=f"{name}-{k}")
+    for name, row in ROWS.items()
+    for k, (pattern, call) in enumerate(row.refused)
+]
+AT_NAN = [
+    pytest.param(name, arg, result, id=f"{name}-{arg}")
+    for name, row in ROWS.items()
+    for arg, result in row.at_nan.items()
+]
+
+
+def test_every_public_name_has_a_row():
+    public = {
+        name for name, value in vars(rwpath).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(ROWS) == public
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_valid_call_is_accepted(name):
+    ROWS[name].call()
+
+
+@pytest.mark.parametrize("name, arg, value", HOSTILE)
+def test_hostile_value_is_refused(name, arg, value):
+    label = ROWS[name].labels.get(arg, arg)
+    with pytest.raises(ValueError, match=f"^{re.escape(label)} must "):
+        ROWS[name].call(**{arg: value})
+
+
+@pytest.mark.parametrize("pattern, call", REFUSED)
+def test_other_refusals_keep_their_messages(pattern, call):
+    with pytest.raises(ValueError, match=pattern):
+        call()
+
+
+@pytest.mark.parametrize("name, arg, result", AT_NAN)
+def test_elementwise_functions_pass_nan_through(name, arg, result):
+    np.testing.assert_equal(ROWS[name].call(**{arg: NAN}), result)
+
+
+def _numpy_forms(default) -> list:
+    """The same number as numpy scalars, and a float with an integral value
+    as a Python int."""
+    if isinstance(default, bool) or not isinstance(default, (int, float)):
+        return []
+    if isinstance(default, int):
+        return [np.int64(default), np.int32(default)]
+    return [np.float64(default)] + ([int(default)] if default.is_integer() else [])
+
+
+SCALAR_FORMS = [
+    pytest.param(name, arg, form, id=f"{name}-{arg}-{type(form).__name__}")
+    for name, row in ROWS.items()
+    for arg in row.hostile
+    for form in _numpy_forms(inspect.signature(row.call).parameters[arg].default)
+]
+
+
+@pytest.mark.parametrize("name, arg, form", SCALAR_FORMS)
+def test_numpy_numbers_and_ints_for_reals_are_accepted(name, arg, form):
+    ROWS[name].call(**{arg: form})
+
+
+def test_only_the_checks_module_words_the_scalar_rule():
+    # every "must be finite" and "must be an integer" refusal comes from one
+    # module, so the rule cannot drift apart again
+    src = Path(rwpath.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "_checks.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"must be (finite|an integer)", line)
+    ]
+    assert offenders == []
