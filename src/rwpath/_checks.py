@@ -28,3 +28,11 @@ def count(name: str, value, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def seed(value) -> None:
+    """Refuse a seed for ``np.random.default_rng`` that is a bool or a number
+    other than an integer >= 0; a SeedSequence, a Generator or None is left
+    to numpy."""
+    if isinstance(value, (numbers.Number, np.bool_)):
+        count("seed", value, 0)

@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import _checks
 from .calibration import FAMILIES, CalibrationError, calibrate, calibrated_system, default_rule
 from .kernels import (
     ContinuousReweightedKernel,
@@ -323,22 +322,14 @@ def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _grid_point(grid: SpatialGrid, name: str, value: float) -> float:
-    """The grid point nearest ``value``, which must lie in the grid window."""
-    _checks.finite(name, value)
-    if not grid.a - grid.h / 2 <= value <= grid.b + grid.h / 2:
-        raise ValueError(f"{name} = {value!r} lies outside the grid [{grid.a!r}, {grid.b!r}]")
-    pts = grid.points
-    return float(pts[np.argmin(np.abs(pts - value))])
-
-
 def cmd_mc_check(args, cfg: ExperimentConfig) -> int:
     pot, params, grid = _system_defaults(cfg)
     family = _family(cfg)
     if family not in FAMILIES or default_rule(family) is None:
         raise ValueError("mc-check needs a discrete reweighted kernel (order3 or order4)")
     # both estimators run at the grid points nearest x and x'
-    x, xp = _grid_point(grid, "x", cfg.x), _grid_point(grid, "x'", cfg.xp)
+    pts = grid.points
+    x, xp = float(pts[grid.nearest("x", cfg.x)]), float(pts[grid.nearest("x'", cfg.xp)])
     kernel = _build_kernel(cfg, pot)
     est, se = mc_density_ratio(kernel, params, x, xp, cfg.levels, cfg.samples, cfg.seed)
     if se == 0:

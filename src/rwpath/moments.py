@@ -486,6 +486,7 @@ def sample_spec_moments(spec: MomentSpec, samples: int, truncation: int | None =
     max_power = _checks.count("max_power", max_power, 1)
     if truncation is not None:
         truncation = _checks.count("truncation", truncation, 1)
+    _checks.seed(seed)
     brownian = spec.kernel.is_exact_brownian
     rule = spec.rule
     if rule is None:

@@ -73,7 +73,7 @@ def he_cage(
 
     Parameters default to the helium system in kelvin/angstrom units:
     well depth eps = 10.22 K, sigma_lj = 2.556 A, box = 7.153 A. The value
-    is +inf outside the open interval (0, box).
+    is +inf outside the open interval (0, box) and NaN at NaN.
     """
     for name, value in (("eps", eps), ("sigma_lj", sigma_lj), ("box", box)):
         _checks.positive(name, value)
@@ -115,9 +115,9 @@ def he_cage(
             np.add(out, t2, out=out)
             np.multiply(out, 4.0 * eps, out=out)
         # most blocks lie inside (0, box) and skip the mask; NaN, +-inf and
-        # empty input fail the test and take it
+        # empty input fail the test and take it, and NaN stays NaN
         if not (x.size and x.min() > 0.0 and x.max() < box):
-            np.copyto(out, np.inf, where=~((x > 0.0) & (x < box)))
+            np.copyto(out, np.inf, where=(x <= 0.0) | (x >= box))
         return float(out) if out.ndim == 0 else out
 
     def deriv1(x):
@@ -127,7 +127,7 @@ def he_cage(
             d = 4.0 * eps * (
                 (-12.0 * y6 * y6 + 6.0 * y6) / x + (-12.0 * z6 * z6 + 6.0 * z6) / (x - box)
             )
-        out = np.where((x > 0.0) & (x < box), d, np.inf)
+        out = np.where((x <= 0.0) | (x >= box), np.inf, d)
         return float(out) if out.ndim == 0 else out
 
     return Potential(

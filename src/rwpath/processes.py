@@ -232,7 +232,4 @@ def variance_identity_error(system: LambdaSystem) -> float:
     systems.
     """
     u = np.linspace(0.0, 1.0, 1000)
-    total = u * u
-    for f in system.bridge:
-        total = total + np.asarray(f(u)) ** 2
-    return float(np.max(np.abs(total - u)))
+    return float(np.max(np.abs(covariance(finite_kernel(system), u, u) - u)))

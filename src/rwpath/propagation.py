@@ -63,6 +63,15 @@ class SpatialGrid:
             raise ValueError("grid requires finite a < b")
         _checks.count("grid cells", self.cells, 2)
 
+    def nearest(self, name: str, value: float) -> int:
+        """Index of the grid point nearest ``value``. A value that is not
+        finite, or lies more than half a cell outside [a, b], is refused
+        under ``name``."""
+        _checks.finite(name, value)
+        if not self.a - self.h / 2 <= value <= self.b + self.h / 2:
+            raise ValueError(f"{name} = {value!r} lies outside the grid [{self.a!r}, {self.b!r}]")
+        return int(np.argmin(np.abs(self.points - value)))
+
     @property
     def h(self) -> float:
         return (self.b - self.a) / self.cells
@@ -170,7 +179,7 @@ def build_matrix(
         raise FloatingPointError(
             f"kernel produced a non-finite entry at grid indices ({iu[k]}, {ju[k]})"
         )
-    return KernelMatrix(np.take(vals, entry), grid, params.beta, n, kernel.kind)
+    return KernelMatrix(vals[entry], grid, params.beta, n, kernel.kind)
 
 
 def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
@@ -398,6 +407,7 @@ def reference_z(
     (about 2.5 N^2 when folded). The eigensolve that follows holds one
     (N-1)^2 Hamiltonian.
     """
+    n_ref = _checks.count("n_ref", n_ref, 0)
     diag = _power_diagonal(build_matrix(kernel, params, grid, n_ref).values, n_ref + 1)
     z = float(math.fsum(diag))
     z_dvr = dvr_partition_function(kernel.potential, params, grid)
@@ -564,14 +574,11 @@ def nmm_density_ratio(
     """rho_n(x, x'; beta) / rho_fp(x, x'; beta) read off the propagated
     matrix; x and x' must be grid points. An entry below its mirror entry,
     which the folded power does not resolve, is recomputed from n+1
-    matrix-vector products. Raises ValueError when x or x' is not finite,
-    and when the ratio is not representable: rho_fp underflows for points
-    too far apart at this beta."""
-    _checks.finite("x", x)
-    _checks.finite("x'", xp)
+    matrix-vector products. Raises ValueError when x or x' is not a grid
+    point, and when the ratio is not representable: rho_fp underflows for
+    points too far apart at this beta."""
+    i, j = grid.nearest("x", x), grid.nearest("x'", xp)
     pts = grid.points
-    i = int(np.argmin(np.abs(pts - x)))
-    j = int(np.argmin(np.abs(pts - xp)))
     if abs(pts[i] - x) > 1e-9 or abs(pts[j] - xp) > 1e-9:
         raise ValueError("x and x' must lie on the grid")
     mat = build_matrix(kernel, params, grid, n)
@@ -629,6 +636,7 @@ def mc_density_ratio(
     _checks.finite("x'", xp)
     # two samples at least, for a standard error
     samples = _checks.count("samples", samples, 2)
+    _checks.seed(seed)
     system = kernel.system
     basis = path_basis(system, kernel.time_rule, levels)
     beta, sigma = params.beta, params.sigma

@@ -97,8 +97,8 @@ POSITIVE = FINITE + (0.0, -1.0)
 
 def count(low: int) -> tuple:
     """What a count of at least ``low`` refuses: NaN, +-inf, every integer
-    from -1 up to ``low`` - 1, a fraction, an integral float and a bool."""
-    return (NAN, INF, -INF, *range(-1, low), low + 0.5, float(low + 1), True)
+    from -1 up to ``low`` - 1, a fraction, an integral float and the bools."""
+    return (NAN, INF, -INF, *range(-1, low), low + 0.5, float(low + 1), True, np.True_)
 
 
 class Row(NamedTuple):
@@ -204,11 +204,10 @@ ROWS = {
     "discrete_spec": Row(lambda: discrete_spec(exact_brownian(), endpoint_trapezoid())),
     "enumerate_indices": Row(lambda mu=2: enumerate_indices(mu), {"mu": count(1)}),
     "mc_moment_oracle": Row(
-        lambda samples=100, truncation=None: mc_moment_oracle(EB, IDX, samples, truncation),
-        {"samples": count(2), "truncation": count(1)},
+        lambda samples=100, truncation=None, seed=0: mc_moment_oracle(EB, IDX, samples, truncation, seed),
+        {"samples": count(2), "truncation": count(1), "seed": count(0)},
         refused=((r"^truncation must be >= 50",
                   lambda: mc_moment_oracle(EB, IDX, 100, truncation=10)),),
-        note="seed goes to np.random.default_rng, which refuses NaN, fractions and negatives",
     ),
     "moment": Row(
         lambda: moment(EB, IDX),
@@ -217,13 +216,14 @@ ROWS = {
                       17, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}))),),
     ),
     "sample_spec_moments": Row(
-        lambda samples=100, truncation=None, max_power=2: sample_spec_moments(
-            EB, samples, truncation, max_power=max_power),
-        {"samples": count(1), "truncation": count(1), "max_power": count(1)},
+        lambda samples=100, truncation=None, max_power=2, seed=0: sample_spec_moments(
+            EB, samples, truncation, seed, max_power),
+        {"samples": count(1), "truncation": count(1), "max_power": count(1), "seed": count(0)},
         refused=((r"^truncation must be >= 50", lambda: sample_spec_moments(EB, 100, 10)),
                  (r"^truncation must be an integer",
-                  lambda: sample_spec_moments(SPEC4, 100, truncation=50.7))),
-        note="seed goes to np.random.default_rng, which refuses NaN, fractions and negatives",
+                  lambda: sample_spec_moments(SPEC4, 100, truncation=50.7)),
+                 (r"^truncation must be an integer",
+                  lambda: sample_spec_moments(EB, 100, truncation=50.7))),
     ),
     "verify_order": Row(
         lambda nu=1, tol=None: verify_order(EB, nu, tol), {"nu": count(1), "tol": POSITIVE}
@@ -264,8 +264,7 @@ ROWS = {
     "he_cage": Row(
         lambda eps=10.22, sigma_lj=2.556, box=7.153, x=3.0: he_cage(eps, sigma_lj, box).value(x),
         {"eps": POSITIVE, "sigma_lj": POSITIVE, "box": POSITIVE},
-        at_nan={"x": INF},
-        note="value is +inf at NaN, which lies outside the open domain (0, box)",
+        at_nan={"x": NAN},
     ),
     "quartic": Row(lambda x=0.5: quartic().value(x), at_nan={"x": NAN}),
     # kernels
@@ -315,17 +314,19 @@ ROWS = {
     "dvr_partition_function": Row(lambda: dvr_partition_function(quartic(), P, G)),
     "matrix_power": Row(lambda power=2: matrix_power(np.eye(3), power), {"power": count(1)}),
     "mc_density_ratio": Row(
-        lambda x=0.0, xp=0.0, levels=1, samples=100: mc_density_ratio(K4, P, x, xp, levels, samples),
-        {"x": FINITE, "xp": FINITE, "levels": count(0), "samples": count(2)},
+        lambda x=0.0, xp=0.0, levels=1, samples=100, seed=0: mc_density_ratio(
+            K4, P, x, xp, levels, samples, seed),
+        {"x": FINITE, "xp": FINITE, "levels": count(0), "samples": count(2), "seed": count(0)},
         {"xp": "x'"},
-        note="seed goes to np.random.default_rng, which refuses NaN, fractions and negatives",
     ),
     "nmm_density_ratio": Row(
         lambda n=1, x=0.0, xp=0.0: nmm_density_ratio(K4, P, G, n, x, xp),
         {"n": count(0), "x": FINITE, "xp": FINITE},
         {"xp": "x'"},
         refused=((r"^x and x' must lie on the grid",
-                  lambda: nmm_density_ratio(K4, P, G, 1, 0.05, 0.0)),),
+                  lambda: nmm_density_ratio(K4, P, G, 1, 0.05, 0.0)),
+                 (r"^x' = 4.2 lies outside the grid \[-4.0, 4.0\]",
+                  lambda: nmm_density_ratio(K4, P, G, 1, 0.0, 4.2))),
     ),
     "order_diagnostic": Row(
         lambda z_ref=REF.value, m_list=(1, 2, 3): order_diagnostic(TK, P, G, m_list, z_ref),
@@ -336,10 +337,7 @@ ROWS = {
                   lambda: order_diagnostic(TK, P, G, [1, 3, 5], REF.value)),),
     ),
     "partition_function": Row(lambda: partition_function(build_matrix(TK, P, G, 1))),
-    "reference_z": Row(
-        lambda n_ref=127: reference_z(K4, P, G, n_ref), {"n_ref": count(0)}, {"n_ref": "n"},
-        note="n_ref is checked by build_matrix as its n",
-    ),
+    "reference_z": Row(lambda n_ref=127: reference_z(K4, P, G, n_ref), {"n_ref": count(0)}),
     "trotter_constant": Row(
         lambda n_list=(3, 5), reference=REF: trotter_constant(P, G, quartic(), n_list, reference),
         {"n_list": ([2.5], [3, True], [NAN], [-1]),
@@ -427,14 +425,25 @@ def test_numpy_numbers_and_ints_for_reals_are_accepted(name, arg, form):
     ROWS[name].call(**{arg: form})
 
 
+@pytest.mark.parametrize("name", ["mc_density_ratio", "mc_moment_oracle", "sample_spec_moments"])
+def test_every_seed_form_draws_the_same_stream(name):
+    # default_rng takes an int, a numpy int and a SeedSequence to the same
+    # stream, and uses a Generator as given
+    forms = (3, np.int64(3), np.random.SeedSequence(3), np.random.default_rng(3))
+    runs = [ROWS[name].call(seed=form) for form in forms]
+    np.testing.assert_equal(runs[1:], runs[:1] * 3)
+
+
 def test_only_the_checks_module_words_the_scalar_rule():
     # every "must be finite" and "must be an integer" refusal comes from one
-    # module, so the rule cannot drift apart again
+    # module and is tested in this one, so neither the rule nor its table can
+    # drift apart again; the CLI tests read the rule's words off stderr
     src = Path(rwpath.__file__).parent
+    tests = Path(__file__).parent
     offenders = [
         f"{path.name}:{n}"
-        for path in sorted(src.glob("*.py"))
-        if path.name != "_checks.py"
+        for path in sorted(src.glob("*.py")) + sorted(tests.glob("*.py"))
+        if path not in (src / "_checks.py", tests / "test_hostile_inputs.py", tests / "test_cli.py")
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if re.search(r"must be (finite|an integer)", line)
     ]

@@ -481,40 +481,6 @@ def test_mc_oracle_endpoint_includes_the_bridges_at_one():
     assert abs(est - moment(spec, idx)) < 4.0 * se
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: sample_spec_moments(EB, 1000, truncation=50.7),
-        lambda: sample_spec_moments(order4_spec(), 1000, truncation=50.7),
-        lambda: sample_spec_moments(EB, 1000, truncation=10),
-        lambda: sample_spec_moments(EB, 1000, max_power=0),
-        lambda: sample_spec_moments(EB, 1000, max_power=-1),
-        lambda: sample_spec_moments(EB, 1000, max_power=2.5),
-        lambda: sample_spec_moments(EB, 0),
-        lambda: sample_spec_moments(EB, 10.0),
-        lambda: mc_moment_oracle(EB, ix(1, {1: 2}), samples=1),
-        lambda: verify_order(EB, 0),
-        lambda: verify_order(EB, 1, tol=float("nan")),
-        lambda: verify_order(EB, 1, tol=-1.0),
-        lambda: verify_order(EB, 1, tol=float("inf")),
-        lambda: enumerate_indices(0),
-        lambda: MomentIndex(0, ()),
-        lambda: MomentIndex(1, (-2, 2)),
-        lambda: MomentIndex(1, (1, 1)),
-        lambda: moment(EB, ix(17, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1})),
-    ],
-    ids=[
-        "truncation-fraction", "truncation-fraction-discrete", "truncation-under-50",
-        "max-power-0", "max-power-negative", "max-power-fraction", "samples-0",
-        "samples-float", "oracle-one-sample", "nu-0", "tol-nan", "tol-negative", "tol-inf",
-        "mu-0", "index-mu-0", "index-negative", "index-weight-sum", "moment-over-budget",
-    ],
-)
-def test_moments_api_refuses_hostile_input(call):
-    with pytest.raises(ValueError):
-        call()
-
-
 def test_sample_spec_moments_memory_is_bounded():
     tracemalloc.start()
     try:

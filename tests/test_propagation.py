@@ -730,20 +730,6 @@ def test_nmm_density_ratio_requires_grid_point():
         nmm_density_ratio(kernel, p, g, 3, 0.017, 0.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("which", ["x", "x'"])
-def test_density_ratios_reject_non_finite_endpoints(value, which):
-    # NaN passes the on-grid test |pts[i] - x| > 1e-9 and would read index 0
-    p = PhysicalParams(beta=1.0)
-    g = SpatialGrid(-4.0, 4.0, 100)
-    kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
-    x, xp = (value, 0.0) if which == "x" else (0.0, value)
-    with pytest.raises(ValueError, match=f"^{which} must be finite"):
-        nmm_density_ratio(kernel, p, g, 3, x, xp)
-    with pytest.raises(ValueError, match=f"^{which} must be finite"):
-        mc_density_ratio(kernel, p, x, xp, 2, 1000)
-
-
 def test_trotter_constant_rejects_empty_n_list():
     g = SpatialGrid(-4.0, 4.0, 80)
     ref = ReferenceZ(
