@@ -12,38 +12,21 @@ endpoint splitting kernel and near 3 for the third-order system.
 
 import time
 
-from rwpath import (
-    DiscreteReweightedKernel,
-    PhysicalParams,
-    SpatialGrid,
-    TrotterKernel,
-    calibrated_system,
-    order_diagnostic,
-    quartic,
-    reference_z,
-)
-
-params = PhysicalParams(beta=10.0)
-grid = SpatialGrid(-4.0, 4.0, 300)
-pot = quartic()
+from rwpath import SYSTEMS, ladder
 
 t0 = time.perf_counter()
-s4, r4 = calibrated_system("order4-discrete")
-reference = reference_z(DiscreteReweightedKernel(s4, pot, r4), params, grid, 511)
+run = ladder(
+    *SYSTEMS["quartic"].resolve(cells=300), {"trotter": 25, "order3-discrete": 25}, n_ref=511
+)
+reference = run.reference
 print(
     f"reference Z = {reference.value:.10e}"
-    f" (eigensolve gap {reference.rel_gap:.1e}, {time.perf_counter() - t0:.0f}s)"
+    f" (eigensolve gap {reference.rel_gap:.1e}; all ladders {time.perf_counter() - t0:.0f}s)"
 )
 
-s3, r3 = calibrated_system("order3-discrete")
-for label, kernel, m_max in [
-    ("endpoint splitting", TrotterKernel(pot), 25),
-    ("third-order system", DiscreteReweightedKernel(s3, pot, r3), 25),
-]:
-    t0 = time.perf_counter()
-    series = order_diagnostic(kernel, params, grid, range(1, m_max + 1), reference.value)
-    print(f"\n{label}: fitted slope {series.slope:.3f} over m in {series.fit_window}"
-          f" ({time.perf_counter() - t0:.0f}s)")
+for label, family in [("endpoint splitting", "trotter"), ("third-order system", "order3-discrete")]:
+    series = run.orders[family]
+    print(f"\n{label}: fitted slope {series.slope:.3f} over m in {series.fit_window}")
     print("  m      Z_{2m+1}            alpha_m")
     shown = dict(zip(series.alpha_m_index.tolist(), series.alpha_m.tolist()))
     for i, m in enumerate(series.m.tolist()):

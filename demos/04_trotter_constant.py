@@ -14,24 +14,10 @@ converged order-4 reference, eight times the largest n.
 
 import time
 
-from rwpath import (
-    DiscreteReweightedKernel,
-    PhysicalParams,
-    SpatialGrid,
-    calibrated_system,
-    quartic,
-    reference_z,
-    trotter_constant,
-)
-
-params = PhysicalParams(beta=10.0)
-grid = SpatialGrid(-4.0, 4.0, 300)
-pot = quartic()
+from rwpath import SYSTEMS, ladder
 
 t0 = time.perf_counter()
-system, rule = calibrated_system("order4-discrete")
-ref = reference_z(DiscreteReweightedKernel(system, pot, rule), params, grid, 648)
-series = trotter_constant(params, grid, pot, list(range(3, 82, 2)), ref)
+series = ladder(*SYSTEMS["quartic"].resolve(cells=300), {}, constant_top=40, n_ref=648).constant
 print(f"theoretical constant c_th = {series.c_th:.4f}   ({time.perf_counter() - t0:.0f}s)")
 print(f"observed constants approach it from below:")
 print("  n      c_n        c_n/c_th")

@@ -13,10 +13,9 @@ Two independent estimators guard the deterministic code paths:
 import math
 
 from rwpath import (
+    SYSTEMS,
     DiscreteReweightedKernel,
     MomentIndex,
-    PhysicalParams,
-    SpatialGrid,
     calibrated_system,
     continuous_spec,
     discrete_spec,
@@ -26,7 +25,6 @@ from rwpath import (
     mc_moment_oracle,
     moment,
     nmm_density_ratio,
-    quartic,
 )
 
 print("1) moment engine vs sampling (400k samples each)")
@@ -49,10 +47,9 @@ for label, spec, idx in cases:
 
 print()
 print("2) chained-path sampling vs matrix propagation (quartic, 7 links)")
-params = PhysicalParams(beta=1.0)
-kernel = DiscreteReweightedKernel(s4, quartic(), r4)
+pot, params, grid = SYSTEMS["quartic"].resolve(beta=1.0, cells=300)
+kernel = DiscreteReweightedKernel(s4, pot, r4)
 est, se = mc_density_ratio(kernel, params, 0.0, 0.0, levels=3, samples=500_000, seed=5)
-grid = SpatialGrid(-4.0, 4.0, 300)
 want = nmm_density_ratio(kernel, params, grid, 7, 0.0, 0.0)
 print(f"  sampled ratio {est:.6f} +/- {se:.1e}")
 print(f"  matrix ratio  {want:.6f}   ({abs(est - want) / se:.2f} sigma)")

@@ -4,7 +4,8 @@ The library builds approximate density-matrix kernels by replacing the
 Brownian bridge of the path-average representation with small, carefully
 calibrated Gaussian path systems, verifies their convergence order through
 exact moment identities, and measures the order (and, for the splitting
-kernel, the convergence constant) by dense matrix propagation.
+kernel, the convergence constant) by dense matrix propagation, on the
+benchmark systems of ``SYSTEMS`` through one ``ladder`` run.
 """
 
 from .quadrature import (
@@ -80,5 +81,6 @@ from .propagation import (
     reference_z,
     trotter_constant,
 )
+from .experiments import SYSTEMS, BenchmarkSystem, LadderResult, ladder, make_kernel
 
 __version__ = "0.1.0"

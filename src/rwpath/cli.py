@@ -21,33 +21,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .calibration import FAMILIES, CalibrationError, calibrate, calibrated_system, default_rule
-from .kernels import (
-    ContinuousReweightedKernel,
-    DiscreteReweightedKernel,
-    FreeParticleKernel,
-    PhysicalParams,
-    TrotterKernel,
-    units_constant,
-)
+from .experiments import SYSTEMS, ladder, make_kernel
 from .moments import continuous_spec, discrete_spec, verify_order
-from .potentials import Potential, harmonic, he_cage, quartic
 from .processes import exact_brownian, finite_kernel
-from .propagation import (
-    ReferenceZ,
-    SpatialGrid,
-    mc_density_ratio,
-    nmm_density_ratio,
-    order_diagnostic,
-    reference_z,
-    trotter_constant,
-)
+from .propagation import mc_density_ratio, nmm_density_ratio
 from .quadrature import endpoint_trapezoid
 
 USAGE_ERROR = 2
@@ -63,15 +46,7 @@ _FAMILY_OF = {
 }
 KERNEL_CHOICES = ("trotter", "free-particle", *_FAMILY_OF)
 
-# One row per potential: its maker, the default inverse temperature, the
-# unit system (hbar, mass) and the default grid window (a, b, cells).
-_POTENTIALS = {
-    "quartic": (quartic, 10.0, (1.0, 1.0), (-4.0, 4.0, 400)),
-    "he-cage": (he_cage, 1.0 / 5.11, (math.sqrt(units_constant()), 4.0),
-                (0.0, he_cage().params["box"], 500)),
-    "harmonic": (lambda: harmonic(1.0), 10.0, (1.0, 1.0), (-5.0, 5.0, 300)),
-}
-POTENTIAL_CHOICES = tuple(_POTENTIALS)
+POTENTIAL_CHOICES = tuple(SYSTEMS)
 
 
 @dataclass
@@ -181,43 +156,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**overrides)
 
 
-def _system_defaults(cfg: ExperimentConfig) -> tuple[Potential, PhysicalParams, SpatialGrid]:
-    make, beta, (hbar, mass), (a, b, m) = _POTENTIALS[cfg.potential]
-    params = PhysicalParams(beta=beta if cfg.beta is None else cfg.beta, hbar=hbar, mass=mass)
-    grid = SpatialGrid(
-        a if cfg.grid_a is None else cfg.grid_a,
-        b if cfg.grid_b is None else cfg.grid_b,
-        m if cfg.grid_m is None else cfg.grid_m,
-    )
-    return make(), params, grid
+def _setup(cfg: ExperimentConfig):
+    """The configured system's potential, parameters and grid."""
+    return SYSTEMS[cfg.potential].resolve(cfg.beta, cfg.grid_a, cfg.grid_b, cfg.grid_m)
 
 
 def _family(cfg: ExperimentConfig) -> str:
     """The calibration family of the configured kernel name."""
     return _FAMILY_OF.get(cfg.kernel, cfg.kernel)
-
-
-def _build_kernel(cfg: ExperimentConfig, pot: Potential):
-    if cfg.kernel == "trotter":
-        return TrotterKernel(pot)
-    if cfg.kernel == "free-particle":
-        return FreeParticleKernel(pot)
-    system, rule = calibrated_system(_family(cfg))
-    if rule is None:
-        return ContinuousReweightedKernel(system, pot, gh_points=cfg.gh_points)
-    return DiscreteReweightedKernel(system, pot, rule, cfg.gh_points)
-
-
-def _order4_reference(
-    cfg: ExperimentConfig, pot: Potential, params: PhysicalParams, grid: SpatialGrid, kernel=None
-) -> ReferenceZ:
-    """The order-4 reference Z both ladders are measured against, at
-    n_ref = 8 (2 m_max + 1), eight times the top rung, unless set. The
-    ladder's ``kernel`` is reused when it is the order-4 kernel."""
-    n_ref = 8 * (2 * cfg.m_max + 1) if cfg.n_ref is None else cfg.n_ref
-    if kernel is None or _family(cfg) != "order4-discrete":
-        kernel = _build_kernel(replace(cfg, kernel="order4"), pot)
-    return reference_z(kernel, params, grid, n_ref)
 
 
 def _moment_spec(cfg: ExperimentConfig):
@@ -274,10 +220,9 @@ def cmd_verify(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_order(args, cfg: ExperimentConfig) -> int:
-    pot, params, grid = _system_defaults(cfg)
-    kernel = _build_kernel(cfg, pot)
-    ref = _order4_reference(cfg, pot, params, grid, kernel)
-    series = order_diagnostic(kernel, params, grid, range(1, cfg.m_max + 1), ref.value)
+    pot, params, grid = _setup(cfg)
+    run = ladder(pot, params, grid, {_family(cfg): cfg.m_max}, None, cfg.n_ref, cfg.gh_points)
+    ref, series = run.reference, run.orders[_family(cfg)]
     rows = []
     alpha_by_m = dict(zip(series.alpha_m_index.tolist(), series.alpha_m.tolist()))
     for i, m in enumerate(series.m.tolist()):
@@ -301,10 +246,8 @@ def cmd_order(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
-    pot, params, grid = _system_defaults(cfg)
-    n_list = [2 * m + 1 for m in range(1, cfg.m_max + 1)]
-    ref = _order4_reference(cfg, pot, params, grid)
-    series = trotter_constant(params, grid, pot, n_list, ref)
+    pot, params, grid = _setup(cfg)
+    series = ladder(pot, params, grid, {}, cfg.m_max, cfg.n_ref, cfg.gh_points).constant
     rows = list(zip(series.n.tolist(), series.z.tolist(),
                     (series.z / series.z_ref).tolist(), series.c_n.tolist()))
     if cfg.out:
@@ -323,14 +266,14 @@ def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_mc_check(args, cfg: ExperimentConfig) -> int:
-    pot, params, grid = _system_defaults(cfg)
+    pot, params, grid = _setup(cfg)
     family = _family(cfg)
     if family not in FAMILIES or default_rule(family) is None:
         raise ValueError("mc-check needs a discrete reweighted kernel (order3 or order4)")
     # both estimators run at the grid points nearest x and x'
     pts = grid.points
     x, xp = float(pts[grid.nearest("x", cfg.x)]), float(pts[grid.nearest("x'", cfg.xp)])
-    kernel = _build_kernel(cfg, pot)
+    kernel = make_kernel(family, pot, cfg.gh_points)
     est, se = mc_density_ratio(kernel, params, x, xp, cfg.levels, cfg.samples, cfg.seed)
     if se == 0:
         # every sampled path has the same weight, typically 0 with an

@@ -572,14 +572,15 @@ def nmm_density_ratio(
     xp: float,
 ) -> float:
     """rho_n(x, x'; beta) / rho_fp(x, x'; beta) read off the propagated
-    matrix; x and x' must be grid points. An entry below its mirror entry,
-    which the folded power does not resolve, is recomputed from n+1
-    matrix-vector products. Raises ValueError when x or x' is not a grid
-    point, and when the ratio is not representable: rho_fp underflows for
-    points too far apart at this beta."""
+    matrix; x and x' must be grid points, to a millionth of a cell. An
+    entry below its mirror entry, which the folded power does not resolve,
+    is recomputed from n+1 matrix-vector products. Raises ValueError when
+    x or x' is not a grid point, and when the ratio is not representable:
+    rho_fp underflows for points too far apart at this beta."""
     i, j = grid.nearest("x", x), grid.nearest("x'", xp)
     pts = grid.points
-    if abs(pts[i] - x) > 1e-9 or abs(pts[j] - xp) > 1e-9:
+    # relative to the cell: on a fine grid an absolute tolerance spans cells
+    if max(abs(pts[i] - x), abs(pts[j] - xp)) > 1e-6 * grid.h:
         raise ValueError("x and x' must lie on the grid")
     mat = build_matrix(kernel, params, grid, n)
     p = _finite_power(mat.values, n + 1)

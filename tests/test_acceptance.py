@@ -3,24 +3,20 @@
 Heavy artifacts (references, ladders, Monte Carlo samples) are shared
 through module-scoped fixtures; each criterion prints its own pass/fail
 line (visible with ``pytest -s``). The full module is the long end of the
-test suite: it took 328 s on a 2-vCPU Intel Xeon VM (numpy 2.4, OpenBLAS),
-304 s of it in the convergence-order ladders.
+test suite: ``pytest -s tests/test_acceptance.py`` took 144 s on a 2-vCPU
+Intel Xeon VM (numpy 2.4.6, OpenBLAS), 130 s of it in the
+convergence-order ladders.
 """
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rwpath.calibration import calibrate, calibrated_system
-from rwpath.kernels import (
-    DiscreteReweightedKernel,
-    PhysicalParams,
-    TrotterKernel,
-    units_constant,
-)
+from rwpath.experiments import SYSTEMS, BenchmarkSystem, ladder, make_kernel
+from rwpath.kernels import DiscreteReweightedKernel, PhysicalParams, units_constant
 from rwpath.moments import (
     MomentIndex,
     brownian_moment,
@@ -32,7 +28,7 @@ from rwpath.moments import (
     sample_spec_moments,
     verify_order,
 )
-from rwpath.potentials import harmonic, he_cage, quartic
+from rwpath.potentials import he_cage, quartic
 from rwpath.processes import (
     covariance,
     exact_brownian,
@@ -40,14 +36,10 @@ from rwpath.processes import (
     variance_identity_error,
 )
 from rwpath.propagation import (
-    SpatialGrid,
     build_matrix,
     mc_density_ratio,
     nmm_density_ratio,
-    order_diagnostic,
     partition_function,
-    reference_z,
-    trotter_constant,
 )
 from rwpath.quadrature import (
     composite_legendre_01,
@@ -70,16 +62,6 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 # ---------------------------------------------------------------- fixtures
 
-@dataclass
-class LadderBundle:
-    ref: object
-    trotter: object
-    order3: object
-    order4: object
-    constant: object
-    seconds: float
-
-
 @pytest.fixture(scope="module")
 def calibrations():
     t0 = time.perf_counter()
@@ -88,42 +70,13 @@ def calibrations():
 
 
 @pytest.fixture(scope="module")
-def quartic_bundle():
+def ladders():
+    """The ladders of every benchmark system that has them (the quartic and
+    the helium cage), and their wall time."""
     t0 = time.perf_counter()
-    params = PhysicalParams(beta=10.0)
-    grid = SpatialGrid(-4.0, 4.0, 400)
-    pot = quartic()
-    s4, r4 = calibrated_system("order4-discrete")
-    s3, r3 = calibrated_system("order3-discrete")
-    k4 = DiscreteReweightedKernel(s4, pot, r4)
-    k3 = DiscreteReweightedKernel(s3, pot, r3)
-    ref = reference_z(k4, params, grid, 968)
-    trotter = order_diagnostic(TrotterKernel(pot), params, grid, range(1, 61), ref.value)
-    order3 = order_diagnostic(k3, params, grid, range(1, 61), ref.value)
-    order4 = order_diagnostic(k4, params, grid, range(1, 31), ref.value)
-    constant = trotter_constant(
-        params, grid, pot, [2 * m + 1 for m in range(1, 61)], reference=ref
-    )
-    return LadderBundle(ref, trotter, order3, order4, constant, time.perf_counter() - t0)
-
-
-@pytest.fixture(scope="module")
-def he_bundle():
-    t0 = time.perf_counter()
-    params = PhysicalParams(beta=1.0 / 5.11, hbar=math.sqrt(units_constant()), mass=4.0)
-    pot = he_cage()
-    grid = SpatialGrid(0.0, pot.params["box"], 500)
-    s4, r4 = calibrated_system("order4-discrete")
-    s3, r3 = calibrated_system("order3-discrete")
-    k4 = DiscreteReweightedKernel(s4, pot, r4)
-    k3 = DiscreteReweightedKernel(s3, pot, r3)
-    ref = reference_z(k4, params, grid, 904)
-    order3 = order_diagnostic(k3, params, grid, range(1, 41), ref.value)
-    order4 = order_diagnostic(k4, params, grid, range(1, 57), ref.value)
-    constant = trotter_constant(
-        params, grid, pot, list(range(3, 242, 2)), reference=ref
-    )
-    return LadderBundle(ref, None, order3, order4, constant, time.perf_counter() - t0)
+    runs = {name: ladder(*row.resolve(), row.tops, row.constant_top)
+            for name, row in SYSTEMS.items() if row.tops}
+    return runs, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -227,16 +180,16 @@ def test_criterion_4_oracle_equivalence(mc_samples):
     report(4, True, f"{checked} index/spec pairs, worst deviation {worst:.2f} sigma")
 
 
-def test_criterion_5_convergence_orders(quartic_bundle, he_bundle):
-    q, h = quartic_bundle, he_bundle
+def test_criterion_5_convergence_orders(ladders):
+    runs, elapsed = ladders
+    q, h = runs["quartic"], runs["he-cage"]
     slopes = {
-        "quartic-trotter": (q.trotter.slope, 2.0, 0.1),
-        "quartic-order3": (q.order3.slope, 3.0, 0.1),
-        "quartic-order4": (q.order4.slope, 4.0, 0.15),
-        "he-order3": (h.order3.slope, 3.0, 0.2),
-        "he-order4": (h.order4.slope, 4.0, 0.2),
+        "quartic-trotter": (q.orders["trotter"].slope, 2.0, 0.1),
+        "quartic-order3": (q.orders["order3-discrete"].slope, 3.0, 0.1),
+        "quartic-order4": (q.orders["order4-discrete"].slope, 4.0, 0.15),
+        "he-order3": (h.orders["order3-discrete"].slope, 3.0, 0.2),
+        "he-order4": (h.orders["order4-discrete"].slope, 4.0, 0.2),
     }
-    elapsed = q.seconds + h.seconds
     detail = ", ".join(f"{k}={v[0]:.3f}" for k, v in slopes.items())
     ok = all(abs(v[0] - v[1]) < v[2] for v in slopes.values()) and elapsed < 1800.0
     report(5, ok, detail + f"; {elapsed:.0f}s")
@@ -245,9 +198,9 @@ def test_criterion_5_convergence_orders(quartic_bundle, he_bundle):
     assert elapsed < 1800.0
 
 
-def test_criterion_6_trotter_convergence_constant(quartic_bundle, he_bundle):
-    q = quartic_bundle.constant
-    h = he_bundle.constant
+def test_criterion_6_trotter_convergence_constant(ladders):
+    runs, _ = ladders
+    q, h = runs["quartic"].constant, runs["he-cage"].constant
     q_cth_ok = abs(q.c_th - 88.35) / 88.35 < 0.005
     q_cn_ok = q.rel_err_last < 0.01
     h_ok = h.rel_err_last < 0.02
@@ -262,11 +215,20 @@ def test_criterion_6_trotter_convergence_constant(quartic_bundle, he_bundle):
     assert h_ok
 
 
+def test_ladders_run_the_benchmark_set_ups(ladders):
+    # criteria 5 and 6 are stated for these set-ups; SYSTEMS may not drift
+    assert SYSTEMS["quartic"] == BenchmarkSystem(
+        quartic, 10.0, 1.0, 1.0, (-4.0, 4.0, 400),
+        {"trotter": 60, "order3-discrete": 60, "order4-discrete": 30}, 60)
+    assert SYSTEMS["he-cage"] == BenchmarkSystem(
+        he_cage, 1.0 / 5.11, math.sqrt(units_constant()), 4.0, (0.0, 7.153, 500),
+        {"order3-discrete": 40, "order4-discrete": 56}, 120)
+    assert [run.reference.n_ref for run in ladders[0].values()] == [968, 904]
+
+
 def test_criterion_7_harmonic_analytic_cross_check():
-    params = PhysicalParams(beta=10.0)
-    grid = SpatialGrid(-5.0, 5.0, 300)
-    s4, r4 = calibrated_system("order4-discrete")
-    kernel = DiscreteReweightedKernel(s4, harmonic(1.0), r4)
+    pot, params, grid = SYSTEMS["harmonic"].resolve()
+    kernel = make_kernel("order4-discrete", pot)
     z = partition_function(build_matrix(kernel, params, grid, 63))
     z_want = 1.0 / (2.0 * math.sinh(5.0))
     z_ok = abs(z - z_want) / z_want < 1e-5
@@ -274,7 +236,7 @@ def test_criterion_7_harmonic_analytic_cross_check():
     # short-time residual order: the kernel's action on a smooth state gains
     # five binary digits per halving of beta (the pointwise diagonal residual
     # is one order lower and is checked only for magnitude)
-    kernel14 = DiscreteReweightedKernel(s4, harmonic(1.0), r4, gh_points=14)
+    kernel14 = make_kernel("order4-discrete", pot, gh_points=14)
 
     def mehler(beta, x, xg):
         s, c = math.sinh(beta), math.cosh(beta)
@@ -308,10 +270,8 @@ def test_criterion_7_harmonic_analytic_cross_check():
 
 
 def test_criterion_8_monte_carlo_cross_check():
-    params = PhysicalParams(beta=1.0)
-    grid = SpatialGrid(-4.0, 4.0, 400)
-    s4, r4 = calibrated_system("order4-discrete")
-    kernel = DiscreteReweightedKernel(s4, quartic(), r4)
+    pot, params, grid = SYSTEMS["quartic"].resolve(beta=1.0)
+    kernel = make_kernel("order4-discrete", pot)
     est, se = mc_density_ratio(kernel, params, 0.0, 0.0, 3, 1_000_000, seed=7)
     want = nmm_density_ratio(kernel, params, grid, 7, 0.0, 0.0)
     z = abs(est - want) / se

@@ -79,20 +79,6 @@ def test_order_subcommand_writes_csv_and_json(tmp_path, capsys):
     assert len(lines) == 9  # header + one row per m
 
 
-def test_order4_ladder_reuses_its_kernel_for_the_reference(capsys, monkeypatch):
-    import rwpath.cli as cli
-
-    calls = []
-    real = cli.calibrated_system
-    monkeypatch.setattr(cli, "calibrated_system", lambda family: calls.append(family) or real(family))
-    code, _, _ = run_cli(
-        capsys, "order", "--potential", "harmonic", "--kernel", "order4", "--beta", "2.0",
-        "--grid-a", "-6", "--grid-b", "6", "--grid-m", "80", "--m-max", "4", "--n-ref", "72",
-    )
-    assert code == 0
-    assert calls == ["order4-discrete"]
-
-
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     args = [
         "order",

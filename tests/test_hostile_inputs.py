@@ -24,6 +24,7 @@ import pytest
 import rwpath
 from rwpath import (
     FAMILIES,
+    SYSTEMS,
     CalibrationError,
     CalibrationResult,
     ContinuousReweightedKernel,
@@ -32,6 +33,7 @@ from rwpath import (
     DiscreteReweightedKernel,
     FreeParticleKernel,
     KernelMatrix,
+    LadderResult,
     LambdaSystem,
     MomentIndex,
     MomentSpec,
@@ -66,7 +68,9 @@ from rwpath import (
     he_cage,
     integrate_01,
     is_palindromic,
+    ladder,
     make_custom,
+    make_kernel,
     make_order3,
     make_order4,
     matrix_power,
@@ -326,7 +330,10 @@ ROWS = {
         refused=((r"^x and x' must lie on the grid",
                   lambda: nmm_density_ratio(K4, P, G, 1, 0.05, 0.0)),
                  (r"^x' = 4.2 lies outside the grid \[-4.0, 4.0\]",
-                  lambda: nmm_density_ratio(K4, P, G, 1, 0.0, 4.2))),
+                  lambda: nmm_density_ratio(K4, P, G, 1, 0.0, 4.2)),
+                 # half a cell from x = 0 on a grid finer than any absolute tolerance
+                 (r"^x and x' must lie on the grid",
+                  lambda: nmm_density_ratio(K4, P, SpatialGrid(0.0, 1e-10, 4), 1, 1.2e-11, 0.0))),
     ),
     "order_diagnostic": Row(
         lambda z_ref=REF.value, m_list=(1, 2, 3): order_diagnostic(TK, P, G, m_list, z_ref),
@@ -344,6 +351,27 @@ ROWS = {
          "reference": tuple(dataclasses.replace(REF, value=v) for v in POSITIVE)},
         {"n_list": "n", "reference": "reference Z"},
         refused=((r"^n_list must hold at least one", lambda: trotter_constant(P, G, quartic(), [], REF)),),
+    ),
+    # experiments
+    "BenchmarkSystem": Row(
+        lambda beta=2.0, a=-1.0, b=1.0, cells=4: SYSTEMS["harmonic"].resolve(beta, a, b, cells),
+        {"beta": POSITIVE, "a": FINITE, "b": FINITE, "cells": count(2)},
+        {"a": "grid a", "b": "grid b", "cells": "grid cells"},
+        note="resolve passes its overrides to PhysicalParams and SpatialGrid",
+    ),
+    "LadderResult": Row(lambda: LadderResult(REF, {"trotter": SERIES}, None), note=RECORD),
+    "SYSTEMS": Row(lambda: SYSTEMS, note="a read-only table of BenchmarkSystem rows"),
+    "ladder": Row(
+        lambda m_top=3, constant_top=2, n_ref=127, gh_points=4: ladder(
+            quartic(), P, G, {"trotter": m_top}, constant_top, n_ref, gh_points),
+        {"m_top": count(0), "constant_top": count(0), "n_ref": count(0), "gh_points": count(1)},
+        refused=((r"^a ladder with no rungs needs an explicit n_ref",
+                  lambda: ladder(quartic(), P, G, {})),),
+    ),
+    "make_kernel": Row(
+        lambda gh_points=2: make_kernel("order4-discrete", quartic(), gh_points),
+        {"gh_points": count(1)},
+        refused=((r"^unknown family 'bogus'", lambda: make_kernel("bogus", quartic())),),
     ),
 }
 
@@ -446,5 +474,20 @@ def test_only_the_checks_module_words_the_scalar_rule():
         if path not in (src / "_checks.py", tests / "test_hostile_inputs.py", tests / "test_cli.py")
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if re.search(r"must be (finite|an integer)", line)
+    ]
+    assert offenders == []
+
+
+def test_only_the_experiment_table_writes_the_benchmark_set_ups():
+    # the helium temperature and the acceptance runs' n_ref (968 and 904, by
+    # ladder's rule) live in experiments.py; the acceptance suite pins them,
+    # and the unit tests keep their own small set-ups
+    src = Path(rwpath.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py")) + sorted((src.parents[1] / "demos").glob("*.py"))
+        if path != src / "experiments.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"(?<![\d.])(5\.11|968|904)(?!\d)", line)
     ]
     assert offenders == []

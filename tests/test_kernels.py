@@ -8,6 +8,7 @@ import pytest
 
 from rwpath import kernels
 from rwpath.calibration import calibrated_system
+from rwpath.experiments import SYSTEMS
 from rwpath.kernels import (
     ContinuousReweightedKernel,
     DiscreteReweightedKernel,
@@ -33,6 +34,9 @@ def mehler_kernel(params: PhysicalParams, omega: float, x: float, xp: float) -> 
 
 ORDER4 = calibrated_system("order4-discrete")
 ORDER3 = calibrated_system("order3-discrete")
+HE_PARAMS = SYSTEMS["he-cage"].resolve()[1]
+# helium slice of an n = 57 rung
+HE_SLICE = PhysicalParams(1 / (5.11 * 58), math.sqrt(units_constant()), 4.0)
 
 
 def test_units_constant_codata():
@@ -46,8 +50,7 @@ def test_units_constant_dimensionless_mode():
 
 
 def test_sigma_for_helium_is_positive_finite():
-    p = PhysicalParams(beta=1 / 5.11, hbar=math.sqrt(units_constant()), mass=4.0)
-    assert 0.0 < p.sigma < 10.0
+    assert 0.0 < HE_PARAMS.sigma < 10.0
 
 
 def test_params_validation():
@@ -115,7 +118,7 @@ def test_kernel_symmetry_on_random_pairs():
 @pytest.mark.parametrize(
     "pot,params,lo,hi",
     [
-        (he_cage(), PhysicalParams(1 / (5.11 * 58), math.sqrt(units_constant()), 4.0), 0.0, 7.153),
+        (he_cage(), HE_SLICE, 0.0, 7.153),
         (quartic(), PhysicalParams(beta=0.25), -2.0, 2.0),
     ],
 )
@@ -137,7 +140,6 @@ def test_ratio_is_chunk_invariant(pot, params, lo, hi):
 
 # pairs per unit of an order-4 ratio: 1000 Gauss-Hermite nodes in blocks of 100
 ORDER4_PBLOCK = kernels._WORK_UNIT // kernels._GH_BLOCK
-HE_PARAMS = PhysicalParams(1 / 5.11, math.sqrt(units_constant()), 4.0)
 
 
 @pytest.mark.parametrize(
@@ -278,10 +280,6 @@ def plain_exp_unit_loop(kernel, params, x, xp):
         wall = ~(np.isfinite(kernel.potential.value(xf)) & np.isfinite(kernel.potential.value(xf + dxf)))
     acc[wall] = 0.0
     return acc, exponents
-
-
-# helium slice of an n = 57 rung
-HE_SLICE = PhysicalParams(1 / (5.11 * 58), math.sqrt(units_constant()), 4.0)
 
 
 @pytest.mark.parametrize(
@@ -433,11 +431,10 @@ def test_short_time_limit_toward_reference_path_average():
 
 
 def test_infinite_walls_give_zero_density_not_errors():
-    p = PhysicalParams(beta=1 / 5.11, hbar=math.sqrt(units_constant()), mass=4.0)
     kernel = DiscreteReweightedKernel(ORDER4[0], he_cage(), ORDER4[1])
-    assert kernel.rho0(p, 0.0, 3.5) == 0.0
-    assert kernel.rho0(p, 7.153, 7.153) == 0.0
-    inside = kernel.rho0(p.with_beta(p.beta / 16), 3.5, 3.6)
+    assert kernel.rho0(HE_PARAMS, 0.0, 3.5) == 0.0
+    assert kernel.rho0(HE_PARAMS, 7.153, 7.153) == 0.0
+    inside = kernel.rho0(HE_PARAMS.with_beta(HE_PARAMS.beta / 16), 3.5, 3.6)
     assert inside > 0.0
 
 

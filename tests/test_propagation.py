@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rwpath import kernels
+from rwpath import calibration, kernels
 from rwpath.calibration import calibrated_system
+from rwpath.experiments import SYSTEMS, ladder
 from rwpath.kernels import (
     _GH_BLOCK,
     _WORK_UNIT,
@@ -15,9 +17,8 @@ from rwpath.kernels import (
     ShortTimeKernel,
     TrotterKernel,
     rho_fp,
-    units_constant,
 )
-from rwpath.potentials import custom_potential, harmonic, he_cage, quartic
+from rwpath.potentials import custom_potential, harmonic, quartic
 from rwpath.processes import path_basis
 from rwpath.propagation import (
     _MC_BATCH,
@@ -395,15 +396,12 @@ def dense_dvr_eigenvalues(potential, params, grid):
     return np.linalg.eigvalsh(t + np.diag(v))
 
 
-HE_PARAMS = PhysicalParams(beta=1.0 / 5.11, hbar=math.sqrt(units_constant()), mass=4.0)
-
-
 @pytest.mark.parametrize(
     "potential, params, grid",
     [
-        (he_cage(), HE_PARAMS, SpatialGrid(0.0, he_cage().params["box"], 500)),
-        (quartic(), PhysicalParams(beta=10.0), SpatialGrid(-4.0, 4.0, 400)),
-        (harmonic(1.0), PhysicalParams(beta=10.0), SpatialGrid(-5.0, 5.0, 7)),
+        SYSTEMS["he-cage"].resolve(),
+        SYSTEMS["quartic"].resolve(),
+        SYSTEMS["harmonic"].resolve(cells=7),
     ],
     ids=["helium", "quartic", "harmonic-odd"],
 )
@@ -425,10 +423,7 @@ def traced_peak(fn, *args):
 
 @pytest.mark.parametrize(
     "potential, params, grid",
-    [
-        (he_cage(), HE_PARAMS, SpatialGrid(0.0, he_cage().params["box"], 500)),
-        (quartic(), PhysicalParams(beta=10.0), SpatialGrid(-4.0, 4.0, 400)),
-    ],
+    [SYSTEMS["he-cage"].resolve(), SYSTEMS["quartic"].resolve()],
     ids=["helium", "quartic"],
 )
 def test_dvr_eigenvalues_hold_one_hamiltonian(potential, params, grid):
@@ -584,22 +579,6 @@ def test_doubling_grid_cells_leaves_z_unchanged():
     assert abs(z_coarse - z_fine) / z_fine < 1e-8
 
 
-def test_order_diagnostic_requires_consecutive_m():
-    p = PhysicalParams(beta=2.0)
-    g = SpatialGrid(-4.0, 4.0, 50)
-    kernel = TrotterKernel(quartic())
-    with pytest.raises(ValueError):
-        order_diagnostic(kernel, p, g, [1, 3, 5], 1.0)
-
-
-@pytest.mark.parametrize("z_ref", [0.0, -1.0, math.nan, math.inf])
-def test_order_diagnostic_rejects_z_ref_not_finite_and_positive(z_ref):
-    p = PhysicalParams(beta=2.0)
-    g = SpatialGrid(-4.0, 4.0, 50)
-    with pytest.raises(ValueError, match="finite and positive"):
-        order_diagnostic(TrotterKernel(quartic()), p, g, [1, 2, 3], z_ref)
-
-
 def test_order_diagnostic_truncates_on_reference_limit():
     p = PhysicalParams(beta=2.0)
     g = SpatialGrid(-5.0, 5.0, 80)
@@ -641,6 +620,30 @@ def test_trotter_constant_harmonic_analytic():
     want = beta**3 / 24.0 * 0.5 / math.tanh(beta / 2.0)
     assert series.c_th == pytest.approx(want, rel=1e-4)
     assert series.c_n[-1] == pytest.approx(want, rel=0.05)
+
+
+def assert_same_bits(got, want):
+    for field in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name),
+                                      err_msg=field.name)
+
+
+def test_ladder_keeps_the_bits_of_the_hand_written_sequence(monkeypatch):
+    # the CLI tests' small harmonic set-up
+    calls = []
+    real = calibration.calibrate
+    monkeypatch.setattr(calibration, "calibrate", lambda family: calls.append(family) or real(family))
+    pot, p, g = SYSTEMS["harmonic"].resolve(2.0, -6.0, 6.0, 80)
+    run = ladder(pot, p, g, {"trotter": 5, "order4-discrete": 4}, 5, n_ref=88)
+    # the order-4 ladder's kernel builds the reference too
+    assert calls == ["order4-discrete"]
+    k4 = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
+    ref = reference_z(k4, p, g, 88)
+    assert_same_bits(run.reference, ref)
+    trotter = order_diagnostic(TrotterKernel(pot), p, g, range(1, 6), ref.value)
+    assert_same_bits(run.orders["trotter"], trotter)
+    assert_same_bits(run.orders["order4-discrete"], order_diagnostic(k4, p, g, range(1, 5), ref.value))
+    assert_same_bits(run.constant, trotter_constant(p, g, pot, [3, 5, 7, 9, 11], ref))
 
 
 def test_trotter_constant_free_particle_is_zero():
@@ -705,39 +708,13 @@ def test_he_cage_reference_free_energy_stability():
     # the helium cage at 5.11 K is ground-state dominated (the eigensolve gap
     # puts the thermal tail near 1%); the propagated free energy must track
     # the independent eigensolve to 1e-6 relative at beta and at 1.2 beta
-    import math as _math
-
-    from rwpath.kernels import units_constant
-    from rwpath.potentials import he_cage
-    from rwpath.propagation import dvr_partition_function
-
-    pot = he_cage()
-    grid = SpatialGrid(0.0, pot.params["box"], 300)
-    base = PhysicalParams(beta=1 / 5.11, hbar=_math.sqrt(units_constant()), mass=4.0)
+    pot, base, grid = SYSTEMS["he-cage"].resolve(cells=300)
     kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
     for params in (base, base.with_beta(1.2 * base.beta)):
         ref = reference_z(kernel, params, grid, 320)
-        f_nmm = -_math.log(ref.value) / params.beta
-        f_dvr = -_math.log(ref.eigensolve_value) / params.beta
+        f_nmm = -math.log(ref.value) / params.beta
+        f_dvr = -math.log(ref.eigensolve_value) / params.beta
         assert abs(f_nmm - f_dvr) / abs(f_dvr) < 1e-6
-
-
-def test_nmm_density_ratio_requires_grid_point():
-    p = PhysicalParams(beta=1.0)
-    g = SpatialGrid(-4.0, 4.0, 100)
-    kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
-    with pytest.raises(ValueError):
-        nmm_density_ratio(kernel, p, g, 3, 0.017, 0.0)
-
-
-def test_trotter_constant_rejects_empty_n_list():
-    g = SpatialGrid(-4.0, 4.0, 80)
-    ref = ReferenceZ(
-        value=1.0, n_ref=7, eigensolve_value=1.0, rel_gap=0.0,
-        diag_density=np.ones(g.points.size), grid=g,
-    )
-    with pytest.raises(ValueError, match="at least one"):
-        trotter_constant(PhysicalParams(beta=10.0), g, quartic(), [], ref)
 
 
 def test_mc_density_ratio_zero_potential_zero_variance():
