@@ -1,7 +1,8 @@
 """Checks of the scalar arguments of the public entry points: a physical
-value is finite (and positive where required), a count is an integer at or
-above a floor. Each is written so that NaN fails, refuses a bool, accepts
-numpy numbers and raises ValueError naming the argument.
+value is finite (and positive where required), an integer may have any
+sign, and a count is an integer at or above a floor. Each is written so
+that NaN fails, refuses a bool, accepts numpy numbers and raises ValueError
+naming the argument.
 """
 
 import math
@@ -20,6 +21,14 @@ def positive(name: str, value) -> None:
     """Refuse ``value`` unless it is a finite real number above 0."""
     if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int, refused unless it is an integer; an integral
+    float such as 2.0 is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def count(name: str, value, low: int) -> int:

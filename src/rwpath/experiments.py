@@ -97,12 +97,13 @@ def ladder(
     one. By default it takes n_ref = 8 (2 m + 1) steps, eight times the top
     rung, where m is the largest of ``tops``, or ``constant_top`` when
     ``tops`` is empty. Each family then runs the rungs m = 1..tops[family]
-    (n = 2m + 1), and the splitting constant the rungs m = 1..constant_top;
-    a top of 0 leaves an empty ladder, which its function refuses.
+    (n = 2m + 1), and the splitting constant the rungs m = 1..constant_top.
+    A top below 1 leaves an empty ladder, which its function refuses; the
+    default n_ref of a negative top is negative, which reference_z refuses.
     """
-    tops = {name: _checks.count("m_top", m, 0) for name, m in tops.items()}
+    tops = {name: _checks.integer("m_top", m) for name, m in tops.items()}
     if constant_top is not None:
-        constant_top = _checks.count("constant_top", constant_top, 0)
+        constant_top = _checks.integer("constant_top", constant_top)
     kernels = {name: make_kernel(name, potential, gh_points) for name in tops}
     if n_ref is None:
         top = max(tops.values(), default=constant_top)

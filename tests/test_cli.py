@@ -259,6 +259,21 @@ def test_trotter_constant_without_rungs_is_a_usage_error(capsys):
     assert err.startswith("error: ") and "at least one" in err
 
 
+@pytest.mark.parametrize("command, n_ref, message", [
+    # without --n-ref the reference takes 8 (2 m_max + 1) steps
+    ("order", (), "n_ref must be an integer >= 0, got -8"),
+    ("trotter-constant", (), "n_ref must be an integer >= 0, got -8"),
+    ("order", ("--n-ref", "72"), "m_list must be at least 3 consecutive increasing integers"),
+    ("trotter-constant", ("--n-ref", "72"), "n_list must hold at least one Trotter step count"),
+])
+def test_negative_m_max_is_refused_by_what_it_feeds(capsys, command, n_ref, message):
+    code, out, err = run_cli(
+        capsys, command, "--potential", "harmonic", "--beta", "2.0", "--grid-a", "-6",
+        "--grid-b", "6", "--grid-m", "80", "--m-max", "-1", *n_ref,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_order_too_few_rungs_is_a_usage_error(capsys):
     # two rungs give one alpha value: no slope, so no JSON with a NaN in it
     code, out, err = run_cli(capsys, "order", "--potential", "harmonic", "--m-max", "2")

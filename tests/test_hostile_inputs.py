@@ -97,6 +97,7 @@ from rwpath import (
 NAN, INF = math.nan, math.inf
 FINITE = (NAN, INF, -INF, True)
 POSITIVE = FINITE + (0.0, -1.0)
+INTEGER = (NAN, INF, -INF, 0.5, 1.0, True, np.True_)  # an integer of any sign
 
 
 def count(low: int) -> tuple:
@@ -364,9 +365,13 @@ ROWS = {
     "ladder": Row(
         lambda m_top=3, constant_top=2, n_ref=127, gh_points=4: ladder(
             quartic(), P, G, {"trotter": m_top}, constant_top, n_ref, gh_points),
-        {"m_top": count(0), "constant_top": count(0), "n_ref": count(0), "gh_points": count(1)},
+        {"m_top": INTEGER, "constant_top": INTEGER, "n_ref": count(0), "gh_points": count(1)},
         refused=((r"^a ladder with no rungs needs an explicit n_ref",
-                  lambda: ladder(quartic(), P, G, {})),),
+                  lambda: ladder(quartic(), P, G, {})),
+                 # a top below 1 is left to the functions it feeds, as the CLI's --m-max
+                 (r"^n_ref must be an integer >= 0, got -8", lambda: ladder(quartic(), P, G, {}, -1)),
+                 (r"^m_list must be at least 3", lambda: ladder(quartic(), P, G, {"trotter": 0}, None, 127)),
+                 (r"^n_list must hold at least one", lambda: ladder(quartic(), P, G, {}, -2, 127))),
     ),
     "make_kernel": Row(
         lambda gh_points=2: make_kernel("order4-discrete", quartic(), gh_points),
@@ -482,10 +487,11 @@ def test_only_the_experiment_table_writes_the_benchmark_set_ups():
     # the helium temperature and the acceptance runs' n_ref (968 and 904, by
     # ladder's rule) live in experiments.py; the acceptance suite pins them,
     # and the unit tests keep their own small set-ups
-    src = Path(rwpath.__file__).parent
+    src, demos = Path(rwpath.__file__).parent, Path(__file__).resolve().parents[1] / "demos"
+    assert demos.is_dir()
     offenders = [
         f"{path.name}:{n}"
-        for path in sorted(src.glob("*.py")) + sorted((src.parents[1] / "demos").glob("*.py"))
+        for path in sorted(src.glob("*.py")) + sorted(demos.glob("*.py"))
         if path != src / "experiments.py"
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if re.search(r"(?<![\d.])(5\.11|968|904)(?!\d)", line)

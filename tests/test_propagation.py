@@ -579,6 +579,22 @@ def test_doubling_grid_cells_leaves_z_unchanged():
     assert abs(z_coarse - z_fine) / z_fine < 1e-8
 
 
+def test_order_diagnostic_requires_consecutive_m():
+    p = PhysicalParams(beta=2.0)
+    g = SpatialGrid(-4.0, 4.0, 50)
+    kernel = TrotterKernel(quartic())
+    with pytest.raises(ValueError):
+        order_diagnostic(kernel, p, g, [1, 3, 5], 1.0)
+
+
+@pytest.mark.parametrize("z_ref", [0.0, -1.0, math.nan, math.inf])
+def test_order_diagnostic_rejects_z_ref_not_finite_and_positive(z_ref):
+    p = PhysicalParams(beta=2.0)
+    g = SpatialGrid(-4.0, 4.0, 50)
+    with pytest.raises(ValueError, match="finite and positive"):
+        order_diagnostic(TrotterKernel(quartic()), p, g, [1, 2, 3], z_ref)
+
+
 def test_order_diagnostic_truncates_on_reference_limit():
     p = PhysicalParams(beta=2.0)
     g = SpatialGrid(-5.0, 5.0, 80)
@@ -715,6 +731,24 @@ def test_he_cage_reference_free_energy_stability():
         f_nmm = -math.log(ref.value) / params.beta
         f_dvr = -math.log(ref.eigensolve_value) / params.beta
         assert abs(f_nmm - f_dvr) / abs(f_dvr) < 1e-6
+
+
+def test_nmm_density_ratio_requires_grid_point():
+    p = PhysicalParams(beta=1.0)
+    g = SpatialGrid(-4.0, 4.0, 100)
+    kernel = DiscreteReweightedKernel(ORDER4[0], quartic(), ORDER4[1])
+    with pytest.raises(ValueError):
+        nmm_density_ratio(kernel, p, g, 3, 0.017, 0.0)
+
+
+def test_trotter_constant_rejects_empty_n_list():
+    g = SpatialGrid(-4.0, 4.0, 80)
+    ref = ReferenceZ(
+        value=1.0, n_ref=7, eigensolve_value=1.0, rel_gap=0.0,
+        diag_density=np.ones(g.points.size), grid=g,
+    )
+    with pytest.raises(ValueError, match="at least one"):
+        trotter_constant(PhysicalParams(beta=10.0), g, quartic(), [], ref)
 
 
 def test_mc_density_ratio_zero_potential_zero_variance():
