@@ -81,6 +81,6 @@ from .propagation import (
     reference_z,
     trotter_constant,
 )
-from .experiments import SYSTEMS, BenchmarkSystem, LadderResult, ladder, make_kernel
+from .experiments import SYSTEMS, BenchmarkSystem, LadderResult, ladder, make_kernel, make_spec
 
 __version__ = "0.1.0"

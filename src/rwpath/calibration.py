@@ -198,17 +198,10 @@ def _row(family: str) -> _Family:
     return _FAMILIES[family]
 
 
-def default_rule(family: str) -> Rule1D | None:
-    """The time-average rule ``family`` is calibrated against: none for the
-    continuous variants, the 2- and 4-point Gauss-Legendre rules on [0, 1]
-    for the discrete order-3 and order-4 variants."""
-    return _row(family).rule
-
-
 def calibrate(family: str) -> CalibrationResult:
-    """Solve the residual system of ``family`` against its ``default_rule``
-    and return the constants: by bisection for one constant, by damped
-    least squares for two.
+    """Solve the residual system of ``family`` against its time rule and
+    return the constants: by bisection for one constant, by damped least
+    squares for two.
 
     A fixed guess per family seeds the solver next to the intended root, so
     calibration is reproducible: it always yields bit-identical constants.

@@ -26,25 +26,23 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import FAMILIES, CalibrationError, calibrate, calibrated_system, default_rule
-from .experiments import SYSTEMS, ladder, make_kernel
-from .moments import continuous_spec, discrete_spec, verify_order
-from .processes import exact_brownian, finite_kernel
+from .calibration import FAMILIES, CalibrationError, calibrate
+from .experiments import SYSTEMS, ladder, make_kernel, make_spec
+from .kernels import DiscreteReweightedKernel
+from .moments import verify_order
 from .propagation import mc_density_ratio, nmm_density_ratio
-from .quadrature import endpoint_trapezoid
 
 USAGE_ERROR = 2
 TOLERANCE_FAILURE = 1
 
-# --kernel names of the calibrated families; any other family name passes
-# through unchanged
+# --kernel names of the calibrated families; 'trotter' passes through unchanged
 _FAMILY_OF = {
     "order3": "order3-discrete",
     "order4": "order4-discrete",
     "order3-continuous": "order3-continuous",
     "order4-continuous": "order4-continuous",
 }
-KERNEL_CHOICES = ("trotter", "free-particle", *_FAMILY_OF)
+KERNEL_CHOICES = ("trotter", *_FAMILY_OF)
 
 POTENTIAL_CHOICES = tuple(SYSTEMS)
 
@@ -166,19 +164,6 @@ def _family(cfg: ExperimentConfig) -> str:
     return _FAMILY_OF.get(cfg.kernel, cfg.kernel)
 
 
-def _moment_spec(cfg: ExperimentConfig):
-    if cfg.kernel == "trotter":
-        # the splitting kernel samples the path at its endpoints only, where
-        # every system's covariance is Brownian
-        return discrete_spec(exact_brownian(), endpoint_trapezoid())
-    if cfg.kernel == "free-particle":
-        raise ValueError("the free-particle kernel has no moment identities to verify")
-    system, rule = calibrated_system(_family(cfg))
-    if rule is None:
-        return continuous_spec(finite_kernel(system))
-    return discrete_spec(finite_kernel(system), rule)
-
-
 def _emit(args, cfg: ExperimentConfig, payload: dict) -> dict:
     """Print ``payload`` as JSON, echoing the options the subcommand read."""
     payload = {"config": cfg.to_dict(READS[args.command]), **payload}
@@ -210,8 +195,7 @@ def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(args, cfg: ExperimentConfig) -> int:
-    spec = _moment_spec(cfg)
-    report = verify_order(spec, cfg.nu, cfg.tol)
+    report = verify_order(make_spec(_family(cfg)), cfg.nu, cfg.tol)
     payload = _emit(args, cfg, {"report": report.to_dict()})
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -267,13 +251,12 @@ def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
 
 def cmd_mc_check(args, cfg: ExperimentConfig) -> int:
     pot, params, grid = _setup(cfg)
-    family = _family(cfg)
-    if family not in FAMILIES or default_rule(family) is None:
+    kernel = make_kernel(_family(cfg), pot, cfg.gh_points)
+    if not isinstance(kernel, DiscreteReweightedKernel):
         raise ValueError("mc-check needs a discrete reweighted kernel (order3 or order4)")
     # both estimators run at the grid points nearest x and x'
     pts = grid.points
     x, xp = float(pts[grid.nearest("x", cfg.x)]), float(pts[grid.nearest("x'", cfg.xp)])
-    kernel = make_kernel(family, pot, cfg.gh_points)
     est, se = mc_density_ratio(kernel, params, x, xp, cfg.levels, cfg.samples, cfg.seed)
     if se == 0:
         # every sampled path has the same weight, typically 0 with an

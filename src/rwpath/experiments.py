@@ -1,8 +1,11 @@
-"""The benchmark systems and the one ladder run that measures them.
+"""The kernel names, the benchmark systems and the one ladder run that
+measures them.
 
-``SYSTEMS`` holds one row per benchmark system. ``ladder`` runs what every
-caller measures: an order-4 reference Z, one convergence-order ladder per
-kernel family, and the splitting-kernel constant against that reference.
+``make_kernel`` and ``make_spec`` are the only code that turns a kernel name
+into its kernel and its moment law. ``SYSTEMS`` holds one row per benchmark
+system. ``ladder`` runs what every caller measures: an order-4 reference Z,
+one convergence-order ladder per kernel family, and the splitting-kernel
+constant against that reference.
 """
 
 from __future__ import annotations
@@ -14,28 +17,41 @@ from typing import Callable, Mapping
 
 from . import _checks
 from .calibration import calibrated_system
-from .kernels import (ContinuousReweightedKernel, DiscreteReweightedKernel, FreeParticleKernel,
-                      PhysicalParams, ShortTimeKernel, TrotterKernel, units_constant)
+from .kernels import (ContinuousReweightedKernel, DiscreteReweightedKernel, PhysicalParams,
+                      ShortTimeKernel, TrotterKernel, units_constant)
+from .moments import MomentSpec
 from .potentials import Potential, harmonic, he_cage, quartic
+from .processes import exact_brownian, finite_kernel
 from .propagation import (DiagnosticsSeries, ReferenceZ, SpatialGrid, TrotterConstantSeries,
                           order_diagnostic, reference_z, trotter_constant)
+from .quadrature import endpoint_trapezoid
 
-__all__ = ["BenchmarkSystem", "SYSTEMS", "LadderResult", "make_kernel", "ladder"]
+__all__ = ["BenchmarkSystem", "SYSTEMS", "LadderResult", "make_kernel", "make_spec", "ladder"]
 
 
 def make_kernel(name: str, potential: Potential, gh_points: int = 10) -> ShortTimeKernel:
     """The kernel ``name`` on ``potential``: 'trotter' (endpoint splitting),
-    'free-particle', or the reweighted kernel of a calibrated family, which
-    averages over ``gh_points`` Gauss-Hermite nodes per bridge coefficient."""
+    or the reweighted kernel of a calibrated family, which averages over
+    ``gh_points`` Gauss-Hermite nodes per bridge coefficient."""
     gh_points = _checks.count("gh_points", gh_points, 1)
     if name == "trotter":
         return TrotterKernel(potential)
-    if name == "free-particle":
-        return FreeParticleKernel(potential)
     system, rule = calibrated_system(name)
     if rule is None:
         return ContinuousReweightedKernel(system, potential, gh_points=gh_points)
     return DiscreteReweightedKernel(system, potential, rule, gh_points)
+
+
+def make_spec(name: str) -> MomentSpec:
+    """The moment law of the kernel ``name``: for 'trotter' the Brownian path
+    at its two endpoints, for a calibrated family its path system averaged
+    by its time rule (exact time integrals when it has none)."""
+    if name == "trotter":
+        # the splitting kernel samples the path at its endpoints only, where
+        # every system's covariance is Brownian
+        return MomentSpec(exact_brownian(), endpoint_trapezoid())
+    system, rule = calibrated_system(name)
+    return MomentSpec(finite_kernel(system), rule)
 
 
 @dataclass(frozen=True)

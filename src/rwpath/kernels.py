@@ -98,6 +98,8 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("beta", "hbar", "mass"):
             _checks.positive(name, getattr(self, name))
+        # sigma and rho_fp need sigma^2 as a positive float
+        _checks.positive("sigma^2 = hbar^2 beta / mass", self.hbar * self.hbar * self.beta / self.mass)
 
     @property
     def sigma(self) -> float:
@@ -302,10 +304,8 @@ class ContinuousReweightedKernel(_ReweightedKernel):
 
     kind = "continuous-reweighted"
 
-    def __init__(self, system, potential, time_rule: Rule1D | None = None, gh_points: int = 10):
-        if time_rule is None:
-            time_rule = _EXACT_TIME_RULE
-        super().__init__(system, potential, time_rule, gh_points)
+    def __init__(self, system, potential, gh_points: int = 10):
+        super().__init__(system, potential, _EXACT_TIME_RULE, gh_points)
 
 
 class DiscreteReweightedKernel(_ReweightedKernel):

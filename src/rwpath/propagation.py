@@ -62,6 +62,8 @@ class SpatialGrid:
         if not self.b > self.a:
             raise ValueError("grid requires finite a < b")
         _checks.count("grid cells", self.cells, 2)
+        # dvr_eigenvalues divides by the squared width
+        _checks.positive("squared grid width (b - a)^2", (self.b - self.a) * (self.b - self.a))
 
     def nearest(self, name: str, value: float) -> int:
         """Index of the grid point nearest ``value``. A value that is not

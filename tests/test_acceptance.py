@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rwpath.calibration import calibrate, calibrated_system
-from rwpath.experiments import SYSTEMS, BenchmarkSystem, ladder, make_kernel
+from rwpath.experiments import SYSTEMS, BenchmarkSystem, ladder, make_kernel, make_spec
 from rwpath.kernels import DiscreteReweightedKernel, PhysicalParams, units_constant
 from rwpath.moments import (
     MomentIndex,
@@ -82,8 +82,7 @@ def ladders():
 @pytest.fixture(scope="module")
 def mc_samples():
     eb = continuous_spec(exact_brownian())
-    s4, r4 = calibrated_system("order4-discrete")
-    o4 = discrete_spec(finite_kernel(s4), r4)
+    o4 = make_spec("order4-discrete")
     return {
         "exact-brownian": (eb, sample_spec_moments(eb, 1_000_000, seed=101, max_power=6)),
         "order-4": (o4, sample_spec_moments(o4, 1_000_000, seed=202, max_power=6)),
@@ -116,10 +115,8 @@ def test_criterion_2_moment_identity_suite():
         ("order4-continuous", 4),
         ("order4-discrete", 4),
     ]:
-        system, rule = calibrated_system(family)
-        kern = finite_kernel(system)
-        tol = 1e-10 if rule is not None else 1e-7
-        spec = discrete_spec(kern, rule) if rule is not None else continuous_spec(kern)
+        spec = make_spec(family)
+        tol = 1e-10 if spec.is_discrete else 1e-7
         rep = verify_order(spec, nu, tol=tol)
         worst[family] = rep.max_residual
         assert rep.passed, f"{family}: max residual {rep.max_residual:.2e} > {tol}"

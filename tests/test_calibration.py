@@ -9,7 +9,6 @@ from rwpath.calibration import (
     CalibrationError,
     calibrate,
     calibrated_system,
-    default_rule,
     residual_order3,
     residual_order4,
 )
@@ -115,11 +114,23 @@ def test_result_serializes_to_json():
     assert len(payload["constants"]) == 1
 
 
+# Gauss-Legendre points of each family's time rule; None: exact time integrals
+RULE_POINTS = {"order3-continuous": None, "order3-discrete": 2,
+               "order4-continuous": None, "order4-discrete": 4}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_calibrated_system_carries_the_calibrated_constants_and_rule(family):
     system, rule = calibrated_system(family)
     assert system.params == calibrate(family).constants
-    assert rule is default_rule(family)
+    if RULE_POINTS[family] is None:
+        assert rule is None
+    else:
+        want = gauss_legendre_01(RULE_POINTS[family])
+        np.testing.assert_array_equal(rule.points, want.points)
+        np.testing.assert_array_equal(rule.weights, want.weights)
+    # every call hands out the one rule the family was calibrated against
+    assert calibrated_system(family)[1] is rule
 
 
 def test_calibrated_system_shapes():

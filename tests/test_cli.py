@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from rwpath.cli import OPTIONS, READS, ExperimentConfig, build_parser, load_config, main, resolve_config
+from rwpath.cli import (KERNEL_CHOICES, OPTIONS, READS, _FAMILY_OF, ExperimentConfig, build_parser,
+                        load_config, main, resolve_config)
+from rwpath.experiments import make_kernel, make_spec
+from rwpath.kernels import DiscreteReweightedKernel
+from rwpath.moments import verify_order
+from rwpath.potentials import harmonic
 
 
 def run_cli(capsys, *argv):
@@ -160,10 +165,30 @@ def test_verify_tol_not_finite_and_positive_is_a_usage_error(capsys, tol):
 
 
 def test_verify_free_particle_is_a_usage_error(capsys):
+    # the free particle ignores the potential, so no kernel name stands for it
     code, out, err = run_cli(capsys, "verify", "free-particle")
     assert code == 2
     assert out == ""
-    assert "no moment identities to verify" in err
+    assert "invalid choice: 'free-particle'" in err
+
+
+def test_order_free_particle_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "order", "--kernel", "free-particle", "--potential", "harmonic",
+                             "--m-max", "3", "--grid-m", "60")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'free-particle'" in err
+
+
+@pytest.mark.parametrize("name", KERNEL_CHOICES)
+def test_every_kernel_name_resolves_to_a_kernel_and_a_moment_law(capsys, name):
+    family = _FAMILY_OF.get(name, name)
+    kernel = make_kernel(family, harmonic(1.0))
+    assert verify_order(make_spec(family), 1).passed
+    _, _, err = run_cli(capsys, "mc-check", "--potential", "harmonic", "--kernel", name, "--levels", "0",
+                        "--samples", "2", "--gh-points", "2", "--grid-m", "20")
+    accepted = "mc-check needs a discrete reweighted kernel (order3 or order4)" not in err
+    assert accepted == isinstance(kernel, DiscreteReweightedKernel) == (name in ("order3", "order4"))
 
 
 def test_order_refused_reference_is_a_usage_error(capsys):
@@ -329,7 +354,7 @@ def test_config_file_explicit_constants_are_unknown_keys(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize(
-    "line", ["kernel = bogus", "kernel = order3-discrete", "potential = bogus"]
+    "line", ["kernel = bogus", "kernel = order3-discrete", "kernel = free-particle", "potential = bogus"]
 )
 def test_config_file_values_are_the_flag_choices(tmp_path, capsys, line):
     # a config value is held to the same choices as its flag

@@ -4,7 +4,8 @@ Each row holds a valid call whose keyword arguments stand for the numeric
 parameters, and the values each parameter must refuse: NaN, +-inf, 0, a
 negative value, a fraction and a bool wherever they are invalid. A refusal is
 a ValueError whose message starts with the parameter's name, as
-``rwpath._checks`` words it. A row may also list other refused calls with
+``rwpath._checks`` words it, followed by the words of the rule when the
+values are a ``Refused`` set. A row may also list other refused calls with
 their messages, and the result an elementwise function gives for NaN, which
 it passes through instead of refusing. Records that a public function
 returns, and the base classes, take no numeric input of their own; their
@@ -73,6 +74,7 @@ from rwpath import (
     make_kernel,
     make_order3,
     make_order4,
+    make_spec,
     matrix_power,
     mc_density_ratio,
     mc_moment_oracle,
@@ -94,16 +96,29 @@ from rwpath import (
     verify_order,
 )
 
+
+class Refused(tuple):
+    """Values that one rule refuses, and the words after "<name> must " that
+    its refusal starts with."""
+
+    def __new__(cls, words: str, values):
+        self = super().__new__(cls, values)
+        self.words = words
+        return self
+
+
 NAN, INF = math.nan, math.inf
-FINITE = (NAN, INF, -INF, True)
-POSITIVE = FINITE + (0.0, -1.0)
-INTEGER = (NAN, INF, -INF, 0.5, 1.0, True, np.True_)  # an integer of any sign
+FINITE = Refused("be finite, got", (NAN, INF, -INF, True))
+POSITIVE = Refused("be finite and positive, got", (*FINITE, 0.0, -1.0))
+# an integer of any sign
+INTEGER = Refused("be an integer, got", (NAN, INF, -INF, 0.5, 1.0, True, np.True_))
 
 
-def count(low: int) -> tuple:
+def count(low: int) -> Refused:
     """What a count of at least ``low`` refuses: NaN, +-inf, every integer
     from -1 up to ``low`` - 1, a fraction, an integral float and the bools."""
-    return (NAN, INF, -INF, *range(-1, low), low + 0.5, float(low + 1), True, np.True_)
+    return Refused(f"be an integer >= {low}, got",
+                   (NAN, INF, -INF, *range(-1, low), low + 0.5, float(low + 1), True, np.True_))
 
 
 class Row(NamedTuple):
@@ -136,8 +151,17 @@ ROWS = {
     # quadrature
     "Rule1D": Row(
         lambda points=(0.25, 0.75), weights=(0.5, 0.5): Rule1D(points, weights),
-        {"points": ((NAN, 0.75), (0.25, INF), (0.75, 0.25)),
-         "weights": ((NAN, 0.5), (0.5, INF), (0.0, 0.5), (-0.5, 0.5))},
+        {"points": Refused("be strictly increasing and finite",
+                           ((NAN, 0.75), (0.25, INF), (0.75, 0.25), (0.5, 0.2))),
+         "weights": Refused("be positive and finite",
+                            ((NAN, 0.5), (0.5, INF), (0.0, 0.5), (-0.5, 0.5), (0.5, NAN), (0.5, -0.5)))},
+        # a one-point rule, whose increment check is vacuous, and a middle entry
+        refused=((r"^points must be strictly increasing and finite", lambda: Rule1D((NAN,), (1.0,))),
+                 (r"^points must be strictly increasing and finite", lambda: Rule1D((INF,), (1.0,))),
+                 (r"^points must be strictly increasing and finite",
+                  lambda: Rule1D((0.2, NAN, 0.9), (0.3, 0.3, 0.4))),
+                 (r"^points must be strictly increasing and finite",
+                  lambda: Rule1D((0.2, INF, 0.9), (0.3, 0.3, 0.4)))),
         note="array arguments: every entry finite, points increasing, weights positive",
     ),
     "composite_legendre_01": Row(
@@ -149,7 +173,8 @@ ROWS = {
     "gauss_legendre_01": Row(lambda p=3: gauss_legendre_01(p), {"p": count(1)}),
     "integrate_01": Row(
         lambda: integrate_01(gauss_legendre_01(2), np.square),
-        refused=((r"^integrate_01 expects", lambda: integrate_01(gauss_hermite(2), np.square)),),
+        refused=((r"^integrate_01 expects", lambda: integrate_01(gauss_hermite(2), np.square)),
+                 (r"^integrate_01 expects", lambda: integrate_01(gauss_hermite(4), lambda u: u))),
         note="sums f at the rule's points; a NaN from f is its own result",
     ),
     "is_palindromic": Row(
@@ -194,7 +219,8 @@ ROWS = {
         {"mu": count(1), "j": ((-2, 2), (NAN, 1), (0.5, 0.75), (True, 0), (2.0, 0))},
         {"j": "multiplicity"},
         refused=((r"^index must have length", lambda: MomentIndex(1, (2,))),
-                 (r"^weighted multiplicities", lambda: MomentIndex(1, (1, 1)))),
+                 (r"^weighted multiplicities", lambda: MomentIndex(1, (1, 1))),
+                 (r"^weighted multiplicities", lambda: MomentIndex(2, (1, 0, 0, 0)))),
     ),
     "MomentSpec": Row(
         lambda: MomentSpec(exact_brownian(), endpoint_trapezoid()),
@@ -281,12 +307,19 @@ ROWS = {
         lambda gh_points=2: DiscreteReweightedKernel(SYS4, quartic(), RULE4, gh_points),
         {"gh_points": count(1)},
         refused=((r"^time-average rule must be palindromic", lambda: DiscreteReweightedKernel(
-            SYS4, quartic(), Rule1D((0.2, 0.5), (0.5, 0.5)))),),
+            SYS4, quartic(), Rule1D((0.2, 0.5), (0.5, 0.5)))),
+                 (r"^time-average rule must be palindromic", lambda: DiscreteReweightedKernel(
+                     SYS4, quartic(), Rule1D((0.2, 0.5, 0.9), (0.3, 0.3, 0.4))))),
     ),
     "FreeParticleKernel": Row(lambda: FreeParticleKernel(quartic())),
     "PhysicalParams": Row(
         lambda beta=1.0, hbar=1.0, mass=1.0: PhysicalParams(beta, hbar, mass),
         {"beta": POSITIVE, "hbar": POSITIVE, "mass": POSITIVE},
+        # sigma^2 overflows, or underflows to 0
+        refused=((r"^sigma\^2 = hbar\^2 beta / mass must be finite and positive, got inf$",
+                  lambda: PhysicalParams(1.0, hbar=1e200)),
+                 (r"^sigma\^2 = hbar\^2 beta / mass must be finite and positive, got 0\.0$",
+                  lambda: PhysicalParams(1.0, hbar=1e-200))),
     ),
     "ShortTimeKernel": Row(lambda: ShortTimeKernel(), note="abstract base class"),
     "TrotterKernel": Row(lambda: TrotterKernel(quartic())),
@@ -308,7 +341,12 @@ ROWS = {
         lambda a=-1.0, b=1.0, cells=4: SpatialGrid(a, b, cells),
         {"a": FINITE, "b": FINITE, "cells": count(2)},
         {"a": "grid a", "b": "grid b", "cells": "grid cells"},
-        refused=((r"^grid requires finite a < b", lambda: SpatialGrid(1.0, 0.0, 4)),),
+        refused=((r"^grid requires finite a < b", lambda: SpatialGrid(1.0, 0.0, 4)),
+                 # the squared width underflows to 0, or overflows
+                 (r"^squared grid width \(b - a\)\^2 must be finite and positive, got 0\.0$",
+                  lambda: SpatialGrid(0.0, 1e-300, 4)),
+                 (r"^squared grid width \(b - a\)\^2 must be finite and positive, got inf$",
+                  lambda: SpatialGrid(-1e300, 1e300, 4))),
     ),
     "build_matrix": Row(lambda n=1: build_matrix(TK, P, G, n), {"n": count(0)}),
     "dvr_eigenvalues": Row(
@@ -334,7 +372,9 @@ ROWS = {
                   lambda: nmm_density_ratio(K4, P, G, 1, 0.0, 4.2)),
                  # half a cell from x = 0 on a grid finer than any absolute tolerance
                  (r"^x and x' must lie on the grid",
-                  lambda: nmm_density_ratio(K4, P, SpatialGrid(0.0, 1e-10, 4), 1, 1.2e-11, 0.0))),
+                  lambda: nmm_density_ratio(K4, P, SpatialGrid(0.0, 1e-10, 4), 1, 1.2e-11, 0.0)),
+                 (r"^x and x' must lie on the grid",
+                  lambda: nmm_density_ratio(K4, P, SpatialGrid(-4.0, 4.0, 100), 3, 0.017, 0.0))),
     ),
     "order_diagnostic": Row(
         lambda z_ref=REF.value, m_list=(1, 2, 3): order_diagnostic(TK, P, G, m_list, z_ref),
@@ -376,7 +416,13 @@ ROWS = {
     "make_kernel": Row(
         lambda gh_points=2: make_kernel("order4-discrete", quartic(), gh_points),
         {"gh_points": count(1)},
-        refused=((r"^unknown family 'bogus'", lambda: make_kernel("bogus", quartic())),),
+        refused=((r"^unknown family 'bogus'", lambda: make_kernel("bogus", quartic())),
+                 (r"^unknown family 'free-particle'", lambda: make_kernel("free-particle", quartic()))),
+    ),
+    "make_spec": Row(
+        lambda: make_spec("trotter"),
+        refused=((r"^unknown family 'bogus'", lambda: make_spec("bogus")),
+                 (r"^unknown family 'free-particle'", lambda: make_spec("free-particle"))),
     ),
 }
 
@@ -420,7 +466,8 @@ def test_valid_call_is_accepted(name):
 @pytest.mark.parametrize("name, arg, value", HOSTILE)
 def test_hostile_value_is_refused(name, arg, value):
     label = ROWS[name].labels.get(arg, arg)
-    with pytest.raises(ValueError, match=f"^{re.escape(label)} must "):
+    words = getattr(ROWS[name].hostile[arg], "words", "")
+    with pytest.raises(ValueError, match=f"^{re.escape(label)} must {re.escape(words)}"):
         ROWS[name].call(**{arg: value})
 
 

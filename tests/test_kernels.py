@@ -53,17 +53,6 @@ def test_sigma_for_helium_is_positive_finite():
     assert 0.0 < HE_PARAMS.sigma < 10.0
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        PhysicalParams(beta=-1.0)
-    with pytest.raises(ValueError):
-        PhysicalParams(beta=1.0, mass=0.0)
-    for field in ("beta", "hbar", "mass"):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                PhysicalParams(**{"beta": 1.0, field: value})
-
-
 def test_rho_fp_peak_and_symmetry():
     p = PhysicalParams(beta=1.0)
     assert rho_fp(p, 0.0, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
@@ -455,7 +444,7 @@ def test_reweighted_kernel_requires_palindromic_rule():
     # on this rule ratio(0.3, 1.1) and ratio(1.1, 0.3) differ by 10%, which
     # build_matrix's mirrored lower triangle would hide
     with pytest.raises(ValueError):
-        ContinuousReweightedKernel(ORDER4[0], quartic(), Rule1D([0.2, 0.5, 0.9], [0.3, 0.3, 0.4]))
+        DiscreteReweightedKernel(ORDER4[0], quartic(), Rule1D([0.2, 0.5, 0.9], [0.3, 0.3, 0.4]))
 
 
 def test_continuous_and_discrete_reweighted_agree_at_small_beta():
