@@ -1,10 +1,11 @@
-"""Solvers for the free constants of the order-3 and order-4 path systems.
+"""One solver for the free constants of the order-3 and order-4 path systems.
 
 The third-order family has one free rotation rate fixed by a single
 centroid-variance residual; the fourth-order family has two constants fixed
 by a 2x2 residual system (zero mean of the second bridge function, and a
 Gram-matrix square-sum condition). Both come in a continuous variant (exact
-time integrals) and a discrete variant (quadrature sums).
+time integrals) and a discrete variant (quadrature sums). All four residual
+systems are solved by the same damped least-squares iteration.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ __all__ = [
     "calibrated_system",
 ]
 
-# Iteration cap of the order-4 solver; the order-3 bisection gets ten times
-# as many halvings.
+# Iteration cap of the damped least-squares solver.
 _MAX_ITER = 100
 
 
@@ -101,28 +101,6 @@ class CalibrationError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.residual_norm = residual_norm
-
-
-def _bracketed_root(f, lo: float, hi: float, max_iter: int) -> tuple[float, int]:
-    """Bisection root-finder; expands the bracket around [lo, hi] if needed."""
-    flo, fhi = f(lo), f(hi)
-    grow = 0
-    while flo * fhi > 0 and grow < 60:
-        lo, hi = lo - 0.25, hi + 0.25
-        flo, fhi = f(lo), f(hi)
-        grow += 1
-    if flo * fhi > 0:
-        raise CalibrationError("failed to bracket a root", (0.5 * (lo + hi),), float("inf"))
-    it = 0
-    while hi - lo > 1e-14 and it < max_iter:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if flo * fmid <= 0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-        it += 1
-    return 0.5 * (lo + hi), it
 
 
 def _fd_jacobian(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -199,24 +177,17 @@ def _row(family: str) -> _Family:
 
 
 def calibrate(family: str) -> CalibrationResult:
-    """Solve the residual system of ``family`` against its time rule and
-    return the constants: by bisection for one constant, by damped least
-    squares for two.
+    """Solve the residual system of ``family`` against its time rule by
+    damped least squares and return the constants.
 
     A fixed guess per family seeds the solver next to the intended root, so
     calibration is reproducible: it always yields bit-identical constants.
     """
     row = _row(family)
-    if len(row.guess) == 1:
-        fun = lambda a: row.residual(a, row.rule)
-        root, iters = _bracketed_root(fun, row.guess[0] - 0.5, row.guess[0] + 0.5, _MAX_ITER * 10)
-        constants = (float(root),)
-        resid = abs(fun(root))
-    else:
-        fun = lambda x: np.array(row.residual(*x, row.rule))
-        x, iters = _levenberg_marquardt(fun, np.asarray(row.guess), _MAX_ITER)
-        constants = tuple(float(c) for c in x)
-        resid = float(np.max(np.abs(fun(x))))
+    fun = lambda x: np.atleast_1d(row.residual(*x, row.rule))
+    x, iters = _levenberg_marquardt(fun, np.asarray(row.guess), _MAX_ITER)
+    constants = tuple(float(c) for c in x)
+    resid = float(np.max(np.abs(fun(x))))
     if resid > 1e-10:
         raise CalibrationError(
             f"calibration of {family} did not converge (residual {resid:.3e})",

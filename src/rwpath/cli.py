@@ -9,12 +9,15 @@ cross-check:
   trotter-constant observed vs predicted splitting-kernel constant
   mc-check         chained-path Monte Carlo vs matrix propagation
 
-Each subcommand accepts exactly the options it reads (``READS``), as flags
-or config keys. Results are printed as JSON, echoing the resolved values
-of those options; ladders are additionally written as CSV with `--out`.
+Every option is declared once, in ``OPTIONS``: its type, its default and
+its choices. Each subcommand accepts exactly the options it reads
+(``READS``), as flags or config keys, and its resolved config holds those
+options and no others. Results are printed as JSON, echoing that config;
+`--out` writes a ladder as CSV, or the `verify` JSON.
 Exit codes:
-0 success, 1 tolerance failure, 2 usage or configuration error (including a
-reference Z that is refused, overflows or underflows).
+0 success, 1 tolerance failure, 2 usage or configuration error (including an
+unreadable `--config`, an unwritable `--out`, and a reference Z that is
+refused, overflows or underflows).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,55 +50,35 @@ KERNEL_CHOICES = ("trotter", *_FAMILY_OF)
 POTENTIAL_CHOICES = tuple(SYSTEMS)
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved run configuration; every field has a default, and the JSON
-    echo of a config parses back to an identical config."""
+class Option(NamedTuple):
+    """A command-line option: its type, its default and its choices (None
+    for any value of the type)."""
 
-    potential: str = "quartic"
-    kernel: str = "order4"
-    nu: int = 4
-    beta: float | None = None
-    grid_a: float | None = None
-    grid_b: float | None = None
-    grid_m: int | None = None
-    m_max: int = 20
-    n_ref: int | None = None
-    gh_points: int = 10
-    levels: int = 3
-    samples: int = 100_000
-    seed: int = 0
-    x: float = 0.0
-    xp: float = 0.0
-    tol: float | None = None
-    out: str | None = None
-
-    def to_dict(self, keys=None) -> dict:
-        """The fields named in ``keys`` (all of them by default)."""
-        full = asdict(self)
-        return full if keys is None else {k: full[k] for k in keys}
+    kind: type
+    default: object = None
+    choices: tuple[str, ...] | None = None
 
 
-# Each option's type and choices: its flag is --name with '_' as '-', and
-# its config key is the name with either separator.
+# Every option, declared once: its flag is --name with '_' as '-', and its
+# config key is the name with either separator.
 OPTIONS = {
-    "potential": (str, POTENTIAL_CHOICES),
-    "kernel": (str, KERNEL_CHOICES),
-    "nu": (int, None),
-    "beta": (float, None),
-    "grid_a": (float, None),
-    "grid_b": (float, None),
-    "grid_m": (int, None),
-    "m_max": (int, None),
-    "n_ref": (int, None),
-    "gh_points": (int, None),
-    "levels": (int, None),
-    "samples": (int, None),
-    "seed": (int, None),
-    "x": (float, None),
-    "xp": (float, None),
-    "tol": (float, None),
-    "out": (str, None),
+    "potential": Option(str, "quartic", POTENTIAL_CHOICES),
+    "kernel": Option(str, "order4", KERNEL_CHOICES),
+    "nu": Option(int, 4),
+    "beta": Option(float),
+    "grid_a": Option(float),
+    "grid_b": Option(float),
+    "grid_m": Option(int),
+    "m_max": Option(int, 20),
+    "n_ref": Option(int),
+    "gh_points": Option(int, 10),
+    "levels": Option(int, 3),
+    "samples": Option(int, 100_000),
+    "seed": Option(int, 0),
+    "x": Option(float, 0.0),
+    "xp": Option(float, 0.0),
+    "tol": Option(float),
+    "out": Option(str),
 }
 
 # The options each subcommand reads; it accepts no other flag or config key.
@@ -112,11 +95,11 @@ READS = {
 def _coerce(name: str, raw: str):
     if name not in OPTIONS:
         raise ValueError(f"unknown configuration key {name!r}")
-    kind, choices = OPTIONS[name]
+    kind, default, choices = OPTIONS[name]
     if choices is not None and raw not in choices:
         raise ValueError(f"invalid {name} {raw!r} (choose from {', '.join(choices)})")
     # 'none' restores a default of None; no other option can be unset
-    if raw == "none" and getattr(ExperimentConfig, name) is None:
+    if raw == "none" and default is None:
         return None
     try:
         return kind(raw)
@@ -139,9 +122,10 @@ def load_config(path: str) -> dict:
     return out
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults, then the config file, then the flags; a config key the
-    subcommand does not read is a configuration error."""
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The options the subcommand reads and no others: defaults, then the
+    config file, then the flags. A config key the subcommand does not read
+    is a configuration error."""
     reads = READS[args.command]
     overrides = load_config(args.config) if getattr(args, "config", None) else {}
     for key in overrides:
@@ -151,24 +135,29 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val
-    return ExperimentConfig(**overrides)
+    return argparse.Namespace(
+        **{name: overrides.get(name, OPTIONS[name].default) for name in reads}
+    )
 
 
-def _setup(cfg: ExperimentConfig):
+def _setup(cfg: argparse.Namespace):
     """The configured system's potential, parameters and grid."""
     return SYSTEMS[cfg.potential].resolve(cfg.beta, cfg.grid_a, cfg.grid_b, cfg.grid_m)
 
 
-def _family(cfg: ExperimentConfig) -> str:
+def _family(cfg: argparse.Namespace) -> str:
     """The calibration family of the configured kernel name."""
     return _FAMILY_OF.get(cfg.kernel, cfg.kernel)
 
 
-def _emit(args, cfg: ExperimentConfig, payload: dict) -> dict:
-    """Print ``payload`` as JSON, echoing the options the subcommand read."""
-    payload = {"config": cfg.to_dict(READS[args.command]), **payload}
-    print(json.dumps(payload, sort_keys=True, indent=2))
-    return payload
+def _emit(cfg: argparse.Namespace, payload: dict, out: str | None = None) -> None:
+    """Print ``payload`` as JSON, echoing the options the subcommand read,
+    after writing the same JSON to ``out`` if given."""
+    text = json.dumps({"config": vars(cfg), **payload}, sort_keys=True, indent=2)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    print(text)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -184,26 +173,23 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
+def cmd_calibrate(args, cfg: argparse.Namespace) -> int:
     try:
         result = calibrate(args.family)
     except CalibrationError as exc:
-        _emit(args, cfg, {"error": str(exc), "best": list(exc.best)})
+        _emit(cfg, {"error": str(exc), "best": list(exc.best)})
         return TOLERANCE_FAILURE
-    _emit(args, cfg, {"result": result.to_dict(), "pass": True})
+    _emit(cfg, {"result": result.to_dict(), "pass": True})
     return 0
 
 
-def cmd_verify(args, cfg: ExperimentConfig) -> int:
+def cmd_verify(args, cfg: argparse.Namespace) -> int:
     report = verify_order(make_spec(_family(cfg)), cfg.nu, cfg.tol)
-    payload = _emit(args, cfg, {"report": report.to_dict()})
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+    _emit(cfg, {"report": report.to_dict()}, cfg.out)
     return 0 if report.passed else TOLERANCE_FAILURE
 
 
-def cmd_order(args, cfg: ExperimentConfig) -> int:
+def cmd_order(args, cfg: argparse.Namespace) -> int:
     pot, params, grid = _setup(cfg)
     run = ladder(pot, params, grid, {_family(cfg): cfg.m_max}, None, cfg.n_ref, cfg.gh_points)
     ref, series = run.reference, run.orders[_family(cfg)]
@@ -216,7 +202,6 @@ def cmd_order(args, cfg: ExperimentConfig) -> int:
     if cfg.out:
         _write_csv(cfg.out, ["n", "Z_n", "R", "alpha_m"], rows)
     _emit(
-        args,
         cfg,
         {
             "slope": series.slope,
@@ -229,7 +214,7 @@ def cmd_order(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
+def cmd_trotter_constant(args, cfg: argparse.Namespace) -> int:
     pot, params, grid = _setup(cfg)
     series = ladder(pot, params, grid, {}, cfg.m_max, cfg.n_ref, cfg.gh_points).constant
     rows = list(zip(series.n.tolist(), series.z.tolist(),
@@ -237,7 +222,6 @@ def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
     if cfg.out:
         _write_csv(cfg.out, ["n", "Z_n", "R", "c_n"], rows)
     _emit(
-        args,
         cfg,
         {
             "c_th": series.c_th,
@@ -249,7 +233,7 @@ def cmd_trotter_constant(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_mc_check(args, cfg: ExperimentConfig) -> int:
+def cmd_mc_check(args, cfg: argparse.Namespace) -> int:
     pot, params, grid = _setup(cfg)
     kernel = make_kernel(_family(cfg), pot, cfg.gh_points)
     if not isinstance(kernel, DiscreteReweightedKernel):
@@ -269,7 +253,6 @@ def cmd_mc_check(args, cfg: ExperimentConfig) -> int:
     nmm = nmm_density_ratio(kernel, params, grid, n, x, xp)
     z = abs(est - nmm) / se
     _emit(
-        args,
         cfg,
         {"x_grid": x, "xp_grid": xp, "estimate": est, "standard_error": se, "nmm": nmm,
          "z_score": z, "pass": bool(z < 4.0)},
@@ -302,8 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
             flags = [name for name in flags if name != "kernel"]
         p.add_argument("--config", help="flat key=value file of the options below")
         for name in flags:
-            kind, choices = OPTIONS[name]
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, choices=choices)
+            opt = OPTIONS[name]
+            p.add_argument(
+                "--" + name.replace("_", "-"), dest=name, type=opt.kind, choices=opt.choices
+            )
     return parser
 
 
@@ -312,8 +297,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args, resolve_config(args))
     # RuntimeError and OverflowError: a reference Z the grid eigensolve
-    # refutes, or one that overflows; both are fixed by the grid or n_ref
-    except (ValueError, FileNotFoundError, OverflowError, RuntimeError) as exc:
+    # refutes, or one that overflows; both are fixed by the grid or n_ref.
+    # OSError: a --config that cannot be read or an --out that cannot be written.
+    except (ValueError, OSError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

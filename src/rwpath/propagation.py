@@ -451,6 +451,15 @@ def _fit_slope(ms: np.ndarray, alphas: np.ndarray) -> tuple[float, tuple[int, in
     return float(coef[0]), (int(ms[start]), int(ms[-1]))
 
 
+def _ladder_z(
+    kernel: ShortTimeKernel, params: PhysicalParams, grid: SpatialGrid, steps
+) -> np.ndarray:
+    """Z_n of ``kernel`` chained over n + 1 slices, for each n in ``steps``."""
+    return np.asarray(
+        [partition_function(build_matrix(kernel, params, grid, int(n))) for n in steps]
+    )
+
+
 def order_diagnostic(
     kernel: ShortTimeKernel,
     params: PhysicalParams,
@@ -471,11 +480,7 @@ def order_diagnostic(
     m_arr = np.asarray([_checks.count("m", m, 0) for m in m_list], dtype=int)
     if m_arr.size < 3 or np.any(np.diff(m_arr) != 1):
         raise ValueError("m_list must be at least 3 consecutive increasing integers")
-    z_vals = []
-    for m in m_arr:
-        mat = build_matrix(kernel, params, grid, 2 * int(m) + 1)
-        z_vals.append(partition_function(mat))
-    z_arr = np.asarray(z_vals)
+    z_arr = _ladder_z(kernel, params, grid, 2 * m_arr + 1)
     r = z_arr / z_ref
     alphas = []
     alpha_ms = []
@@ -552,17 +557,10 @@ def trotter_constant(
     mask = np.isfinite(vp) & (rho > 0.0)
     avg_vp2 = float(np.sum(vp[mask] ** 2 * rho[mask]) / np.sum(rho[mask]))
     c_th = params.hbar**2 * params.beta**3 / (24.0 * params.mass) * avg_vp2
-    tk = TrotterKernel(potential)
-    z_vals = []
-    c_vals = []
-    for n in n_arr:
-        mat = build_matrix(tk, params, grid, int(n))
-        z = partition_function(mat)
-        z_vals.append(z)
-        c_vals.append((n + 1) ** 2 * (z - z_ref) / z_ref)
-    c_arr = np.asarray(c_vals)
+    z_arr = _ladder_z(TrotterKernel(potential), params, grid, n_arr)
+    c_arr = (n_arr + 1) ** 2 * (z_arr - z_ref) / z_ref
     rel = abs(c_arr[-1] - c_th) / abs(c_th) if c_th != 0.0 else abs(c_arr[-1])
-    return TrotterConstantSeries(n_arr, np.asarray(z_vals), c_arr, c_th, z_ref, rel)
+    return TrotterConstantSeries(n_arr, z_arr, c_arr, c_th, z_ref, rel)
 
 
 def nmm_density_ratio(

@@ -34,7 +34,23 @@ def test_golden_constants_to_eight_significant_digits(family):
 def test_order3_discrete_matches_closed_form():
     # the two-point rule turns the residual into cos(alpha/(2 sqrt(3))) = 1/sqrt(2)
     result = calibrate("order3-discrete")
-    assert result.constants[0] == pytest.approx(math.pi * math.sqrt(3) / 2, abs=1e-12)
+    assert result.constants[0] == pytest.approx(math.pi * math.sqrt(3) / 2, abs=1e-15)
+
+
+# The order-4 constants as the solver has always returned them, bit for bit
+ORDER4_BITS = {
+    "order4-continuous": (5.768065010647159, 13.492146592265092),
+    "order4-discrete": (6.3797164647651705, 8.160188248672608),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_solver_meets_its_stop_for_every_family(family):
+    result = calibrate(family)
+    assert result.residual_norm < 1e-13
+    assert 0 < result.iterations < 10
+    if family in ORDER4_BITS:
+        assert result.constants == ORDER4_BITS[family]
 
 
 def test_residual_order3_at_reference_constants():

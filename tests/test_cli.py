@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rwpath.cli import (KERNEL_CHOICES, OPTIONS, READS, _FAMILY_OF, ExperimentConfig, build_parser,
-                        load_config, main, resolve_config)
+from rwpath.cli import (KERNEL_CHOICES, OPTIONS, READS, _FAMILY_OF, build_parser, load_config, main,
+                        resolve_config)
 from rwpath.experiments import make_kernel, make_spec
 from rwpath.kernels import DiscreteReweightedKernel
 from rwpath.moments import verify_order
@@ -325,14 +325,26 @@ def test_config_file_round_trip(tmp_path, capsys):
         "m_max": 4,
         "grid_m": 64,
     }
-    # a config echoed back parses to an identical config
+    # a config echoed back to a config file resolves to an identical config
     import argparse
 
-    ns = argparse.Namespace(command="order", config=str(cfg_file))
-    cfg = resolve_config(ns)
-    echoed = cfg.to_dict()
-    cfg2 = ExperimentConfig(**echoed)
-    assert cfg2 == cfg
+    cfg = resolve_config(argparse.Namespace(command="order", config=str(cfg_file)))
+    echo_file = tmp_path / "echo.cfg"
+    echo_file.write_text("".join(f"{k} = {'none' if v is None else v}\n" for k, v in vars(cfg).items()))
+    assert resolve_config(argparse.Namespace(command="order", config=str(echo_file))) == cfg
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "order4", "--nu", "2", "--out"),
+    ("order", "--potential", "harmonic", "--kernel", "trotter", "--m-max", "3", "--grid-m", "60", "--out"),
+    ("verify", "order4", "--config"),
+], ids=["verify --out", "order --out", "--config"])
+def test_a_directory_as_a_file_is_a_usage_error(tmp_path, capsys, argv):
+    # an unreadable config or an unwritable output is a usage error, not a
+    # tolerance failure, and nothing is printed before it
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -377,7 +389,15 @@ def test_config_keys_are_the_flag_names():
         argv = [command, "order3-discrete"] if command == "calibrate" else [command]
         dests = set(vars(parser.parse_args(argv))) - {"command", "func", "config", "family"}
         assert dests == set(reads), command
-    assert set(OPTIONS) == set(ExperimentConfig().to_dict())
+
+
+@pytest.mark.parametrize("command", READS)
+def test_resolved_config_is_the_read_set(command):
+    # a subcommand's config holds the options it reads, each at its default
+    import argparse
+
+    cfg = resolve_config(argparse.Namespace(command=command))
+    assert vars(cfg) == {name: OPTIONS[name].default for name in READS[command]}
 
 
 def test_cli_flag_overrides_config_file(tmp_path, capsys):
@@ -396,7 +416,7 @@ UNREAD = [(command, name) for command in READS for name in OPTIONS if name not i
 
 @pytest.mark.parametrize("command, name", UNREAD)
 def test_options_a_subcommand_does_not_read_are_refused(tmp_path, capsys, command, name):
-    kind, choices = OPTIONS[name]
+    kind, _, choices = OPTIONS[name]
     value = choices[0] if choices else str(tmp_path / "written") if kind is str else "3"
     base = [command, "order3-discrete"] if command == "calibrate" else [command]
     code, out, err = run_cli(capsys, *base, f"--{name.replace('_', '-')}={value}")
