@@ -2,7 +2,9 @@
 value is finite (and positive where required), an integer may have any
 sign, and a count is an integer at or above a floor. Each is written so
 that NaN fails, refuses a bool, accepts numpy numbers and raises ValueError
-naming the argument.
+naming the argument. The last, ``result``, holds a returned Z, Boltzmann
+sum or density ratio to finite and above 0, so no ladder reads a slope off
+0 or inf.
 """
 
 import math
@@ -45,3 +47,15 @@ def seed(value) -> None:
     to numpy."""
     if isinstance(value, (numbers.Number, np.bool_)):
         count("seed", value, 0)
+
+
+def result(name: str, value) -> float:
+    """``value`` as a float, refused under ``name`` unless it is finite and
+    above 0: NaN and +-inf raise OverflowError, 0 or less ValueError."""
+    value = float(value)
+    advice = "shift the potential energy zero or change beta"
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} overflowed, got {value!r}; {advice}")
+    if not value > 0:
+        raise ValueError(f"{name} underflows to 0, got {value!r}; {advice}")
+    return value

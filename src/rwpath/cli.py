@@ -16,8 +16,8 @@ options and no others. Results are printed as JSON, echoing that config;
 `--out` writes a ladder as CSV, or the `verify` JSON.
 Exit codes:
 0 success, 1 tolerance failure, 2 usage or configuration error (including an
-unreadable `--config`, an unwritable `--out`, and a reference Z that is
-refused, overflows or underflows).
+unreadable `--config`, an unwritable `--out`, a reference Z that the grid
+eigensolve refutes, and a Z or density ratio that is not finite and above 0).
 """
 
 from __future__ import annotations
@@ -243,11 +243,11 @@ def cmd_mc_check(args, cfg: argparse.Namespace) -> int:
     x, xp = float(pts[grid.nearest("x", cfg.x)]), float(pts[grid.nearest("x'", cfg.xp)])
     est, se = mc_density_ratio(kernel, params, x, xp, cfg.levels, cfg.samples, cfg.seed)
     if se == 0:
-        # every sampled path has the same weight, typically 0 with an
-        # endpoint on a wall: a z-score would pass vacuously
+        # the library refuses all-zero weights (a wall), so these are equal
+        # and nonzero, as at a tiny beta: a z-score would pass vacuously
         raise ValueError(
             f"every sampled path has the same weight {est!r} at x = {x!r}, x' = {xp!r}: "
-            "move x and x' to where the potential is finite"
+            "the weights have no spread at this beta"
         )
     n = 2**cfg.levels - 1
     nmm = nmm_density_ratio(kernel, params, grid, n, x, xp)
@@ -296,8 +296,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, resolve_config(args))
-    # RuntimeError and OverflowError: a reference Z the grid eigensolve
-    # refutes, or one that overflows; both are fixed by the grid or n_ref.
+    # RuntimeError: a reference Z the grid eigensolve refutes. OverflowError
+    # (and ValueError): a Z or density ratio that is not finite and above 0.
     # OSError: a --config that cannot be read or an --out that cannot be written.
     except (ValueError, OSError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

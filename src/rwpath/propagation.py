@@ -281,28 +281,23 @@ def partition_function(matrix: KernelMatrix) -> float:
     """Trace of the (matrix.n + 1)-th power of the kernel matrix, computed by
     binary exponentiation (on two half-size blocks when the matrix is
     centrosymmetric, as it is for a mirror-symmetric potential); the trace
-    itself is accumulated in compensated summation. Raises OverflowError
-    instead of returning inf or NaN.
+    itself is accumulated in compensated summation. The trace is refused
+    by ``_checks.result`` unless it is finite and above 0.
     """
-    return float(math.fsum(_power_diagonal(matrix.values, matrix.n + 1)))
+    return _power_trace(matrix.values, matrix.n + 1, f"Z_{matrix.n}")[1]
 
 
-def _finite_power(a: np.ndarray, power: int) -> np.ndarray:
-    """``matrix_power`` that raises instead of returning inf or NaN entries
-    (an overflow times a zero wall entry gives NaN)."""
+def _power_trace(a: np.ndarray, power: int, name: str) -> tuple[np.ndarray, float]:
+    """A copy of the diagonal of ``matrix_power(a, power)``, so that the
+    power's block is freed when this returns, and its compensated sum,
+    refused under ``name`` unless finite and above 0. An overflow reaches
+    the diagonal as inf, or as NaN through a zero wall entry, and the plain
+    sum is finite only when every entry is; it is checked first because
+    fsum raises its own error on inf - inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p = matrix_power(a, power)
-    if not np.all(np.isfinite(p)):
-        raise OverflowError(
-            "matrix power overflowed; rescale by shifting the potential energy zero"
-        )
-    return p
-
-
-def _power_diagonal(a: np.ndarray, power: int) -> np.ndarray:
-    """A copy of the diagonal of ``_finite_power(a, power)``, so that the
-    power's block is freed when this returns."""
-    return np.diagonal(_finite_power(a, power)).copy()
+        diag = np.diagonal(matrix_power(a, power)).copy()
+        _checks.result(name, diag.sum())
+    return diag, _checks.result(name, math.fsum(diag))
 
 
 def dvr_eigenvalues(
@@ -358,22 +353,11 @@ def dvr_partition_function(
     params: PhysicalParams,
     grid: SpatialGrid,
 ) -> float:
-    """Boltzmann sum over the grid spectrum; raises OverflowError when the
-    sum is not finite and ValueError when it underflows to 0, rather than
-    returning it."""
+    """Boltzmann sum over the grid spectrum, refused by ``_checks.result``
+    unless it is finite and above 0."""
     energies = dvr_eigenvalues(potential, params, grid)
     with np.errstate(under="ignore", over="ignore"):
-        z = float(math.fsum(np.exp(-params.beta * energies)))
-    if not math.isfinite(z):
-        raise OverflowError(
-            "Boltzmann sum overflowed; rescale by shifting the potential energy zero"
-        )
-    if z == 0.0:
-        raise ValueError(
-            "Boltzmann sum underflows to 0 at this beta; rescale by shifting the "
-            "potential energy zero"
-        )
-    return z
+        return _checks.result("Boltzmann sum", math.fsum(np.exp(-params.beta * energies)))
 
 
 # Largest relative gap between a reference Z and the grid eigensolve.
@@ -401,8 +385,9 @@ def reference_z(
 ) -> ReferenceZ:
     """Converged partition function from a high-n propagation of ``kernel``,
     cross-checked against the independent grid eigensolve; a gap beyond
-    1e-5 means the grid is under-resolved and raises, as do an overflowed
-    matrix power, an underflowed eigensolve sum and a NaN gap.
+    1e-5 means the grid is under-resolved and raises RuntimeError. Before
+    that, each Z is refused by ``_checks.result`` unless it is finite and
+    above 0.
 
     Only the power's diagonal outlives the power, so the peak is that of
     ``partition_function``: the N^2 kernel matrix beside the power's block
@@ -410,8 +395,9 @@ def reference_z(
     (N-1)^2 Hamiltonian.
     """
     n_ref = _checks.count("n_ref", n_ref, 0)
-    diag = _power_diagonal(build_matrix(kernel, params, grid, n_ref).values, n_ref + 1)
-    z = float(math.fsum(diag))
+    diag, z = _power_trace(
+        build_matrix(kernel, params, grid, n_ref).values, n_ref + 1, "reference Z"
+    )
     z_dvr = dvr_partition_function(kernel.potential, params, grid)
     gap = abs(z - z_dvr) / z_dvr
     # written so that a NaN gap fails
@@ -575,29 +561,26 @@ def nmm_density_ratio(
     matrix; x and x' must be grid points, to a millionth of a cell. An
     entry below its mirror entry, which the folded power does not resolve,
     is recomputed from n+1 matrix-vector products. Raises ValueError when
-    x or x' is not a grid point, and when the ratio is not representable:
-    rho_fp underflows for points too far apart at this beta."""
+    x or x' is not a grid point. rho_fp(x, x'), checked before anything is
+    built, and the ratio are refused by ``_checks.result`` unless finite
+    and above 0; rho_fp is 0 for points too far apart at this beta."""
     i, j = grid.nearest("x", x), grid.nearest("x'", xp)
     pts = grid.points
     # relative to the cell: on a fine grid an absolute tolerance spans cells
     if max(abs(pts[i] - x), abs(pts[j] - xp)) > 1e-6 * grid.h:
         raise ValueError("x and x' must lie on the grid")
+    at = f"at x = {x}, x' = {xp}"
+    den = _checks.result(f"rho_fp(x, x') {at}", rho_fp(params, x, xp))
     mat = build_matrix(kernel, params, grid, n)
-    p = _finite_power(mat.values, n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = matrix_power(mat.values, n + 1)
     entry = float(p[i, j])
     if entry < p[i, -1 - j]:
         col = mat.values[:, j]
         for _ in range(n):
             col = mat.values @ col
         entry = float(col[i])
-    den = rho_fp(params, x, xp)
-    ratio = entry / grid.h / den if den > 0.0 else math.nan
-    if not math.isfinite(ratio):
-        raise ValueError(
-            "rho_fp(x, x') underflows at this beta, so the density ratio is not "
-            "representable; bring x and x' closer or raise beta"
-        )
-    return ratio
+    return _checks.result(f"density ratio {at}", entry / grid.h / den)
 
 
 # Samples per batch, at most _MC_NORMALS normals per batch. A batch draws
@@ -628,8 +611,9 @@ def mc_density_ratio(
     block by block into one reused buffer, continuing the same stream, so
     memory does not grow with the level. Returns (estimate, standard
     error); raises ValueError when x or x' is not finite or the potential
-    is NaN or -inf on a sampled path, and OverflowError when the path
-    weights overflow.
+    is NaN or -inf on a sampled path. The estimate and the sum of squared
+    weights are refused by ``_checks.result`` unless finite and above 0,
+    so an endpoint on a wall, where every weight is 0, is refused.
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
@@ -676,10 +660,8 @@ def mc_density_ratio(
                 total += float(avg.sum())
                 total_sq += float(np.dot(avg, avg))
         done += nb
-    if not (math.isfinite(total) and math.isfinite(total_sq)):
-        raise OverflowError(
-            "path weights overflowed; rescale by shifting the potential energy zero"
-        )
-    mean = total / samples
+    at = f"at x = {x}, x' = {xp}"
+    mean = _checks.result(f"Monte Carlo density ratio {at}", total / samples)
+    _checks.result(f"sum of squared path weights {at}", total_sq)
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples)

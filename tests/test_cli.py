@@ -473,6 +473,22 @@ def test_mc_check_on_a_wall_is_a_usage_error(capsys, monkeypatch):
     assert err.startswith("error: ") and "x = 0.0, x' = 0.0" in err
 
 
+def test_mc_check_with_equal_nonzero_weights_is_a_usage_error(capsys, monkeypatch):
+    # at beta = 1e-20 every path weight rounds to 1.0: the potential is
+    # finite, but the standard error is 0 and a z-score would pass vacuously
+    import rwpath.cli as cli
+
+    monkeypatch.setattr(cli, "nmm_density_ratio", lambda *a: pytest.fail("nmm built"))
+    code, out, err = run_cli(
+        capsys, "mc-check", "--potential", "quartic", "--beta", "1e-20", "--samples", "1000"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: every sampled path has the same weight 1.0 at x = 0.0, x' = 0.0: "
+        "the weights have no spread at this beta\n"
+    )
+
+
 def readme_command_block():
     from pathlib import Path
 

@@ -10,6 +10,10 @@ their messages, and the result an elementwise function gives for NaN, which
 it passes through instead of refusing. Records that a public function
 returns, and the base classes, take no numeric input of their own; their
 rows hold a valid construction and say so.
+
+A second table holds valid inputs whose result is not representable: a Z,
+Boltzmann sum or density ratio that overflows or underflows to 0 must be
+refused, as ``rwpath._checks.result`` words it, not returned.
 """
 
 import dataclasses
@@ -514,6 +518,98 @@ def test_every_seed_form_draws_the_same_stream(name):
     np.testing.assert_equal(runs[1:], runs[:1] * 3)
 
 
+def deep_well(x):
+    # at beta = 10 the Boltzmann weights reach e^800, past the float range
+    x = np.asarray(x, dtype=float)
+    return 0.5 * x * x - 80.0
+
+
+def walled_deep_well(x):
+    # an overflow times the zero wall entries gives NaN
+    return np.where(np.abs(np.asarray(x, dtype=float)) < 3.0, deep_well(x), INF)
+
+
+def constant(value):
+    return lambda x: np.full(np.shape(x), value)
+
+
+def kernel4(value):
+    return DiscreteReweightedKernel(SYS4, custom_potential(value, np.sign), RULE4, gh_points=4)
+
+
+COLD = PhysicalParams(beta=1000.0)
+WELL_GRID = SpatialGrid(-3.0, 3.0, 120)
+COLD_HARMONIC = (PhysicalParams(beta=2000.0), SpatialGrid(-5.0, 5.0, 60))
+ADVICE = "; shift the potential energy zero or change beta$"
+
+
+def overflowed(name: str) -> str:
+    return f"^{re.escape(name)} overflowed, got (-?inf|nan){ADVICE}"
+
+
+def underflows(name: str) -> str:
+    return f"^{re.escape(name)} underflows to 0, got 0\\.0{ADVICE}"
+
+
+AT_0 = "at x = 0.0, x' = 0.0"
+# id -> (exception, message pattern, call); the quartic order-4 rows at
+# beta = 1000 (eigensolve Z 2.7e-218) underflow to 0
+UNREPRESENTABLE = {
+    # both sizes are centrosymmetric, so both take the folded power
+    **{f"partition_function-overflow-{cells}": (
+        OverflowError, overflowed("Z_15"), lambda cells=cells: partition_function(KernelMatrix(
+            np.full((cells + 1, cells + 1), 1e60), SpatialGrid(0.0, 1.0, cells), 1.0, 15, "test")))
+       for cells in (3, 4)},
+    "partition_function-underflow": (
+        ValueError, underflows("Z_3"), lambda: partition_function(build_matrix(K4, COLD, G, 3))),
+    "reference_z-overflow": (
+        OverflowError, overflowed("reference Z"),
+        lambda: reference_z(TrotterKernel(custom_potential(walled_deep_well, np.sign)), P, WELL_GRID, 40)),
+    "reference_z-underflow": (
+        ValueError, underflows("reference Z"), lambda: reference_z(K4, COLD, G, 3)),
+    # the eigensolve's Boltzmann sum underflows, so the gap never divides by 0
+    "reference_z-boltzmann-sum-underflow": (
+        ValueError, underflows("Boltzmann sum"),
+        lambda: reference_z(TrotterKernel(harmonic(1.0)), *COLD_HARMONIC, 56)),
+    "dvr_partition_function-overflow": (
+        OverflowError, overflowed("Boltzmann sum"),
+        lambda: dvr_partition_function(custom_potential(deep_well, np.sign), P, WELL_GRID)),
+    # beta E_0 = 1000 for the unit harmonic oscillator at beta = 2000
+    "dvr_partition_function-underflow": (
+        ValueError, underflows("Boltzmann sum"),
+        lambda: dvr_partition_function(harmonic(1.0), *COLD_HARMONIC)),
+    "nmm_density_ratio-rho_fp-underflow": (
+        ValueError, underflows("rho_fp(x, x') at x = -4.0, x' = 4.0"),
+        lambda: nmm_density_ratio(TK, PhysicalParams(beta=0.01), SpatialGrid(-4.0, 4.0, 80), 3, -4.0, 4.0)),
+    "nmm_density_ratio-overflow": (
+        OverflowError, overflowed(f"density ratio {AT_0}"),
+        lambda: nmm_density_ratio(TrotterKernel(custom_potential(walled_deep_well, np.sign)),
+                                  P, WELL_GRID, 40, 0.0, 0.0)),
+    "nmm_density_ratio-underflow": (
+        ValueError, underflows(f"density ratio {AT_0}"),
+        lambda: nmm_density_ratio(K4, COLD, G, 3, 0.0, 0.0)),
+    "mc_density_ratio-overflow": (
+        OverflowError, overflowed(f"Monte Carlo density ratio {AT_0}"),
+        lambda: mc_density_ratio(kernel4(walled_deep_well), P, 0.0, 0.0, 2, 1000)),
+    "mc_density_ratio-underflow": (
+        ValueError, underflows(f"Monte Carlo density ratio {AT_0}"),
+        lambda: mc_density_ratio(K4, COLD, 0.0, 0.0, 1, 100)),
+    # every weight is e^400, or e^-400: the mean is representable, its square is not
+    "mc_density_ratio-squares-overflow": (
+        OverflowError, overflowed(f"sum of squared path weights {AT_0}"),
+        lambda: mc_density_ratio(kernel4(constant(-40.0)), P, 0.0, 0.0, 1, 100)),
+    "mc_density_ratio-squares-underflow": (
+        ValueError, underflows(f"sum of squared path weights {AT_0}"),
+        lambda: mc_density_ratio(kernel4(constant(40.0)), P, 0.0, 0.0, 1, 100)),
+}
+
+
+@pytest.mark.parametrize("error, pattern, call", UNREPRESENTABLE.values(), ids=list(UNREPRESENTABLE))
+def test_unrepresentable_result_is_refused(error, pattern, call):
+    with pytest.raises(error, match=pattern):
+        call()
+
+
 def test_only_the_checks_module_words_the_scalar_rule():
     # every "must be finite" and "must be an integer" refusal comes from one
     # module and is tested in this one, so neither the rule nor its table can
@@ -526,6 +622,20 @@ def test_only_the_checks_module_words_the_scalar_rule():
         if path not in (src / "_checks.py", tests / "test_hostile_inputs.py", tests / "test_cli.py")
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if re.search(r"must be (finite|an integer)", line)
+    ]
+    assert offenders == []
+
+
+def test_only_the_checks_module_words_the_result_rule():
+    # every refusal of a result that overflowed or underflows to 0 comes from
+    # _checks.result; the tests and the CLI may match on its words
+    src = Path(rwpath.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path != src / "_checks.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"overflowed|underflows to 0", line)
     ]
     assert offenders == []
 

@@ -271,15 +271,6 @@ def test_binary_exponentiation_matches_naive_products():
         assert abs(np.trace(fast) - np.trace(naive)) / abs(np.trace(naive)) < 1e-12
 
 
-def test_partition_function_overflow_error():
-    # both sizes are centrosymmetric, so both take the folded power
-    for cells in (3, 4):
-        g = SpatialGrid(0.0, 1.0, cells)
-        mat = KernelMatrix(np.full((cells + 1, cells + 1), 1e60), g, 1.0, 15, "test")
-        with pytest.raises(OverflowError, match="rescal"):
-            partition_function(mat)
-
-
 def plain_power(a, power):
     """The unfolded square-and-multiply on a copy of ``a``."""
     work = np.empty((3,) + a.shape)
@@ -471,30 +462,6 @@ def test_reference_z_raises_when_grid_underresolved():
         reference_z(kernel, p, g, 63)
 
 
-def walled_deep_well():
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) < 3.0, 0.5 * x * x - 80.0, np.inf)
-
-    return custom_potential(value, lambda x: np.asarray(x, dtype=float), (-3.0, 3.0))
-
-
-def test_reference_z_fails_closed_on_overflow():
-    # a deep well overflows the matrix power, and inf times the zero wall
-    # entries gives NaN; that must raise, not pass the cross-check as NaN
-    kernel = TrotterKernel(walled_deep_well())
-    with pytest.raises(OverflowError):
-        reference_z(kernel, PhysicalParams(beta=10.0), SpatialGrid(-3.0, 3.0, 120), 40)
-
-
-def test_nmm_density_ratio_fails_closed_when_rho_fp_underflows():
-    # rho_fp(-4, 4) at beta = 0.01 underflows to 0
-    kernel = TrotterKernel(quartic())
-    grid = SpatialGrid(-4.0, 4.0, 80)
-    with pytest.raises(ValueError, match="underflows"):
-        nmm_density_ratio(kernel, PhysicalParams(beta=0.01), grid, 3, -4.0, 4.0)
-
-
 @pytest.mark.parametrize("x, xp", [(-2.0, 2.0), (2.0, -2.0), (-1.0, 1.5), (-0.5, 0.5)])
 def test_nmm_density_ratio_across_the_centre_matches_plain_products(x, xp):
     # at beta = 0.1 the entry for x = -2, x' = 2 is about 1e-35 of its mirror
@@ -514,19 +481,6 @@ def test_nmm_density_ratio_across_the_centre_matches_plain_products(x, xp):
     assert abs(ratio - expected) <= tol * expected
 
 
-def test_nmm_density_ratio_fails_closed_on_overflow():
-    kernel = TrotterKernel(walled_deep_well())
-    grid = SpatialGrid(-3.0, 3.0, 120)
-    with pytest.raises(OverflowError):
-        nmm_density_ratio(kernel, PhysicalParams(beta=10.0), grid, 40, 0.0, 0.0)
-
-
-def test_mc_density_ratio_fails_closed_on_overflow():
-    kernel = DiscreteReweightedKernel(ORDER4[0], walled_deep_well(), ORDER4[1])
-    with pytest.raises(OverflowError):
-        mc_density_ratio(kernel, PhysicalParams(beta=10.0), 0.0, 0.0, 2, 1000)
-
-
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_mc_density_ratio_names_a_nan_or_minus_inf_potential(bad):
     # shifting the energy zero cannot fix these, so they are not overflow
@@ -538,30 +492,6 @@ def test_mc_density_ratio_names_a_nan_or_minus_inf_potential(bad):
     kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
     with pytest.raises(ValueError, match="NaN or -inf"):
         mc_density_ratio(kernel, PhysicalParams(beta=1.0), 0.0, 0.0, 2, 1000)
-
-
-def test_dvr_partition_function_fails_closed_on_overflow():
-    def deep_well(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * x * x - 80.0
-
-    pot = custom_potential(deep_well, lambda x: np.asarray(x, dtype=float))
-    with pytest.raises(OverflowError):
-        dvr_partition_function(pot, PhysicalParams(beta=10.0), SpatialGrid(-3.0, 3.0, 120))
-
-
-def test_dvr_partition_function_fails_closed_on_underflow():
-    # beta E_0 = 1000 for the unit harmonic oscillator at beta = 2000
-    with pytest.raises(ValueError, match="underflows"):
-        dvr_partition_function(harmonic(1.0), PhysicalParams(beta=2000.0), SpatialGrid(-5.0, 5.0, 60))
-
-
-def test_reference_z_fails_closed_when_boltzmann_sum_underflows():
-    # the propagated and the eigensolve Z both underflow to 0, whose gap
-    # 0/0 must not be formed
-    kernel = TrotterKernel(harmonic(1.0))
-    with pytest.raises(ValueError, match="underflows"):
-        reference_z(kernel, PhysicalParams(beta=2000.0), SpatialGrid(-5.0, 5.0, 60), 56)
 
 
 def test_doubling_grid_cells_leaves_z_unchanged():

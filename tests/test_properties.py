@@ -3,6 +3,8 @@
 Every test is derandomized, so each run draws the same examples.
 """
 
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -136,6 +138,30 @@ def test_slice_identity_on_random_potentials(pot, name, beta, k, a, width, cells
     n = grid.points.size
     tol = 2 * (2 * (2 * k + 1) + 4) * n * np.finfo(float).eps
     assert abs(z - z_half) / z <= tol
+
+
+@PROPERTY
+@given(
+    pot=polynomials(),
+    name=kernels,
+    beta=betas,
+    n=rungs,
+    shift=st.integers(-600, 10_000),
+    cells=st.integers(2, 12),
+)
+def test_shifted_partition_function_is_positive_or_refused(pot, name, beta, n, shift, cells):
+    # V + E with beta E / (n + 1) = shift: each slice's weights stay inside
+    # the float range, but Z carries e^{-(n + 1) shift}, which overflows or
+    # underflows to 0 toward the ends of the range
+    offset = shift * (n + 1) / beta
+    shifted = custom_potential(lambda x: pot.value(x) + offset, pot.deriv1)
+    grid = SpatialGrid(-2.0, 2.0, cells)
+    try:
+        z = partition_function(build_matrix(make_kernel(name, shifted), PhysicalParams(beta=beta), grid, n))
+    except (OverflowError, ValueError) as exc:
+        assert re.search("overflowed|underflows to 0", str(exc))
+        return
+    assert math.isfinite(z) and z > 0.0
 
 
 @settings(PROPERTY, max_examples=8)
