@@ -10,17 +10,13 @@ Two independent estimators guard the deterministic code paths:
    bridge system lives in each cell.
 """
 
-import math
-
 from rwpath import (
     SYSTEMS,
-    DiscreteReweightedKernel,
     MomentIndex,
-    calibrated_system,
     continuous_spec,
-    discrete_spec,
     exact_brownian,
-    finite_kernel,
+    make_kernel,
+    make_spec,
     mc_density_ratio,
     mc_moment_oracle,
     moment,
@@ -29,8 +25,7 @@ from rwpath import (
 
 print("1) moment engine vs sampling (400k samples each)")
 eb = continuous_spec(exact_brownian())
-s4, r4 = calibrated_system("order4-discrete")
-o4 = discrete_spec(finite_kernel(s4), r4)
+o4 = make_spec("order4-discrete")
 cases = [
     ("brownian", eb, MomentIndex.from_multiplicities(3, {6: 1})),
     ("brownian", eb, MomentIndex.from_multiplicities(4, {4: 2})),
@@ -48,7 +43,7 @@ for label, spec, idx in cases:
 print()
 print("2) chained-path sampling vs matrix propagation (quartic, 7 links)")
 pot, params, grid = SYSTEMS["quartic"].resolve(beta=1.0, cells=300)
-kernel = DiscreteReweightedKernel(s4, pot, r4)
+kernel = make_kernel("order4-discrete", pot)
 est, se = mc_density_ratio(kernel, params, 0.0, 0.0, levels=3, samples=500_000, seed=5)
 want = nmm_density_ratio(kernel, params, grid, 7, 0.0, 0.0)
 print(f"  sampled ratio {est:.6f} +/- {se:.1e}")

@@ -2,9 +2,9 @@
 value is finite (and positive where required), an integer may have any
 sign, and a count is an integer at or above a floor. Each is written so
 that NaN fails, refuses a bool, accepts numpy numbers and raises ValueError
-naming the argument. The last, ``result``, holds a returned Z, Boltzmann
-sum or density ratio to finite and above 0, so no ladder reads a slope off
-0 or inf.
+naming the argument. ``potential`` holds a potential's values to a number or
++inf (a wall), and ``result`` a returned Z, Boltzmann sum, density ratio or
+kernel weight to finite and above 0, so no ladder reads a slope off 0 or inf.
 """
 
 import math
@@ -47,6 +47,19 @@ def seed(value) -> None:
     to numpy."""
     if isinstance(value, (numbers.Number, np.bool_)):
         count("seed", value, 0)
+
+
+def potential(values, at: str, x=None) -> np.ndarray:
+    """``values`` of a potential as a float array, refused unless each is a
+    number or +inf: the first NaN or -inf raises ValueError placed ``at``,
+    then at its point x when ``x`` holds the points the values were taken at."""
+    values = np.asarray(values, dtype=float)
+    # written so that NaN fails
+    bad = np.flatnonzero(~(values > -np.inf))
+    if bad.size:
+        where = at if x is None else f"{at} x = {float(np.ravel(x)[bad[0]])!r}"
+        raise ValueError(f"potential is {float(values.flat[bad[0]])!r} {where}")
+    return values
 
 
 def result(name: str, value) -> float:

@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, resolve_config(args))
     # RuntimeError: a reference Z the grid eigensolve refutes. OverflowError
-    # (and ValueError): a Z or density ratio that is not finite and above 0.
+    # (and ValueError): a Z, density ratio or kernel weight out of range.
     # OSError: a --config that cannot be read or an --out that cannot be written.
     except (ValueError, OSError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

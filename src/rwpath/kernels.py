@@ -5,7 +5,9 @@ free-particle density matrix and ratio is a potential-dependent average
 along paths bridging x and x'. Four kinds are provided: the free particle,
 the symmetrized kinetic/potential splitting (endpoint time average, no
 Gaussian integral), and the continuous and discrete reweighted kernels
-(tensor Gauss-Hermite average over the bridge coefficients).
+(tensor Gauss-Hermite average over the bridge coefficients). V at x or x'
+is a number or +inf, a wall of density 0: ``ratio`` refuses NaN or -inf
+there, and ``rho0`` a weight that is not finite, both through ``_checks``.
 
 The reweighted ``ratio`` works in fixed cache-sized units: chunks of pairs
 times a fixed block of Gauss-Hermite nodes, about 64k points each, reusing
@@ -128,14 +130,15 @@ class ShortTimeKernel:
         raise NotImplementedError
 
     def rho0(self, params: PhysicalParams, x, xp):
-        """Kernel value rho0(x, x'; beta). Zero where the potential is +inf;
-        a NaN from the potential inside its domain raises instead."""
-        r = np.asarray(self.ratio(params, x, xp))
-        if np.any(np.isnan(r)):
-            raise FloatingPointError(
-                "potential returned a non-finite value inside its domain"
-            )
-        out = rho_fp(params, x, xp) * r
+        """Kernel value rho0(x, x'; beta), 0 where V(x) or V(x') is +inf. A
+        weight that is not finite (an overflow, a NaN inside a path) raises
+        OverflowError naming x and x'."""
+        # ratio before rho_fp: the other order raised perfbench's helium peak RSS by 2 MB
+        out = np.asarray(self.ratio(params, x, xp)) * rho_fp(params, x, xp)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            x, xp = (float(np.broadcast_to(v, out.shape).flat[bad[0]]) for v in (x, xp))
+            _checks.result(f"rho0(x, x') at x = {x!r}, x' = {xp!r}", out.flat[bad[0]])
         return float(out) if out.ndim == 0 else out
 
 
@@ -166,9 +169,10 @@ class TrotterKernel(ShortTimeKernel):
     def ratio(self, params, x, xp):
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
-        expo = -params.beta * 0.5 * (self.potential.value(x) + self.potential.value(xp))
-        with np.errstate(under="ignore"):
-            return np.exp(expo)
+        v = _checks.potential(self.potential.value(x), "at", x)
+        vp = _checks.potential(self.potential.value(xp), "at", xp)
+        with np.errstate(under="ignore", over="ignore"):
+            return np.exp(-params.beta * 0.5 * (v + vp))
 
 
 class _ReweightedKernel(ShortTimeKernel):
@@ -208,10 +212,8 @@ class _ReweightedKernel(ShortTimeKernel):
         # the density vanishes where either argument sits on an infinite wall,
         # even when the interior time rule never samples the endpoints
         with np.errstate(invalid="ignore"):
-            wall = ~(
-                np.isfinite(np.asarray(self.potential.value(xf), dtype=float))
-                & np.isfinite(np.asarray(self.potential.value(xf + dxf), dtype=float))
-            )
+            wall = np.isposinf(_checks.potential(self.potential.value(xf), "at", xf))
+            wall |= np.isposinf(_checks.potential(self.potential.value(xf + dxf), "at", xf + dxf))
         sdisp = params.sigma * self._disp  # (T, G)
         gblock = min(sdisp.shape[1], _GH_BLOCK)
         pblock = max(1, _WORK_UNIT // gblock)
@@ -290,12 +292,13 @@ class _ReweightedKernel(ShortTimeKernel):
                 high = masks[n : 2 * n].reshape(shape)
                 np.logical_not(low, out=high)
                 np.copyto(avg, 0.0, where=low)
-                with np.errstate(under="ignore"):
+                # an overflow is left to rho0's check of the weight
+                with np.errstate(under="ignore", over="ignore"):
                     np.exp(avg, out=avg, where=high)
-                avg *= self._gh_weights[g0:g1]
-                # a row sum reduces each pair's nodes in an order fixed by the
-                # block width alone, whatever the number of rows
-                acc[p0:p1] += avg.sum(axis=1)
+                    avg *= self._gh_weights[g0:g1]
+                    # a row sum reduces each pair's nodes in an order fixed by
+                    # the block width alone, whatever the number of rows
+                    acc[p0:p1] += avg.sum(axis=1)
 
 
 class ContinuousReweightedKernel(_ReweightedKernel):

@@ -2,9 +2,9 @@
 
 The quartic oscillator and the helium cage are the two benchmark systems;
 the harmonic oscillator is kept as an analytic cross-check (its density
-matrix and partition function are known in closed form). Outside its domain
-a potential evaluates to +inf, which downstream kernels map to zero density
-rather than an error.
+matrix and partition function are known in closed form). A value is a
+number, or +inf outside the domain, a wall of zero density; the kernels and
+the grid eigensolve refuse NaN and -inf through ``_checks.potential``.
 """
 
 from __future__ import annotations

@@ -109,13 +109,9 @@ def _potential_is_mirror_symmetric(kernel: ShortTimeKernel, grid: SpatialGrid) -
         return True
     for probe in (grid.points, grid.points[:-1] + 0.5 * grid.h):
         v = np.asarray(potential.value(probe), dtype=float)
-        vr = v[::-1]
-        finite = np.isfinite(v) & np.isfinite(vr)
-        if not np.array_equal(np.isfinite(v), np.isfinite(vr)):
-            return False
         # rtol leaves room for grid rounding amplified by steep walls; a
         # genuinely asymmetric potential misses by many orders of magnitude
-        if not np.allclose(v[finite], vr[finite], rtol=1e-8, atol=1e-300):
+        if not np.allclose(v, v[::-1], rtol=1e-8, atol=1e-300):
             return False
     return True
 
@@ -161,26 +157,18 @@ def build_matrix(
     half of the triangle with i + j <= cells is evaluated and the rest comes
     from the reflection. The pair layout depends only on ``(cells, mirror)``
     and is cached, so the matrix is one gather of the pair values. The
-    first non-finite entry is reported with its location.
+    entries are h * rho0, which refuses the potential and the weights.
     """
     n = _checks.count("n", n, 0)
     slice_params = params.with_beta(params.beta / (n + 1))
     x = grid.points
     iu, ju, entry = _pair_layout(grid.cells, _potential_is_mirror_symmetric(kernel, grid))
     xi, xj = x[iu], x[ju]
-    ratio = np.asarray(kernel.ratio(slice_params, xi, xj))
-    # rho0's product in rho0's order, so the entries keep its bits
-    vals = grid.h * (rho_fp(slice_params, xi, xj) * ratio)
+    vals = grid.h * kernel.rho0(slice_params, xi, xj)
     # freed before the gather, as inside rho0: a higher heap peak is trimmed
     # and faulted back in on every build (991 against 677 page faults per
     # quartic Trotter build on 401 points)
-    del xi, xj, ratio
-    bad = np.nonzero(~np.isfinite(vals))[0]
-    if bad.size:
-        k = bad[0]
-        raise FloatingPointError(
-            f"kernel produced a non-finite entry at grid indices ({iu[k]}, {ju[k]})"
-        )
+    del xi, xj
     return KernelMatrix(vals[entry], grid, params.beta, n, kernel.kind)
 
 
@@ -312,18 +300,14 @@ def dvr_eigenvalues(
     accurate for smooth potentials. Hard walls are handled by capping the
     potential at 2000/beta, far above any thermally relevant energy, so the
     eigensolve stays well conditioned. A potential that is NaN or -inf at an
-    interior grid point raises ValueError naming the first such point.
-    At its peak it holds one (N-1)^2 array, the Hamiltonian, beside
-    LAPACK's own workspace.
+    interior grid point is refused by ``_checks.potential`` at the first
+    such point. At its peak it holds one (N-1)^2 array, the Hamiltonian,
+    beside LAPACK's own workspace.
     """
     v_max = 2000.0 / params.beta
     nn = grid.cells
     pts = grid.points[1:-1]
-    v = np.minimum(np.asarray(potential.value(pts), dtype=float), v_max)
-    bad = np.nonzero(~np.isfinite(v))[0]
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"potential is {v[k]} at grid point x = {float(pts[k])!r}")
+    v = np.minimum(_checks.potential(potential.value(pts), "at grid point", pts), v_max)
     idx = np.arange(1.0, nn)
     pref = params.hbar**2 / (2.0 * params.mass) * math.pi**2 / (2.0 * (grid.b - grid.a) ** 2)
     # off-diagonal: (-1)^(i-j) [1/sin^2(pi (i-j) / 2N) - 1/sin^2(pi (i+j) / 2N)],
@@ -610,10 +594,11 @@ def mc_density_ratio(
     sample into buffers allocated once per call, and its bridge normals
     block by block into one reused buffer, continuing the same stream, so
     memory does not grow with the level. Returns (estimate, standard
-    error); raises ValueError when x or x' is not finite or the potential
-    is NaN or -inf on a sampled path. The estimate and the sum of squared
-    weights are refused by ``_checks.result`` unless finite and above 0,
-    so an endpoint on a wall, where every weight is 0, is refused.
+    error); raises ValueError when x or x' is not finite or a path's time
+    average of V is NaN or -inf. The time nodes are interior: V is never
+    read at x or x'. The estimate and the sum of squared weights are
+    refused by ``_checks.result`` unless finite and above 0, so an endpoint
+    on a wall, where every weight is 0, is refused.
     """
     if not isinstance(kernel, DiscreteReweightedKernel):
         raise TypeError("mc_density_ratio needs a discrete reweighted kernel")
@@ -651,9 +636,8 @@ def mc_density_ratio(
             pts *= sigma
             pts += ref
             avg = np.asarray(kernel.potential.value(pts)) @ basis.weights
-            # written so that NaN fails; +inf (a wall) weighs 0
-            if not (avg > -np.inf).all():
-                raise ValueError("the potential is NaN or -inf on a sampled path")
+            # a NaN or -inf reaches the path average; +inf (a wall) weighs 0
+            avg = _checks.potential(avg, "on a sampled path")
             avg *= -beta
             with np.errstate(under="ignore", over="ignore"):
                 np.exp(avg, out=avg)

@@ -6,14 +6,16 @@ negative value, a fraction and a bool wherever they are invalid. A refusal is
 a ValueError whose message starts with the parameter's name, as
 ``rwpath._checks`` words it, followed by the words of the rule when the
 values are a ``Refused`` set. A row may also list other refused calls with
-their messages, and the result an elementwise function gives for NaN, which
-it passes through instead of refusing. Records that a public function
-returns, and the base classes, take no numeric input of their own; their
-rows hold a valid construction and say so.
+their messages, among them a potential that is NaN or -inf where the call
+reads it, as ``rwpath._checks.potential`` words it, and the result an
+elementwise function gives for NaN, which it passes through instead of
+refusing. Records that a public function returns, and the base classes,
+take no numeric input of their own; their rows hold a valid construction
+and say so.
 
 A second table holds valid inputs whose result is not representable: a Z,
-Boltzmann sum or density ratio that overflows or underflows to 0 must be
-refused, as ``rwpath._checks.result`` words it, not returned.
+Boltzmann sum, density ratio or kernel weight that overflows or underflows
+to 0 must be refused, as ``rwpath._checks.result`` words it, not returned.
 """
 
 import dataclasses
@@ -149,6 +151,33 @@ RECORD = "a result record: its fields were checked by the function that filled i
 
 def tent(u):
     return np.minimum(u, 1.0 - u)
+
+
+def half_square(bad, where):
+    """The value function of 0.5 x^2, but ``bad`` where ``where(x)`` holds."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(where(x), bad, 0.5 * x * x)
+
+    return value
+
+
+def kernel4(value):
+    return DiscreteReweightedKernel(SYS4, custom_potential(value, np.sign), RULE4, gh_points=4)
+
+
+def trotter(value):
+    return TrotterKernel(custom_potential(value, np.sign))
+
+
+def at_zero(x):
+    return x == 0.0
+
+
+P1 = PhysicalParams(beta=1.0)
+# the grid holds x = 0; NaN or -inf there is refused wherever V(0) is read
+G8 = SpatialGrid(-2.0, 2.0, 8)
 
 
 ROWS = {
@@ -313,7 +342,10 @@ ROWS = {
         refused=((r"^time-average rule must be palindromic", lambda: DiscreteReweightedKernel(
             SYS4, quartic(), Rule1D((0.2, 0.5), (0.5, 0.5)))),
                  (r"^time-average rule must be palindromic", lambda: DiscreteReweightedKernel(
-                     SYS4, quartic(), Rule1D((0.2, 0.5, 0.9), (0.3, 0.3, 0.4))))),
+                     SYS4, quartic(), Rule1D((0.2, 0.5, 0.9), (0.3, 0.3, 0.4)))),
+                 # its interior time nodes never read V(0), its wall test does
+                 (r"^potential is nan at x = 0\.0$",
+                  lambda: kernel4(half_square(NAN, at_zero)).rho0(P1, 0.0, 0.5))),
     ),
     "FreeParticleKernel": Row(lambda: FreeParticleKernel(quartic())),
     "PhysicalParams": Row(
@@ -326,7 +358,13 @@ ROWS = {
                   lambda: PhysicalParams(1.0, hbar=1e-200))),
     ),
     "ShortTimeKernel": Row(lambda: ShortTimeKernel(), note="abstract base class"),
-    "TrotterKernel": Row(lambda: TrotterKernel(quartic())),
+    "TrotterKernel": Row(
+        lambda: TrotterKernel(quartic()),
+        refused=((r"^potential is nan at x = 0\.0$",
+                  lambda: trotter(half_square(NAN, lambda x: abs(x) < 0.1)).rho0(P1, 0.0, 0.0)),
+                 (r"^potential is -inf at x = 0\.0$",
+                  lambda: trotter(half_square(-INF, at_zero)).rho0(P1, 0.0, 0.5))),
+    ),
     "rho_fp": Row(
         lambda x=0.0, xp=0.5: rho_fp(P, x, xp),
         at_nan={"x": NAN, "xp": NAN},
@@ -352,11 +390,22 @@ ROWS = {
                  (r"^squared grid width \(b - a\)\^2 must be finite and positive, got inf$",
                   lambda: SpatialGrid(-1e300, 1e300, 4))),
     ),
-    "build_matrix": Row(lambda n=1: build_matrix(TK, P, G, n), {"n": count(0)}),
+    "build_matrix": Row(
+        lambda n=1: build_matrix(TK, P, G, n), {"n": count(0)},
+        refused=((r"^potential is nan at x = 0\.0$", lambda: build_matrix(kernel4(
+            half_square(NAN, at_zero)), P1, G8, 3)),
+                 (r"^potential is -inf at x = 0\.0$",
+                  lambda: build_matrix(trotter(half_square(-INF, at_zero)), P1, G8, 3)),
+                 # the first pair whose x reads the NaN is the last pair, (30, 30)
+                 (r"^potential is nan at x = 3\.0$", lambda: build_matrix(
+                     trotter(half_square(NAN, lambda x: x > 2.9)), P1, SpatialGrid(-3.0, 3.0, 30), 0))),
+    ),
     "dvr_eigenvalues": Row(
         lambda: dvr_eigenvalues(quartic(), P, G),
         refused=((r"^potential is nan at grid point", lambda: dvr_eigenvalues(
-            custom_potential(lambda x: x * NAN, np.sign), P, G)),),
+            custom_potential(lambda x: x * NAN, np.sign), P, G)),
+                 (r"^potential is -inf at grid point x = 0\.0$", lambda: dvr_eigenvalues(
+                     custom_potential(half_square(-INF, at_zero), np.sign), P1, G8))),
     ),
     "dvr_partition_function": Row(lambda: dvr_partition_function(quartic(), P, G)),
     "matrix_power": Row(lambda power=2: matrix_power(np.eye(3), power), {"power": count(1)}),
@@ -365,6 +414,11 @@ ROWS = {
             K4, P, x, xp, levels, samples, seed),
         {"x": FINITE, "xp": FINITE, "levels": count(0), "samples": count(2), "seed": count(0)},
         {"xp": "x'"},
+        # shifting the energy zero cannot mend these, so they are not overflows
+        refused=((r"^potential is nan on a sampled path$", lambda: mc_density_ratio(
+            kernel4(half_square(NAN, lambda x: x > 0.5)), P1, 0.0, 0.0, 2, 1000)),
+                 (r"^potential is -inf on a sampled path$", lambda: mc_density_ratio(
+                     kernel4(half_square(-INF, lambda x: x > 0.5)), P1, 0.0, 0.0, 2, 1000))),
     ),
     "nmm_density_ratio": Row(
         lambda n=1, x=0.0, xp=0.0: nmm_density_ratio(K4, P, G, n, x, xp),
@@ -378,7 +432,9 @@ ROWS = {
                  (r"^x and x' must lie on the grid",
                   lambda: nmm_density_ratio(K4, P, SpatialGrid(0.0, 1e-10, 4), 1, 1.2e-11, 0.0)),
                  (r"^x and x' must lie on the grid",
-                  lambda: nmm_density_ratio(K4, P, SpatialGrid(-4.0, 4.0, 100), 3, 0.017, 0.0))),
+                  lambda: nmm_density_ratio(K4, P, SpatialGrid(-4.0, 4.0, 100), 3, 0.017, 0.0)),
+                 (r"^potential is nan at x = 0\.0$",
+                  lambda: nmm_density_ratio(kernel4(half_square(NAN, at_zero)), P1, G8, 3, 0.0, 0.5))),
     ),
     "order_diagnostic": Row(
         lambda z_ref=REF.value, m_list=(1, 2, 3): order_diagnostic(TK, P, G, m_list, z_ref),
@@ -388,7 +444,11 @@ ROWS = {
         refused=((r"^m_list must be at least 3 consecutive",
                   lambda: order_diagnostic(TK, P, G, [1, 3, 5], REF.value)),),
     ),
-    "partition_function": Row(lambda: partition_function(build_matrix(TK, P, G, 1))),
+    "partition_function": Row(
+        lambda: partition_function(build_matrix(TK, P, G, 1)),
+        refused=((r"^potential is nan at x = 0\.0$", lambda: partition_function(
+            build_matrix(kernel4(half_square(NAN, at_zero)), P1, G8, 3))),),
+    ),
     "reference_z": Row(lambda n_ref=127: reference_z(K4, P, G, n_ref), {"n_ref": count(0)}),
     "trotter_constant": Row(
         lambda n_list=(3, 5), reference=REF: trotter_constant(P, G, quartic(), n_list, reference),
@@ -533,8 +593,41 @@ def constant(value):
     return lambda x: np.full(np.shape(x), value)
 
 
-def kernel4(value):
-    return DiscreteReweightedKernel(SYS4, custom_potential(value, np.sign), RULE4, gh_points=4)
+class PoisonedPairKernel(ShortTimeKernel):
+    """Free-particle ratio except at one grid pair (either order), where it
+    is ``bad``; counts its ``ratio`` calls."""
+
+    kind = "poisoned"
+
+    def __init__(self, potential, xi, xj, bad):
+        self.potential = potential
+        self.pair = (xi, xj)
+        self.bad = bad
+        self.ratio_calls = 0
+
+    def ratio(self, params, x, xp):
+        self.ratio_calls += 1
+        x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
+        xi, xj = self.pair
+        hit = ((x == xi) & (xp == xj)) | ((x == xj) & (xp == xi))
+        return np.where(hit, self.bad, 1.0)
+
+
+def build_poisoned(value, bad):
+    # (5, 12) is the only evaluated pair holding the poisoned value on both
+    # layouts: its reflection (18, 25) lies past i + j <= cells; one
+    # evaluation of the pairs both finds and names it
+    g = SpatialGrid(-3.0, 3.0, 30)
+    kernel = PoisonedPairKernel(custom_potential(value, np.sign), g.points[5], g.points[12], bad)
+    try:
+        build_matrix(kernel, P1, g, 0)
+    finally:
+        assert kernel.ratio_calls == 1
+
+
+def tilted_quartic(x):
+    x = np.asarray(x, dtype=float)
+    return x**4 + 0.5 * x
 
 
 COLD = PhysicalParams(beta=1000.0)
@@ -601,6 +694,19 @@ UNREPRESENTABLE = {
     "mc_density_ratio-squares-underflow": (
         ValueError, underflows(f"sum of squared path weights {AT_0}"),
         lambda: mc_density_ratio(kernel4(constant(40.0)), P, 0.0, 0.0, 1, 100)),
+    # a kernel weight: one slice's e^{-beta V} with V = 0.5 x^2 - 100 at beta = 10
+    "build_matrix-weight-overflow": (
+        OverflowError, overflowed("rho0(x, x') at x = -4.0, x' = -4.0"),
+        lambda: build_matrix(trotter(lambda x: deep_well(x) - 20.0), P, G, 0)),
+    # a NaN inside a path reaches the weight, not a point the caller named
+    "rho0-nan-inside-path": (
+        OverflowError, overflowed("rho0(x, x') at x = 0.0, x' = 0.5"),
+        lambda: kernel4(half_square(NAN, lambda x: (0.05 < x) & (x < 0.45))).rho0(P1, 0.0, 0.5)),
+    **{f"build_matrix-poisoned-pair-{layout}-{bad}": (
+        OverflowError, overflowed("rho0(x, x') at x = -2.0, x' = -0.5999999999999996"),
+        lambda value=value, bad=bad: build_poisoned(value, bad))
+       for layout, value in (("mirrored", quartic().value), ("plain", tilted_quartic))
+       for bad in (NAN, INF)},
 }
 
 
@@ -610,47 +716,53 @@ def test_unrepresentable_result_is_refused(error, pattern, call):
         call()
 
 
+SRC_DIR = Path(rwpath.__file__).parent
+SRC = sorted(SRC_DIR.glob("*.py"))
+CHECKS = SRC_DIR / "_checks.py"
+
+
+def matching_lines(pattern: str, paths) -> list[str]:
+    """"file:line" of every line of ``paths`` that ``pattern`` matches."""
+    return [
+        f"{path.name}:{n}"
+        for path in paths
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(pattern, line)
+    ]
+
+
 def test_only_the_checks_module_words_the_scalar_rule():
     # every "must be finite" and "must be an integer" refusal comes from one
     # module and is tested in this one, so neither the rule nor its table can
     # drift apart again; the CLI tests read the rule's words off stderr
-    src = Path(rwpath.__file__).parent
     tests = Path(__file__).parent
-    offenders = [
-        f"{path.name}:{n}"
-        for path in sorted(src.glob("*.py")) + sorted(tests.glob("*.py"))
-        if path not in (src / "_checks.py", tests / "test_hostile_inputs.py", tests / "test_cli.py")
-        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-        if re.search(r"must be (finite|an integer)", line)
+    paths = [
+        path for path in SRC + sorted(tests.glob("*.py"))
+        if path not in (CHECKS, tests / "test_hostile_inputs.py", tests / "test_cli.py")
     ]
-    assert offenders == []
+    assert matching_lines(r"must be (finite|an integer)", paths) == []
 
 
 def test_only_the_checks_module_words_the_result_rule():
     # every refusal of a result that overflowed or underflows to 0 comes from
     # _checks.result; the tests and the CLI may match on its words
-    src = Path(rwpath.__file__).parent
-    offenders = [
-        f"{path.name}:{n}"
-        for path in sorted(src.glob("*.py"))
-        if path != src / "_checks.py"
-        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-        if re.search(r"overflowed|underflows to 0", line)
-    ]
-    assert offenders == []
+    assert matching_lines(r"overflowed|underflows to 0", [p for p in SRC if p != CHECKS]) == []
+
+
+def test_only_the_checks_module_words_the_potential_rule():
+    # every refusal of a potential value that is NaN or -inf comes from
+    # _checks.potential, and none is a FloatingPointError, which the CLI
+    # would not catch
+    others = [p for p in SRC if p != CHECKS]
+    assert matching_lines(r"potential is (\{|nan|-inf|NaN)", others) == []
+    assert matching_lines(r"FloatingPointError", SRC) == []
 
 
 def test_only_the_experiment_table_writes_the_benchmark_set_ups():
     # the helium temperature and the acceptance runs' n_ref (968 and 904, by
     # ladder's rule) live in experiments.py; the acceptance suite pins them,
     # and the unit tests keep their own small set-ups
-    src, demos = Path(rwpath.__file__).parent, Path(__file__).resolve().parents[1] / "demos"
+    demos = Path(__file__).resolve().parents[1] / "demos"
     assert demos.is_dir()
-    offenders = [
-        f"{path.name}:{n}"
-        for path in sorted(src.glob("*.py")) + sorted(demos.glob("*.py"))
-        if path != src / "experiments.py"
-        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-        if re.search(r"(?<![\d.])(5\.11|968|904)(?!\d)", line)
-    ]
-    assert offenders == []
+    paths = [p for p in SRC + sorted(demos.glob("*.py")) if p != SRC_DIR / "experiments.py"]
+    assert matching_lines(r"(?<![\d.])(5\.11|968|904)(?!\d)", paths) == []

@@ -427,16 +427,6 @@ def test_infinite_walls_give_zero_density_not_errors():
     assert inside > 0.0
 
 
-def test_nan_potential_raises():
-    bad = custom_potential(
-        lambda x: np.where(np.abs(np.asarray(x, dtype=float)) < 0.1, np.nan, 0.0),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    kernel = TrotterKernel(bad)
-    with pytest.raises(FloatingPointError):
-        kernel.rho0(PhysicalParams(beta=1.0), 0.0, 0.0)
-
-
 def test_reweighted_kernel_requires_palindromic_rule():
     skewed = Rule1D([0.2, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError):

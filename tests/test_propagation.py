@@ -14,7 +14,6 @@ from rwpath.kernels import (
     DiscreteReweightedKernel,
     FreeParticleKernel,
     PhysicalParams,
-    ShortTimeKernel,
     TrotterKernel,
     rho_fp,
 )
@@ -205,51 +204,6 @@ def test_pair_layout_is_read_only_and_maps_entries_to_their_pairs(mirror, cells)
     assert np.array_equal(entry, entry[::-1, ::-1]) == mirror
     assert np.array_equal(np.unique(entry), np.arange(iu.size))
     assert np.array_equal(entry[iu, ju], np.arange(iu.size))
-
-
-class PoisonedPairKernel(ShortTimeKernel):
-    """Free-particle ratio except at one grid pair (either order), where it
-    is ``bad``; counts its ``ratio`` calls."""
-
-    kind = "poisoned"
-
-    def __init__(self, potential, xi, xj, bad):
-        self.potential = potential
-        self.pair = (xi, xj)
-        self.bad = bad
-        self.ratio_calls = 0
-
-    def ratio(self, params, x, xp):
-        self.ratio_calls += 1
-        x, xp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
-        xi, xj = self.pair
-        hit = ((x == xi) & (xp == xj)) | ((x == xj) & (xp == xi))
-        return np.where(hit, self.bad, 1.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("potential", [quartic, tilted_quartic], ids=["mirrored", "plain"])
-def test_build_matrix_names_the_non_finite_pair(potential, bad):
-    # (5, 12) is the only evaluated pair holding the poisoned value on both
-    # layouts: its reflection (18, 25) lies past i + j <= cells; one
-    # evaluation of the pairs both finds and names it
-    g = SpatialGrid(-3.0, 3.0, 30)
-    x = g.points
-    kernel = PoisonedPairKernel(potential(), x[5], x[12], bad)
-    with pytest.raises(FloatingPointError, match=r"grid indices \(5, 12\)"):
-        build_matrix(kernel, PhysicalParams(beta=1.0), g, 0)
-    assert kernel.ratio_calls == 1
-
-
-def test_build_matrix_reports_nan_location():
-    bad = custom_potential(
-        lambda x: np.where(np.asarray(x, dtype=float) > 2.9, np.nan, 0.0),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    p = PhysicalParams(beta=1.0)
-    g = SpatialGrid(-3.0, 3.0, 30)
-    with pytest.raises(FloatingPointError, match="grid indices"):
-        build_matrix(TrotterKernel(bad), p, g, 0)
 
 
 def test_partition_function_trace_basics():
@@ -479,19 +433,6 @@ def test_nmm_density_ratio_across_the_centre_matches_plain_products(x, xp):
     # n (N eps) relative
     tol = 2 * n * grid.points.size * np.finfo(float).eps
     assert abs(ratio - expected) <= tol * expected
-
-
-@pytest.mark.parametrize("bad", [math.nan, -math.inf])
-def test_mc_density_ratio_names_a_nan_or_minus_inf_potential(bad):
-    # shifting the energy zero cannot fix these, so they are not overflow
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0.5, bad, 0.5 * x * x)
-
-    pot = custom_potential(value, lambda x: np.asarray(x, dtype=float))
-    kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
-    with pytest.raises(ValueError, match="NaN or -inf"):
-        mc_density_ratio(kernel, PhysicalParams(beta=1.0), 0.0, 0.0, 2, 1000)
 
 
 def test_doubling_grid_cells_leaves_z_unchanged():

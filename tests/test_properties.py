@@ -8,16 +8,22 @@ import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwpath import kernels as kernels_module
-from rwpath.calibration import calibrated_system
-from rwpath.kernels import DiscreteReweightedKernel, PhysicalParams, TrotterKernel
+from rwpath.experiments import make_kernel
+from rwpath.kernels import PhysicalParams
 from rwpath.potentials import custom_potential
-from rwpath.propagation import SpatialGrid, build_matrix, matrix_power, partition_function
-
-ORDER3 = calibrated_system("order3-discrete")
+from rwpath.propagation import (
+    SpatialGrid,
+    build_matrix,
+    dvr_eigenvalues,
+    matrix_power,
+    nmm_density_ratio,
+    partition_function,
+)
 
 PROPERTY = settings(max_examples=20, derandomize=True, deadline=None, database=None)
 
@@ -42,15 +48,9 @@ def polynomials(draw, even=False):
     return custom_potential(value, deriv1)
 
 
-kernels = st.sampled_from(["trotter", "order3"])
+kernels = st.sampled_from(["trotter", "order3-discrete"])
 betas = st.floats(0.1, 2.0)
 rungs = st.integers(0, 3)
-
-
-def make_kernel(name, pot):
-    if name == "trotter":
-        return TrotterKernel(pot)
-    return DiscreteReweightedKernel(ORDER3[0], pot, ORDER3[1])
 
 
 @PROPERTY
@@ -104,7 +104,7 @@ def test_ratio_is_chunk_invariant_on_random_potentials(pot, beta, size, split, s
     x = rng.uniform(-2.0, 2.0, size=size)
     xp = rng.uniform(-2.0, 2.0, size=size)
     cut = 1 + int(split * (size - 2))
-    kernel = make_kernel("order3", pot)
+    kernel = make_kernel("order3-discrete", pot)
     params = PhysicalParams(beta=beta)
     whole = kernel.ratio(params, x, xp)
     parts = np.concatenate([kernel.ratio(params, x[:cut], xp[:cut]), kernel.ratio(params, x[cut:], xp[cut:])])
@@ -146,13 +146,13 @@ def test_slice_identity_on_random_potentials(pot, name, beta, k, a, width, cells
     name=kernels,
     beta=betas,
     n=rungs,
-    shift=st.integers(-600, 10_000),
+    shift=st.integers(-1000, 10_000),
     cells=st.integers(2, 12),
 )
 def test_shifted_partition_function_is_positive_or_refused(pot, name, beta, n, shift, cells):
-    # V + E with beta E / (n + 1) = shift: each slice's weights stay inside
-    # the float range, but Z carries e^{-(n + 1) shift}, which overflows or
-    # underflows to 0 toward the ends of the range
+    # V + E with beta E / (n + 1) = shift: Z carries e^{-(n + 1) shift},
+    # which overflows or underflows to 0 toward the ends of the range, and
+    # below a shift of about -709 a single slice's weight overflows too
     offset = shift * (n + 1) / beta
     shifted = custom_potential(lambda x: pot.value(x) + offset, pot.deriv1)
     grid = SpatialGrid(-2.0, 2.0, cells)
@@ -162,6 +162,39 @@ def test_shifted_partition_function_is_positive_or_refused(pot, name, beta, n, s
         assert re.search("overflowed|underflows to 0", str(exc))
         return
     assert math.isfinite(z) and z > 0.0
+
+
+@PROPERTY
+@given(
+    pot=polynomials(),
+    bad=st.sampled_from([math.nan, -math.inf]),
+    beta=betas,
+    n=rungs,
+    a=st.floats(-3.0, 0.0),
+    width=st.floats(1.0, 5.0),
+    cells=st.integers(2, 12),
+    at=st.floats(0.0, 1.0),
+)
+def test_a_grid_value_that_is_not_a_number_is_refused_at_its_x(pot, bad, beta, n, a, width, cells, at):
+    # V is NaN or -inf at one interior grid point, which the grid eigensolve
+    # reads too; every entry point that reads V there names that point
+    grid = SpatialGrid(a, a + width, cells)
+    xk = float(grid.points[1 + round(at * (cells - 2))])
+    spiked = custom_potential(
+        lambda x: np.where(np.asarray(x, dtype=float) == xk, bad, pot.value(x)), pot.deriv1
+    )
+    params = PhysicalParams(beta=beta)
+    x0 = float(grid.points[0])
+    calls = [
+        *(lambda name=name: build_matrix(make_kernel(name, spiked), params, grid, n)
+          for name in ("trotter", "order3-discrete")),
+        lambda: nmm_density_ratio(make_kernel("order3-discrete", spiked), params, grid, n, x0, x0),
+        lambda: dvr_eigenvalues(spiked, params, grid),
+    ]
+    message = f"^potential is {bad!r} at (grid point )?x = {re.escape(repr(xk))}$"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @settings(PROPERTY, max_examples=8)
@@ -177,7 +210,7 @@ def test_ratio_does_not_depend_on_the_worker_count(pot, beta, size, workers, see
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, size=size)
     xp = rng.uniform(-2.0, 2.0, size=size)
-    kernel = make_kernel("order3", pot)
+    kernel = make_kernel("order3-discrete", pot)
     params = PhysicalParams(beta=beta)
     with mock.patch.object(kernels_module, "_usable_cpus", return_value=1):
         one = kernel.ratio(params, x, xp)
