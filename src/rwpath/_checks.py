@@ -5,6 +5,8 @@ that NaN fails, refuses a bool, accepts numpy numbers and raises ValueError
 naming the argument. ``potential`` holds a potential's values to a number or
 +inf (a wall), and ``result`` a returned Z, Boltzmann sum, density ratio or
 kernel weight to finite and above 0, so no ladder reads a slope off 0 or inf.
+``budget`` refuses a call whose predicted work or memory is over its limit,
+before anything is allocated or evaluated.
 """
 
 import math
@@ -72,3 +74,10 @@ def result(name: str, value) -> float:
     if not value > 0:
         raise ValueError(f"{name} underflows to 0, got {value!r}; {advice}")
     return value
+
+
+def budget(what: str, needed: int, limit: int, units: str, advice: str) -> None:
+    """Refuse ``what`` with ValueError when it needs more than ``limit``
+    ``units``; ``needed`` is predicted from the sizes, before the work."""
+    if needed > limit:
+        raise ValueError(f"{what} needs {needed} {units}, over the budget of {limit}; {advice}")

@@ -17,7 +17,8 @@ options and no others. Results are printed as JSON, echoing that config;
 Exit codes:
 0 success, 1 tolerance failure, 2 usage or configuration error (including an
 unreadable `--config`, an unwritable `--out`, a reference Z that the grid
-eigensolve refutes, and a Z or density ratio that is not finite and above 0).
+eigensolve refutes, a Z or density ratio that is not finite and above 0, and
+a run whose predicted size is over a work budget).
 """
 
 from __future__ import annotations

@@ -7,7 +7,12 @@ the symmetrized kinetic/potential splitting (endpoint time average, no
 Gaussian integral), and the continuous and discrete reweighted kernels
 (tensor Gauss-Hermite average over the bridge coefficients). V at x or x'
 is a number or +inf, a wall of density 0: ``ratio`` refuses NaN or -inf
-there, and ``rho0`` a weight that is not finite, both through ``_checks``.
+there through ``_checks``. Otherwise it returns the raw weight, which is
+inf or NaN where it overflows or a path meets a NaN inside; ``rho0`` is the
+reader that refuses a weight that is not finite. A reweighted kernel
+refuses, through ``_checks.budget``, a Gauss-Hermite table over
+``_MAX_TABLE_ENTRIES`` when it is built, and a ``ratio`` call over
+``_MAX_RATIO_POINTS`` potential points before it reads V.
 
 The reweighted ``ratio`` works in fixed cache-sized units: chunks of pairs
 times a fixed block of Gauss-Hermite nodes, about 64k points each, reusing
@@ -58,6 +63,13 @@ _WORK_UNIT = 65_536
 # np.exp is exactly +0.0 below about -745.13 (half the smallest subnormal);
 # ratio sets the lanes below this cut instead of computing them
 _EXP_ZERO = -746.0
+# Work a reweighted kernel may take on: entries of its Gauss-Hermite table,
+# gh_points^q x time nodes (2^24 float64 values, 128 MiB; the largest in use,
+# continuous order 4 at gh_points = 10, has 512,000), and potential points
+# of one ratio call, pairs x table entries (the largest build in use, a
+# helium order-4 rung, needs 63,001 x 4,000 = 2.52e8, 8.5x inside 2^31).
+_MAX_TABLE_ENTRIES = 2**24
+_MAX_RATIO_POINTS = 2**31
 
 # CODATA values: hbar in J s, atomic mass unit in kg, Boltzmann constant in
 # J/K, angstrom in m.
@@ -127,6 +139,9 @@ class ShortTimeKernel:
     potential: Potential | None = None
 
     def ratio(self, params: PhysicalParams, x, xp):
+        """rho0 / rho_fp at (x, x'), elementwise: the raw weight, 0 where
+        V(x) or V(x') is +inf, and inf or NaN, unrefused, where it overflows.
+        ``rho0`` is the reader that refuses a weight that is not finite."""
         raise NotImplementedError
 
     def rho0(self, params: PhysicalParams, x, xp):
@@ -192,6 +207,11 @@ class _ReweightedKernel(ShortTimeKernel):
         self.potential = potential
         self.time_rule = time_rule
         self.gh_points = _checks.count("gh_points", gh_points, 1)
+        _checks.budget(
+            f"gh_points = {self.gh_points} on {time_rule.points.size} time nodes",
+            self.gh_points**system.q * time_rule.points.size, _MAX_TABLE_ENTRIES,
+            "Gauss-Hermite table entries", "lower gh_points",
+        )
         # cached per instance: the time nodes and the Gauss-Hermite
         # displacement table (rho0 is called ~M^2 times)
         basis = path_basis(system, time_rule)
@@ -205,6 +225,10 @@ class _ReweightedKernel(ShortTimeKernel):
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
         x, xp = np.broadcast_arrays(x, xp)
+        _checks.budget(
+            f"ratio on {x.size} pairs", x.size * self._disp.size, _MAX_RATIO_POINTS,
+            "potential points", "use a coarser grid, fewer gh_points or a discrete kernel",
+        )
         scalar = x.ndim == 0
         xf = np.atleast_1d(x).ravel()
         dxf = np.atleast_1d(xp).ravel() - xf

@@ -212,12 +212,6 @@ _MAX_QUADRATURE_POINTS = 2**22
 _NARROW = 16
 
 
-def _check_budget(points: int) -> None:
-    if points > _MAX_QUADRATURE_POINTS:
-        raise ValueError(f"this moment needs {points} quadrature points, over the budget of "
-                         f"{_MAX_QUADRATURE_POINTS}; use mc_moment_oracle for this index")
-
-
 def moment(spec: MomentSpec, idx: MomentIndex) -> float:
     """Expected value of the product (endpoint)^{j_1} * prod_k (M_k)^{j_{k+2}}
     for the spec's process, where M_k is the time average of the k-th path
@@ -248,7 +242,8 @@ def _finite_statistics(spec: MomentSpec, mu: int, max_power: int) -> tuple[dict,
     Gaussian degree is at most 2 mu - 2."""
     system = spec.kernel.system
     rule = _EXACT_TIME_RULE if spec.rule is None else spec.rule
-    _check_budget(mu ** (system.q + 1) * rule.points.size)
+    _checks.budget("this moment", mu ** (system.q + 1) * rule.points.size, _MAX_QUADRATURE_POINTS,
+                   "quadrature points", "use mc_moment_oracle for this index")
     nodes, weights = tensor_gauss_hermite(system.q + 1, mu)
     n = nodes.shape[0]
     rows = min(n, max(1, _WORK_UNIT // rule.points.size))
@@ -269,14 +264,16 @@ def _moment_brownian(idx: MomentIndex, rule: Rule1D | None) -> float:
     """
     d = idx.time_dim
     if rule is not None:
-        _check_budget(rule.points.size**d)
+        _checks.budget("this moment", rule.points.size**d, _MAX_QUADRATURE_POINTS,
+                       "quadrature points", "use mc_moment_oracle for this index")
         t, w = _tensor_rule(rule, d)
         arrangements = [idx.time_powers]
     else:
         powers = idx.time_powers
         orderings = math.prod(math.factorial(powers.count(p)) for p in set(powers))
         g = (idx.gaussian_degree // 2 + d + 1) // 2
-        _check_budget(math.factorial(d) // orderings * g**d)
+        _checks.budget("this moment", math.factorial(d) // orderings * g**d, _MAX_QUADRATURE_POINTS,
+                       "quadrature points", "use mc_moment_oracle for this index")
         cube, w = _tensor_rule(gauss_legendre_01(g), d)
         t = np.cumprod(cube[:, ::-1], axis=1)[:, ::-1]
         w = w * np.prod(cube ** np.arange(d), axis=1) * orderings

@@ -205,11 +205,8 @@ def path_basis(system: LambdaSystem, rule: Rule1D, levels: int = 0) -> PathBasis
     ncell = 2**levels
     nq = rule.points.size
     entries = (ncell - 1 + system.q * ncell) * ncell * nq
-    if entries > _MAX_BASIS_ENTRIES:
-        raise ValueError(
-            f"levels = {levels} needs a path basis of {entries} entries, over the "
-            f"budget of {_MAX_BASIS_ENTRIES}; lower levels"
-        )
+    _checks.budget(f"levels = {levels}", entries, _MAX_BASIS_ENTRIES, "path basis entries",
+                   "lower levels")
     times = (np.tile(rule.points, ncell) + np.repeat(np.arange(ncell), nq)) / ncell
     weights = np.tile(rule.weights, ncell) / ncell
     values = np.zeros((ncell - 1 + system.q * ncell, times.size))

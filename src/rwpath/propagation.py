@@ -116,6 +116,12 @@ def _potential_is_mirror_symmetric(kernel: ShortTimeKernel, grid: SpatialGrid) -
     return True
 
 
+# Entries of one N x N matrix, a kernel matrix or the grid Hamiltonian: 2^22
+# float64 values, 32 MiB, N = 2048; the largest in use, the helium grid's
+# 501 points, has 251,001, 16.7x inside.
+_MAX_MATRIX_ENTRIES = 2**22
+
+
 @functools.lru_cache(maxsize=8)
 def _pair_layout(cells: int, mirror: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only pair layout of a kernel matrix on ``cells + 1`` points.
@@ -157,9 +163,14 @@ def build_matrix(
     half of the triangle with i + j <= cells is evaluated and the rest comes
     from the reflection. The pair layout depends only on ``(cells, mirror)``
     and is cached, so the matrix is one gather of the pair values. The
-    entries are h * rho0, which refuses the potential and the weights.
+    entries are h * rho0, which refuses the potential and the weights. A
+    matrix over ``_MAX_MATRIX_ENTRIES`` entries is refused before anything
+    is built.
     """
     n = _checks.count("n", n, 0)
+    npts = grid.cells + 1
+    _checks.budget(f"a kernel matrix on {npts} grid points", npts * npts, _MAX_MATRIX_ENTRIES,
+                   "matrix entries", "use fewer grid cells")
     slice_params = params.with_beta(params.beta / (n + 1))
     x = grid.points
     iu, ju, entry = _pair_layout(grid.cells, _potential_is_mirror_symmetric(kernel, grid))
@@ -302,10 +313,13 @@ def dvr_eigenvalues(
     eigensolve stays well conditioned. A potential that is NaN or -inf at an
     interior grid point is refused by ``_checks.potential`` at the first
     such point. At its peak it holds one (N-1)^2 array, the Hamiltonian,
-    beside LAPACK's own workspace.
+    beside LAPACK's own workspace; one over ``_MAX_MATRIX_ENTRIES`` entries
+    is refused before V is read.
     """
     v_max = 2000.0 / params.beta
     nn = grid.cells
+    _checks.budget(f"the grid Hamiltonian on {nn - 1} interior points", (nn - 1) ** 2,
+                   _MAX_MATRIX_ENTRIES, "matrix entries", "use fewer grid cells")
     pts = grid.points[1:-1]
     v = np.minimum(_checks.potential(potential.value(pts), "at grid point", pts), v_max)
     idx = np.arange(1.0, nn)

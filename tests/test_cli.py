@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwpath
 from rwpath.cli import (KERNEL_CHOICES, OPTIONS, READS, _FAMILY_OF, build_parser, load_config, main,
                         resolve_config)
 from rwpath.experiments import make_kernel, make_spec
@@ -273,6 +279,44 @@ def test_mc_check_levels_over_the_basis_budget_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+# Runs the CLI in a child process whose address space is capped at 4 GiB
+# (set by the child itself), so a run that got past its budget fails with a
+# MemoryError instead of exhausting the machine.
+CAPPED_CLI = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32)); "
+              "runpy.run_module('rwpath.cli', run_name='__main__')")
+
+OVER_BUDGET = {
+    # the continuous kernel averages over 512 time nodes: 40,401 mirrored
+    # pairs x 1000 x 512 points per build, which ran for minutes unrefused
+    "continuous-kernel": (
+        ("order", "--kernel", "order4-continuous", "--potential", "quartic", "--m-max", "6",
+         "--n-ref", "104"),
+        "ratio on 40401 pairs needs 20685312000 potential points, over the budget of 2147483648; "
+        "use a coarser grid, fewer gh_points or a discrete kernel"),
+    # a meshgrid of 1000^3 Gauss-Hermite nodes, 24 GB
+    "gh-points": (
+        ("order", "--gh-points", "1000"),
+        "gh_points = 1000 on 4 time nodes needs 4000000000 Gauss-Hermite table entries, over the "
+        "budget of 16777216; lower gh_points"),
+    # an 80 GB pair layout
+    "grid-m": (
+        ("order", "--grid-m", "100000"),
+        "a kernel matrix on 100001 grid points needs 10000200001 matrix entries, over the budget "
+        "of 4194304; use fewer grid cells"),
+}
+
+
+@pytest.mark.parametrize("argv, message", OVER_BUDGET.values(), ids=list(OVER_BUDGET))
+def test_a_run_over_a_budget_is_a_usage_error_in_seconds(argv, message):
+    path = (str(Path(rwpath.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    t0 = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert time.perf_counter() - t0 < 10.0
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_trotter_constant_without_rungs_is_a_usage_error(capsys):

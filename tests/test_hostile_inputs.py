@@ -9,7 +9,9 @@ values are a ``Refused`` set. A row may also list other refused calls with
 their messages, among them a potential that is NaN or -inf where the call
 reads it, as ``rwpath._checks.potential`` words it, and the result an
 elementwise function gives for NaN, which it passes through instead of
-refusing. Records that a public function returns, and the base classes,
+refusing. A call whose predicted size is over its budget is refused, as
+``rwpath._checks.budget`` words it, before anything is allocated. Records
+that a public function returns, and the base classes,
 take no numeric input of their own; their rows hold a valid construction
 and say so.
 
@@ -22,6 +24,7 @@ import dataclasses
 import inspect
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -101,6 +104,7 @@ from rwpath import (
     variance_identity_error,
     verify_order,
 )
+from rwpath import _checks
 
 
 class Refused(tuple):
@@ -244,7 +248,12 @@ ROWS = {
         lambda alpha1=1.0, alpha2=1.0: make_order4(alpha1, alpha2),
         {"alpha1": FINITE, "alpha2": FINITE},
     ),
-    "path_basis": Row(lambda levels=1: path_basis(SYS4, RULE4, levels), {"levels": count(0)}),
+    "path_basis": Row(
+        lambda levels=1: path_basis(SYS4, RULE4, levels), {"levels": count(0)},
+        # levels 10 holds 16,773,120 entries
+        refused=((r"^levels = 11 needs 67100672 path basis entries, over the budget of 16777216; "
+                  r"lower levels$", lambda: path_basis(SYS4, RULE4, 11)),),
+    ),
     "variance_identity_error": Row(lambda: variance_identity_error(SYS4)),
     # moments
     "MomentIndex": Row(
@@ -335,6 +344,10 @@ ROWS = {
     "ContinuousReweightedKernel": Row(
         lambda gh_points=2: ContinuousReweightedKernel(SYS4, quartic(), gh_points=gh_points),
         {"gh_points": count(1)},
+        # 32^3 Gauss-Hermite nodes on 512 time nodes fill the budget exactly
+        refused=((r"^gh_points = 33 on 512 time nodes needs 18399744 Gauss-Hermite table entries, "
+                  r"over the budget of 16777216; lower gh_points$",
+                  lambda: ContinuousReweightedKernel(SYS4, quartic(), gh_points=33)),),
     ),
     "DiscreteReweightedKernel": Row(
         lambda gh_points=2: DiscreteReweightedKernel(SYS4, quartic(), RULE4, gh_points),
@@ -345,7 +358,11 @@ ROWS = {
                      SYS4, quartic(), Rule1D((0.2, 0.5, 0.9), (0.3, 0.3, 0.4)))),
                  # its interior time nodes never read V(0), its wall test does
                  (r"^potential is nan at x = 0\.0$",
-                  lambda: kernel4(half_square(NAN, at_zero)).rho0(P1, 0.0, 0.5))),
+                  lambda: kernel4(half_square(NAN, at_zero)).rho0(P1, 0.0, 0.5)),
+                 # K4's table holds 4^3 x 4 = 256 entries, so 2^23 pairs fill the budget
+                 (r"^ratio on 8388609 pairs needs 2147483904 potential points, over the budget of "
+                  r"2147483648; use a coarser grid, fewer gh_points or a discrete kernel$",
+                  lambda: K4.ratio(P, np.broadcast_to(0.0, 2**23 + 1), 0.0))),
     ),
     "FreeParticleKernel": Row(lambda: FreeParticleKernel(quartic())),
     "PhysicalParams": Row(
@@ -398,14 +415,22 @@ ROWS = {
                   lambda: build_matrix(trotter(half_square(-INF, at_zero)), P1, G8, 3)),
                  # the first pair whose x reads the NaN is the last pair, (30, 30)
                  (r"^potential is nan at x = 3\.0$", lambda: build_matrix(
-                     trotter(half_square(NAN, lambda x: x > 2.9)), P1, SpatialGrid(-3.0, 3.0, 30), 0))),
+                     trotter(half_square(NAN, lambda x: x > 2.9)), P1, SpatialGrid(-3.0, 3.0, 30), 0)),
+                 # 2048 points fill the budget exactly
+                 (r"^a kernel matrix on 2049 grid points needs 4198401 matrix entries, over the budget "
+                  r"of 4194304; use fewer grid cells$",
+                  lambda: build_matrix(TK, P, SpatialGrid(-4.0, 4.0, 2048), 0))),
     ),
     "dvr_eigenvalues": Row(
         lambda: dvr_eigenvalues(quartic(), P, G),
         refused=((r"^potential is nan at grid point", lambda: dvr_eigenvalues(
             custom_potential(lambda x: x * NAN, np.sign), P, G)),
                  (r"^potential is -inf at grid point x = 0\.0$", lambda: dvr_eigenvalues(
-                     custom_potential(half_square(-INF, at_zero), np.sign), P1, G8))),
+                     custom_potential(half_square(-INF, at_zero), np.sign), P1, G8)),
+                 # 2048 interior points fill the budget exactly
+                 (r"^the grid Hamiltonian on 2049 interior points needs 4198401 matrix entries, over "
+                  r"the budget of 4194304; use fewer grid cells$",
+                  lambda: dvr_eigenvalues(quartic(), P, SpatialGrid(-4.0, 4.0, 2050)))),
     ),
     "dvr_partition_function": Row(lambda: dvr_partition_function(quartic(), P, G)),
     "matrix_power": Row(lambda power=2: matrix_power(np.eye(3), power), {"power": count(1)}),
@@ -539,6 +564,25 @@ def test_hostile_value_is_refused(name, arg, value):
 def test_other_refusals_keep_their_messages(pattern, call):
     with pytest.raises(ValueError, match=pattern):
         call()
+
+
+@pytest.mark.parametrize("pattern, call", [p for p in REFUSED if "over the budget" in p.values[0]])
+def test_a_call_over_its_budget_allocates_nothing_first(pattern, call):
+    # each of these would allocate 32 MiB or more after its check
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=pattern):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_a_budget_admits_its_limit():
+    _checks.budget("this call", 8, 8, "points", "take fewer")
+    with pytest.raises(ValueError, match=r"^this call needs 9 points, over the budget of 8; take fewer$"):
+        _checks.budget("this call", 9, 8, "points", "take fewer")
 
 
 @pytest.mark.parametrize("name, arg, result", AT_NAN)
@@ -756,6 +800,13 @@ def test_only_the_checks_module_words_the_potential_rule():
     others = [p for p in SRC if p != CHECKS]
     assert matching_lines(r"potential is (\{|nan|-inf|NaN)", others) == []
     assert matching_lines(r"FloatingPointError", SRC) == []
+
+
+def test_only_the_checks_module_words_the_budget_rule():
+    # every refusal of a call for its size comes from _checks.budget, so
+    # each budget is checked and worded the same way; the tests and the CLI
+    # may match on its words
+    assert matching_lines(r"over the budget", [p for p in SRC if p != CHECKS]) == []
 
 
 def test_only_the_experiment_table_writes_the_benchmark_set_ups():
