@@ -9,10 +9,13 @@ Gaussian integral), and the continuous and discrete reweighted kernels
 is a number or +inf, a wall of density 0: ``ratio`` refuses NaN or -inf
 there through ``_checks``. Otherwise it returns the raw weight, which is
 inf or NaN where it overflows or a path meets a NaN inside; ``rho0`` is the
-reader that refuses a weight that is not finite. A reweighted kernel
-refuses, through ``_checks.budget``, a Gauss-Hermite table over
-``_MAX_TABLE_ENTRIES`` when it is built, and a ``ratio`` call over
-``_MAX_RATIO_POINTS`` potential points before it reads V.
+reader that refuses a weight that is not finite: NaN as a NaN potential on
+a path between x and x', inf (an overflow, or -inf on that path) as an
+overflow. A reweighted kernel refuses, when it is built, a bridge with no
+parity under u -> 1 - u at its time nodes (``build_matrix`` mirrors its
+matrix across the diagonal), and, through ``_checks.budget``, a
+Gauss-Hermite table over ``_MAX_TABLE_ENTRIES``; a ``ratio`` call over
+``_MAX_RATIO_POINTS`` potential points is refused before it reads V.
 
 The reweighted ``ratio`` works in fixed cache-sized units: chunks of pairs
 times a fixed block of Gauss-Hermite nodes, about 64k points each, reusing
@@ -146,13 +149,18 @@ class ShortTimeKernel:
 
     def rho0(self, params: PhysicalParams, x, xp):
         """Kernel value rho0(x, x'; beta), 0 where V(x) or V(x') is +inf. A
-        weight that is not finite (an overflow, a NaN inside a path) raises
-        OverflowError naming x and x'."""
+        NaN weight raises ValueError, and any other value that is not finite
+        OverflowError, naming x and x'."""
         # ratio before rho_fp: the other order raised perfbench's helium peak RSS by 2 MB
         out = np.asarray(self.ratio(params, x, xp)) * rho_fp(params, x, xp)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             x, xp = (float(np.broadcast_to(v, out.shape).flat[bad[0]]) for v in (x, xp))
+            # the weight there (ratio has read V at x and x', so NaN met a NaN between them),
+            # recomputed only where rho_fp is 0: holding all raised quartic peak RSS by 0.7 MB
+            fp = rho_fp(params, x, xp)
+            weight = out.flat[bad[0]] / fp if fp > 0 else self.ratio(params, x, xp)
+            _checks.potential(weight, f"on a path between x = {x!r}, x' = {xp!r}")
             _checks.result(f"rho0(x, x') at x = {x!r}, x' = {xp!r}", out.flat[bad[0]])
         return float(out) if out.ndim == 0 else out
 
@@ -215,6 +223,11 @@ class _ReweightedKernel(ShortTimeKernel):
         # cached per instance: the time nodes and the Gauss-Hermite
         # displacement table (rho0 is called ~M^2 times)
         basis = path_basis(system, time_rule)
+        for k, row in enumerate(basis.values):
+            miss = min(np.max(np.abs(row - row[::-1])), np.max(np.abs(row + row[::-1])))
+            if not miss <= 1e-10 * np.max(np.abs(row)):  # NaN fails
+                raise ValueError(f"bridge {k} is neither symmetric nor antisymmetric under u -> 1 - u "
+                                 f"at the time nodes: off by {miss:.3g}, over 1e-10 of its largest value")
         self._u = basis.times
         self._w = basis.weights
         nodes, weights = tensor_gauss_hermite(system.q, self.gh_points)

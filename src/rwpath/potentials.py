@@ -1,15 +1,15 @@
-"""Test potentials with values, first derivatives, and domain metadata.
+"""Test potentials with values and first derivatives.
 
 The quartic oscillator and the helium cage are the two benchmark systems;
 the harmonic oscillator is kept as an analytic cross-check (its density
 matrix and partition function are known in closed form). A value is a
-number, or +inf outside the domain, a wall of zero density; the kernels and
-the grid eigensolve refuse NaN and -inf through ``_checks.potential``.
+number, or +inf, a wall of zero density; the kernels and the grid
+eigensolve refuse NaN and -inf through ``_checks.potential``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,12 +22,12 @@ __all__ = ["Potential", "quartic", "harmonic", "he_cage", "custom_potential"]
 @dataclass(frozen=True)
 class Potential:
     """A one-dimensional potential: vectorized value and first derivative,
-    an open domain interval, and the defining parameters."""
+    and the defining parameters. A wall is where ``value`` is +inf."""
 
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
     deriv1: Callable[[np.ndarray], np.ndarray]
-    domain: tuple[float, float]
+    _: KW_ONLY
     params: dict
 
     def __call__(self, x):
@@ -46,7 +46,7 @@ def quartic() -> Potential:
         x = np.asarray(x, dtype=float)
         return 2.0 * x * x * x
 
-    return Potential("quartic", value, deriv1, (-np.inf, np.inf), {})
+    return Potential("quartic", value, deriv1, params={})
 
 
 def harmonic(omega: float, mass: float = 1.0) -> Potential:
@@ -62,7 +62,7 @@ def harmonic(omega: float, mass: float = 1.0) -> Potential:
         x = np.asarray(x, dtype=float)
         return mass * omega**2 * x
 
-    return Potential("harmonic", value, deriv1, (-np.inf, np.inf), {"omega": omega, "mass": mass})
+    return Potential("harmonic", value, deriv1, params={"omega": omega, "mass": mass})
 
 
 def he_cage(
@@ -130,15 +130,9 @@ def he_cage(
         out = np.where((x <= 0.0) | (x >= box), np.inf, d)
         return float(out) if out.ndim == 0 else out
 
-    return Potential(
-        "he-cage",
-        value,
-        deriv1,
-        (0.0, box),
-        {"eps": eps, "sigma_lj": sigma_lj, "box": box},
-    )
+    return Potential("he-cage", value, deriv1, params={"eps": eps, "sigma_lj": sigma_lj, "box": box})
 
 
-def custom_potential(value, deriv1, domain=(-np.inf, np.inf), params=None) -> Potential:
+def custom_potential(value, deriv1, *, params=None) -> Potential:
     """Wrap user code as a potential (code-only; not loadable from config)."""
-    return Potential("custom", value, deriv1, tuple(domain), dict(params or {}))
+    return Potential("custom", value, deriv1, params=dict(params or {}))

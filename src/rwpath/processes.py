@@ -12,7 +12,7 @@ Carlo all build their paths from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,13 +33,13 @@ class LambdaSystem:
     """A family of bridge functions defining a finite Gaussian path process.
 
     The full process is a0 * u + sum_k a_k * bridge[k](u) with i.i.d.
-    standard-normal coefficients. Every bridge function vanishes at both
-    endpoints and is either symmetric (+1) or antisymmetric (-1) under
-    u -> 1 - u; the reference profile is always the identity u -> u.
+    standard-normal coefficients; the reference profile is always u -> u.
+    A reweighted kernel checks, when built, that each bridge function is
+    symmetric or antisymmetric under u -> 1 - u at its time nodes.
     """
 
     bridge: tuple[Bridge, ...]
-    symmetry: tuple[int, ...]
+    _: KW_ONLY
     family: str = "custom"
     params: tuple[float, ...] = ()
 
@@ -70,7 +70,7 @@ def make_order3(alpha: float) -> LambdaSystem:
         u = np.asarray(u, dtype=float)
         return _sqrt_env(u) * np.sin(alpha * (u - 0.5))
 
-    return LambdaSystem((lam1, lam2), (1, -1), "order3", (float(alpha),))
+    return LambdaSystem((lam1, lam2), family="order3", params=(float(alpha),))
 
 
 def make_order4(alpha1: float, alpha2: float) -> LambdaSystem:
@@ -104,31 +104,21 @@ def make_order4(alpha1: float, alpha2: float) -> LambdaSystem:
         return renv(u) * np.sin(phase(u))
 
     return LambdaSystem(
-        (lam1, lam2, lam3), (1, 1, -1), "order4", (float(alpha1), float(alpha2))
+        (lam1, lam2, lam3), family="order4", params=(float(alpha1), float(alpha2))
     )
 
 
-def make_custom(bridge: Sequence[Bridge], symmetry: Sequence[int]) -> LambdaSystem:
-    """Wrap user-supplied bridge functions, verifying the declared symmetry
-    tags and the endpoint zeros on 257 uniform samples of [0, 1] (tags are
-    not trusted). A system that must skip the checks is built as a
-    ``LambdaSystem`` directly.
+def make_custom(bridge: Sequence[Bridge]) -> LambdaSystem:
+    """Wrap user-supplied bridge functions, verifying that each vanishes at
+    u = 0 and u = 1; a reweighted kernel checks their parity when it is
+    built. A system that must skip the check is built as a ``LambdaSystem``.
     """
-    bridge, symmetry = tuple(bridge), tuple(symmetry)
-    if len(bridge) != len(symmetry):
-        raise ValueError("one symmetry tag per bridge function is required")
-    # checked before int(), which would take 1.5 for +1; NaN fails
-    if any(isinstance(s, (bool, np.bool_)) or s not in (-1, 1) for s in symmetry):
-        raise ValueError("symmetry tags must be +1 (symmetric) or -1 (antisymmetric)")
-    symmetry = tuple(int(s) for s in symmetry)
-    u = np.linspace(0.0, 1.0, 257)
-    for f, s in zip(bridge, symmetry):
-        vals = np.asarray(f(u), dtype=float)
-        if abs(vals[0]) > 1e-12 or abs(vals[-1]) > 1e-12:
+    bridge = tuple(bridge)
+    for f in bridge:
+        # written so that NaN fails
+        if not np.all(np.abs(np.asarray(f(np.array([0.0, 1.0])), dtype=float)) <= 1e-12):
             raise ValueError("bridge functions must vanish at u = 0 and u = 1")
-        if np.max(np.abs(np.asarray(f(1.0 - u)) - s * vals)) > 1e-10:
-            raise ValueError("declared symmetry tag does not match the function")
-    return LambdaSystem(bridge, symmetry)
+    return LambdaSystem(bridge)
 
 
 @dataclass(frozen=True)

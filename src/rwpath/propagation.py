@@ -102,8 +102,8 @@ class KernelMatrix:
 def _potential_is_mirror_symmetric(kernel: ShortTimeKernel, grid: SpatialGrid) -> bool:
     """True when the kernel is invariant under reflection about the grid
     centre: the potential must be mirror-symmetric (checked on the grid and
-    on off-grid probe points). Every reweighted kernel's time rule is
-    palindromic, which the kernel checks when it is built."""
+    on off-grid probe points). A reweighted kernel checks, when built, that
+    its time rule is palindromic and each bridge has a parity at its nodes."""
     potential = kernel.potential
     if potential is None:
         return True
@@ -525,7 +525,7 @@ def trotter_constant(
     average uses the converged diagonal density of ``reference``, a
     fourth-order run built on ``grid`` (grid points carrying zero density
     are excluded; hard walls have infinite derivative there). Its Z must be
-    finite and positive."""
+    finite and positive, and V' finite wherever the density is above 0."""
     n_arr = np.asarray([_checks.count("n", n, 0) for n in n_list], dtype=int)
     if n_arr.size == 0:
         raise ValueError("n_list must hold at least one Trotter step count")
@@ -538,7 +538,10 @@ def trotter_constant(
     _checks.positive("reference Z", z_ref)
     rho = reference.diag_density
     vp = np.asarray(potential.deriv1(grid.points), dtype=float)
-    mask = np.isfinite(vp) & (rho > 0.0)
+    mask = rho > 0.0
+    bad = np.flatnonzero(mask & ~np.isfinite(vp))
+    if bad.size:
+        _checks.finite(f"V'(x) at x = {float(grid.points[bad[0]])!r}", float(vp[bad[0]]))
     avg_vp2 = float(np.sum(vp[mask] ** 2 * rho[mask]) / np.sum(rho[mask]))
     c_th = params.hbar**2 * params.beta**3 / (24.0 * params.mass) * avg_vp2
     z_arr = _ladder_z(TrotterKernel(potential), params, grid, n_arr)

@@ -7,7 +7,8 @@ a ValueError whose message starts with the parameter's name, as
 ``rwpath._checks`` words it, followed by the words of the rule when the
 values are a ``Refused`` set. A row may also list other refused calls with
 their messages, among them a potential that is NaN or -inf where the call
-reads it, as ``rwpath._checks.potential`` words it, and the result an
+reads it, or NaN on a path between two points it names, as
+``rwpath._checks.potential`` words it, and the result an
 elementwise function gives for NaN, which it passes through instead of
 refusing. A call whose predicted size is over its budget is refused, as
 ``rwpath._checks.budget`` words it, before anything is allocated. Records
@@ -184,6 +185,37 @@ P1 = PhysicalParams(beta=1.0)
 G8 = SpatialGrid(-2.0, 2.0, 8)
 
 
+def skew(u):
+    # vanishes at both ends, but has no parity under u -> 1 - u
+    u = np.asarray(u, dtype=float)
+    return u * (1.0 - u) * (u - 0.3)
+
+
+NO_PARITY = LambdaSystem((skew,))
+
+
+def no_parity(off: str) -> str:
+    return (r"^bridge 0 is neither symmetric nor antisymmetric under u -> 1 - u at the time nodes: "
+            rf"off by {off}, over 1e-10 of its largest value$")
+
+
+# the harmonic row with a coarse grid, where the order-4 reference density
+# is above 0 at every grid point
+HARMONIC = SYSTEMS["harmonic"].resolve(2.0, -6.0, 6.0, 80)
+
+
+def nan_slope(where):
+    """trotter_constant on the harmonic row, with V' NaN where ``where(x)``
+    holds."""
+    pot, params, grid = HARMONIC
+
+    def deriv1(x):
+        return np.where(where(np.asarray(x, dtype=float)), NAN, pot.deriv1(x))
+
+    reference = reference_z(make_kernel("order4-discrete", pot), params, grid, 88)
+    return trotter_constant(params, grid, dataclasses.replace(pot, deriv1=deriv1), [3, 5], reference)
+
+
 ROWS = {
     # quadrature
     "Rule1D": Row(
@@ -224,8 +256,8 @@ ROWS = {
     # processes
     "CovarianceKernel": Row(lambda: CovarianceKernel(SYS4), note="holds a system; no numbers"),
     "LambdaSystem": Row(
-        lambda: LambdaSystem((tent,), (1,)),
-        note="built directly it skips make_custom's checks, as documented there",
+        lambda: LambdaSystem((tent,)),
+        note="built directly it skips make_custom's endpoint check, as documented there",
     ),
     "PathBasis": Row(lambda: PathBasis(np.ones((1, 2)), np.zeros(2), np.ones(2)), note=RECORD),
     "covariance": Row(
@@ -237,11 +269,11 @@ ROWS = {
     "exact_brownian": Row(lambda: exact_brownian()),
     "finite_kernel": Row(lambda: finite_kernel(SYS4)),
     "make_custom": Row(
-        lambda tag=1: make_custom([tent], [tag]),
-        {"tag": (NAN, INF, -INF, 0, 2, 1.5, -1.5, True, np.True_)},
-        {"tag": "symmetry tags"},
-        refused=((r"^one symmetry tag per bridge", lambda: make_custom([tent], [1, 1])),
-                 (r"^declared symmetry tag", lambda: make_custom([tent], [-1]))),
+        lambda: make_custom([tent]),
+        refused=((r"^bridge functions must vanish at u = 0 and u = 1$", lambda: make_custom([np.cos])),
+                 (r"^bridge functions must vanish at u = 0 and u = 1$",
+                  lambda: make_custom([lambda u: u * NAN]))),
+        note="a bridge's parity is checked by the reweighted kernels, at their time nodes",
     ),
     "make_order3": Row(lambda alpha=1.0: make_order3(alpha), {"alpha": FINITE}),
     "make_order4": Row(
@@ -320,14 +352,14 @@ ROWS = {
     ),
     # potentials
     "Potential": Row(
-        lambda x=0.5: Potential("custom", np.abs, np.sign, (-1.0, 1.0), {}).value(x),
+        lambda x=0.5: Potential("custom", np.abs, np.sign, params={}).value(x),
         at_nan={"x": NAN},
         note="value is elementwise and passes NaN through",
     ),
     "custom_potential": Row(
         lambda x=0.5: custom_potential(np.abs, np.sign)(x),
         at_nan={"x": NAN},
-        note="wraps user code; the domain is metadata and is not read",
+        note="wraps user code; a wall is where its value is +inf",
     ),
     "harmonic": Row(
         lambda omega=1.0, mass=1.0, x=0.5: harmonic(omega, mass).value(x),
@@ -347,7 +379,8 @@ ROWS = {
         # 32^3 Gauss-Hermite nodes on 512 time nodes fill the budget exactly
         refused=((r"^gh_points = 33 on 512 time nodes needs 18399744 Gauss-Hermite table entries, "
                   r"over the budget of 16777216; lower gh_points$",
-                  lambda: ContinuousReweightedKernel(SYS4, quartic(), gh_points=33)),),
+                  lambda: ContinuousReweightedKernel(SYS4, quartic(), gh_points=33)),
+                 (no_parity(r"0\.0962"), lambda: ContinuousReweightedKernel(NO_PARITY, quartic()))),
     ),
     "DiscreteReweightedKernel": Row(
         lambda gh_points=2: DiscreteReweightedKernel(SYS4, quartic(), RULE4, gh_points),
@@ -362,7 +395,15 @@ ROWS = {
                  # K4's table holds 4^3 x 4 = 256 entries, so 2^23 pairs fill the budget
                  (r"^ratio on 8388609 pairs needs 2147483904 potential points, over the budget of "
                   r"2147483648; use a coarser grid, fewer gh_points or a discrete kernel$",
-                  lambda: K4.ratio(P, np.broadcast_to(0.0, 2**23 + 1), 0.0))),
+                  lambda: K4.ratio(P, np.broadcast_to(0.0, 2**23 + 1), 0.0)),
+                 (no_parity(r"0\.0752"),
+                  lambda: DiscreteReweightedKernel(NO_PARITY, quartic(), gauss_legendre_01(4))),
+                 # the endpoints are read and pass, so the NaN lies on a path between them;
+                 # at beta = 1e-4 rho_fp(0, 0.5) is 0, so the weight is not read off rho0
+                 *((r"^potential is nan on a path between x = 0\.0, x' = 0\.5$",
+                    lambda beta=beta: kernel4(half_square(NAN, lambda x: (0.05 < x) & (x < 0.45))).rho0(
+                        PhysicalParams(beta), 0.0, 0.5))
+                   for beta in (1.0, 1e-4))),
     ),
     "FreeParticleKernel": Row(lambda: FreeParticleKernel(quartic())),
     "PhysicalParams": Row(
@@ -419,7 +460,12 @@ ROWS = {
                  # 2048 points fill the budget exactly
                  (r"^a kernel matrix on 2049 grid points needs 4198401 matrix entries, over the budget "
                   r"of 4194304; use fewer grid cells$",
-                  lambda: build_matrix(TK, P, SpatialGrid(-4.0, 4.0, 2048), 0))),
+                  lambda: build_matrix(TK, P, SpatialGrid(-4.0, 4.0, 2048), 0)),
+                 # the poisoned pair on the mirrored and the plain layout
+                 (r"^potential is nan on a path between x = -2\.0, x' = -0\.5999999999999996$",
+                  lambda: build_poisoned(quartic().value, NAN)),
+                 (r"^potential is nan on a path between x = -2\.0, x' = -0\.5999999999999996$",
+                  lambda: build_poisoned(tilted_quartic, NAN))),
     ),
     "dvr_eigenvalues": Row(
         lambda: dvr_eigenvalues(quartic(), P, G),
@@ -480,7 +526,11 @@ ROWS = {
         {"n_list": ([2.5], [3, True], [NAN], [-1]),
          "reference": tuple(dataclasses.replace(REF, value=v) for v in POSITIVE)},
         {"n_list": "n", "reference": "reference Z"},
-        refused=((r"^n_list must hold at least one", lambda: trotter_constant(P, G, quartic(), [], REF)),),
+        refused=((r"^n_list must hold at least one", lambda: trotter_constant(P, G, quartic(), [], REF)),
+                 # V' is refused where the reference density is above 0
+                 (r"^V'\(x\) at x = -6\.0 must be finite, got nan$", lambda: nan_slope(lambda x: x == x)),
+                 (r"^V'\(x\) at x = 0\.14999999999999947 must be finite, got nan$",
+                  lambda: nan_slope(lambda x: x > 0.0))),
     ),
     # experiments
     "BenchmarkSystem": Row(
@@ -583,6 +633,26 @@ def test_a_budget_admits_its_limit():
     _checks.budget("this call", 8, 8, "points", "take fewer")
     with pytest.raises(ValueError, match=r"^this call needs 9 points, over the budget of 8; take fewer$"):
         _checks.budget("this call", 9, 8, "points", "take fewer")
+
+
+def test_the_moment_code_takes_a_bridge_with_no_parity():
+    # only the reweighted kernels mirror their matrices, so only they refuse it
+    spec = discrete_spec(finite_kernel(NO_PARITY), gauss_legendre_01(4))
+    assert math.isfinite(moment(continuous_spec(finite_kernel(NO_PARITY)), IDX))
+    assert math.isfinite(moment(spec, IDX))
+    assert verify_order(spec, 2).entries
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LambdaSystem((tent,), (1, -1)),
+    lambda: Potential("custom", np.abs, np.sign, (0.0, 1.0)),
+    lambda: make_custom([tent], [1]),
+], ids=["LambdaSystem", "Potential", "make_custom"])
+def test_a_positional_symmetry_or_domain_is_a_type_error(call):
+    # the fields after the removed symmetry and domain are keyword-only, so
+    # an old call cannot put its tags or its interval into the next field
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize("name, arg, result", AT_NAN)
@@ -742,15 +812,19 @@ UNREPRESENTABLE = {
     "build_matrix-weight-overflow": (
         OverflowError, overflowed("rho0(x, x') at x = -4.0, x' = -4.0"),
         lambda: build_matrix(trotter(lambda x: deep_well(x) - 20.0), P, G, 0)),
-    # a NaN inside a path reaches the weight, not a point the caller named
-    "rho0-nan-inside-path": (
+    # an overflowed weight times a rho_fp that underflows to 0 is NaN, and
+    # still an overflow; numpy's warning for inf * 0 is not the refusal
+    "rho0-overflow-times-zero": (
         OverflowError, overflowed("rho0(x, x') at x = 0.0, x' = 0.5"),
-        lambda: kernel4(half_square(NAN, lambda x: (0.05 < x) & (x < 0.45))).rho0(P1, 0.0, 0.5)),
-    **{f"build_matrix-poisoned-pair-{layout}-{bad}": (
+        lambda: np.errstate(invalid="ignore")(kernel4(constant(-1e7)).rho0)(PhysicalParams(1e-4), 0.0, 0.5)),
+    # a -inf inside a path also overflows the weight
+    "rho0-minus-inf-inside-path": (
+        OverflowError, overflowed("rho0(x, x') at x = 0.0, x' = 0.5"),
+        lambda: kernel4(half_square(-INF, lambda x: (0.05 < x) & (x < 0.45))).rho0(P1, 0.0, 0.5)),
+    **{f"build_matrix-poisoned-pair-{layout}-inf": (
         OverflowError, overflowed("rho0(x, x') at x = -2.0, x' = -0.5999999999999996"),
-        lambda value=value, bad=bad: build_poisoned(value, bad))
-       for layout, value in (("mirrored", quartic().value), ("plain", tilted_quartic))
-       for bad in (NAN, INF)},
+        lambda value=value: build_poisoned(value, INF))
+       for layout, value in (("mirrored", quartic().value), ("plain", tilted_quartic))},
 }
 
 
@@ -807,6 +881,17 @@ def test_only_the_checks_module_words_the_budget_rule():
     # each budget is checked and worded the same way; the tests and the CLI
     # may match on its words
     assert matching_lines(r"over the budget", [p for p in SRC if p != CHECKS]) == []
+
+
+def test_no_input_declares_a_parity_or_a_domain():
+    # a bridge's parity is derived by the kernel that relies on it, and a
+    # wall is where a potential's value is +inf
+    declared = [f.name for cls in (LambdaSystem, Potential) for f in dataclasses.fields(cls)]
+    declared += [name for fn in (LambdaSystem, make_custom, custom_potential)
+                 for name in inspect.signature(fn).parameters]
+    assert [name for name in declared if re.search(r"symmetr|parity|domain", name)] == []
+    assert {line.split(":")[0] for line in matching_lines(r"neither symmetric nor antisymmetric", SRC)} \
+        == {"kernels.py"}
 
 
 def test_only_the_experiment_table_writes_the_benchmark_set_ups():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rwpath import kernels
-from rwpath.calibration import calibrated_system
+from rwpath.calibration import FAMILIES, calibrated_system
 from rwpath.experiments import SYSTEMS
 from rwpath.kernels import (
     ContinuousReweightedKernel,
@@ -19,8 +19,9 @@ from rwpath.kernels import (
     units_constant,
 )
 from rwpath.potentials import custom_potential, harmonic, he_cage, quartic
+from rwpath.processes import path_basis
 from rwpath.propagation import SpatialGrid, build_matrix
-from rwpath.quadrature import Rule1D
+from rwpath.quadrature import _EXACT_TIME_RULE, Rule1D
 
 
 def mehler_kernel(params: PhysicalParams, omega: float, x: float, xp: float) -> float:
@@ -435,6 +436,17 @@ def test_reweighted_kernel_requires_palindromic_rule():
     # build_matrix's mirrored lower triangle would hide
     with pytest.raises(ValueError):
         DiscreteReweightedKernel(ORDER4[0], quartic(), Rule1D([0.2, 0.5, 0.9], [0.3, 0.3, 0.4]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_calibrated_bridges_keep_their_parity_far_inside_the_refusal(family):
+    # a kernel refuses a bridge that misses its parity at the time nodes by
+    # more than 1e-10 of its largest value; the calibrated bridges miss by
+    # 1.9e-13 at most (order4-continuous), so a drift shows here first
+    system, rule = calibrated_system(family)
+    for row in path_basis(system, _EXACT_TIME_RULE if rule is None else rule).values:
+        miss = min(np.max(np.abs(row - row[::-1])), np.max(np.abs(row + row[::-1])))
+        assert miss <= 1e-12 * np.max(np.abs(row))
 
 
 def test_continuous_and_discrete_reweighted_agree_at_small_beta():

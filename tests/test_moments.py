@@ -41,7 +41,6 @@ def lifted_system():
     covariance C(1, 1) = 1.25 + sin(1)^2 is about 1.958."""
     return LambdaSystem(
         (lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, lambda u: np.sin(np.asarray(u, dtype=float))),
-        (1, 1),
     )
 
 
@@ -311,7 +310,6 @@ def test_moment_invariant_under_time_reversal():
     system, rule = calibrated_system("order4-discrete")
     reversed_system = LambdaSystem(
         tuple((lambda f: (lambda u, _f=f: _f(1.0 - np.asarray(u, dtype=float))))(f) for f in system.bridge),
-        system.symmetry,
     )
     for spec_fwd, spec_rev in [
         (

@@ -41,7 +41,6 @@ def test_he_cage_parameters_echo():
     assert pot.params["eps"] == 10.22
     assert pot.params["sigma_lj"] == 2.556
     assert pot.params["box"] == 7.153
-    assert pot.domain == (0.0, 7.153)
 
 
 def test_he_cage_midpoint_value():
@@ -200,7 +199,7 @@ def test_potentials_bounded_from_below_on_domain():
 
 
 def test_custom_potential_wrapping():
-    pot = custom_potential(lambda x: np.abs(x), lambda x: np.sign(x), domain=(-2, 2))
+    pot = custom_potential(lambda x: np.abs(x), lambda x: np.sign(x))
     assert pot.kind == "custom"
     assert pot.value(1.5) == 1.5
 

@@ -75,22 +75,22 @@ def test_bridge_functions_vanish_at_endpoints(factory):
 
 def test_declared_symmetries_hold():
     u = np.linspace(0, 1, 101)
-    for system in (make_order3(1.9), make_order4(4.2, 7.7)):
-        for f, s in zip(system.bridge, system.symmetry):
+    for system, signs in ((make_order3(1.9), (1, -1)), (make_order4(4.2, 7.7), (1, 1, -1))):
+        assert len(signs) == system.q
+        for f, s in zip(system.bridge, signs):
             np.testing.assert_allclose(f(1 - u), s * f(u), atol=1e-14)
 
 
-def test_make_custom_rejects_wrong_symmetry_tag():
+def test_make_custom_accepts_bridges_that_vanish_at_both_ends():
+    # parity is left to the reweighted kernels, which check it at their nodes
     good = lambda u: np.sqrt(np.clip(u * (1 - u), 0, None))
-    with pytest.raises(ValueError):
-        make_custom([good], [-1])  # actually symmetric
-    system = make_custom([good], [1])
-    assert system.q == 1
+    assert make_custom([good]).q == 1
+    assert make_custom([good, lambda u: good(u) * (u - 0.3)]).q == 2
 
 
 def test_make_custom_rejects_nonvanishing_endpoint():
     with pytest.raises(ValueError):
-        make_custom([lambda u: np.cos(u)], [1])
+        make_custom([lambda u: np.cos(u)])
 
 
 def test_covariance_exact_brownian():
