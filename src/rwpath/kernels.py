@@ -13,7 +13,8 @@ reader that refuses a weight that is not finite: NaN as a NaN potential on
 a path between x and x', inf (an overflow, or -inf on that path) as an
 overflow. A reweighted kernel refuses, when it is built, a bridge with no
 parity under u -> 1 - u at its time nodes (``build_matrix`` mirrors its
-matrix across the diagonal), and, through ``_checks.budget``, a
+matrix across the diagonal) or one that does not vanish at u = 0 and 1
+(its paths would not end at x and x'), and, through ``_checks.budget``, a
 Gauss-Hermite table over ``_MAX_TABLE_ENTRIES``; a ``ratio`` call over
 ``_MAX_RATIO_POINTS`` potential points is refused before it reads V.
 
@@ -152,7 +153,12 @@ class ShortTimeKernel:
         NaN weight raises ValueError, and any other value that is not finite
         OverflowError, naming x and x'."""
         # ratio before rho_fp: the other order raised perfbench's helium peak RSS by 2 MB
-        out = np.asarray(self.ratio(params, x, xp)) * rho_fp(params, x, xp)
+        weight = np.asarray(self.ratio(params, x, xp))
+        fp = rho_fp(params, x, xp)
+        # an inf weight times a rho_fp of 0 is NaN, refused below as an overflow
+        with np.errstate(invalid="ignore"):
+            out = weight * fp
+        del weight, fp
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             x, xp = (float(np.broadcast_to(v, out.shape).flat[bad[0]]) for v in (x, xp))
@@ -223,11 +229,18 @@ class _ReweightedKernel(ShortTimeKernel):
         # cached per instance: the time nodes and the Gauss-Hermite
         # displacement table (rho0 is called ~M^2 times)
         basis = path_basis(system, time_rule)
-        for k, row in enumerate(basis.values):
+        # the time nodes are interior, so the endpoints are read on their own
+        ends = system.bridge_values(np.array([0.0, 1.0]))
+        for k, (row, end) in enumerate(zip(basis.values, ends)):
+            tol = 1e-10 * np.max(np.abs(row))
             miss = min(np.max(np.abs(row - row[::-1])), np.max(np.abs(row + row[::-1])))
-            if not miss <= 1e-10 * np.max(np.abs(row)):  # NaN fails
+            if not miss <= tol:  # NaN fails
                 raise ValueError(f"bridge {k} is neither symmetric nor antisymmetric under u -> 1 - u "
                                  f"at the time nodes: off by {miss:.3g}, over 1e-10 of its largest value")
+            miss = np.max(np.abs(end))
+            if not miss <= tol:  # NaN fails
+                raise ValueError(f"bridge {k} does not vanish at u = 0 and 1: {miss:.3g} there, "
+                                 "over 1e-10 of its largest value at the time nodes")
         self._u = basis.times
         self._w = basis.weights
         nodes, weights = tensor_gauss_hermite(system.q, self.gh_points)

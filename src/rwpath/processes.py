@@ -35,7 +35,8 @@ class LambdaSystem:
     The full process is a0 * u + sum_k a_k * bridge[k](u) with i.i.d.
     standard-normal coefficients; the reference profile is always u -> u.
     A reweighted kernel checks, when built, that each bridge function is
-    symmetric or antisymmetric under u -> 1 - u at its time nodes.
+    symmetric or antisymmetric under u -> 1 - u at its time nodes and
+    vanishes at u = 0 and 1.
     """
 
     bridge: tuple[Bridge, ...]
@@ -110,8 +111,9 @@ def make_order4(alpha1: float, alpha2: float) -> LambdaSystem:
 
 def make_custom(bridge: Sequence[Bridge]) -> LambdaSystem:
     """Wrap user-supplied bridge functions, verifying that each vanishes at
-    u = 0 and u = 1; a reweighted kernel checks their parity when it is
-    built. A system that must skip the check is built as a ``LambdaSystem``.
+    u = 0 and u = 1; a reweighted kernel checks their parity, and their
+    endpoints again, when it is built. A system that must skip this check
+    is built as a ``LambdaSystem``.
     """
     bridge = tuple(bridge)
     for f in bridge:

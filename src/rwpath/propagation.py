@@ -10,14 +10,21 @@ convergence constant against its closed-form thermal average.
 
 from __future__ import annotations
 
+import _thread
+import contextlib
+import contextvars
+import ctypes
 import functools
 import math
+import threading
 import warnings
+from concurrent import futures
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import _checks
+from . import _checks, kernels
 from .kernels import (
     _WORK_UNIT,
     DiscreteReweightedKernel,
@@ -188,16 +195,21 @@ def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
 
     A centrosymmetric matrix (``a`` equal bit for bit to its 180° rotation,
     as every kernel matrix of a mirror-symmetric potential is) is powered as
-    two half-size blocks, a quarter of the flops; any other matrix keeps the
-    plain products. An entry p[i, k] of a folded power is then accurate only
-    relative to the larger of it and its mirror p[i, N-1-k], because it is
-    half the sum or difference of two block entries of that size: an entry
-    far below its mirror (one across the centre, for a kernel that decays
-    with distance) can come out as rounding noise, even zero or negative.
-    All work goes into one block allocated once per call,
-    and the result is a view of it. glibc's malloc maps and page-faults
-    separate matrix-sized arrays anew on every call, but serves a block
-    this size from its heap after the first call frees one."""
+    two half-size blocks, a quarter of the flops. Where numpy's bundled
+    OpenBLAS can be pinned, their two chains of products run at once, each
+    on single-threaded BLAS (see ``_folded_power``), so the power's bits do
+    not depend on the BLAS thread count; a symmetric matrix's blocks are
+    squared with syrk. Any other matrix keeps the plain products at the
+    process's BLAS thread count, whose bits may. An entry
+    p[i, k] of a folded power is accurate only relative to the larger of it
+    and its mirror p[i, N-1-k], because it is half the sum or difference of
+    two block entries of that size: an entry far below its mirror (one
+    across the centre, for a kernel that decays with distance) can come out
+    as rounding noise, even zero or negative. All work goes into one block
+    allocated once per call, and the result is a view of it. glibc's malloc
+    maps and page-faults separate matrix-sized arrays anew on every call,
+    but serves a block this size from its heap after the first call frees
+    one."""
     power = _checks.count("power", power, 1)
     a = np.asarray(a)
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype.kind in "fc":
@@ -225,39 +237,148 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
     With J the exchange matrix, m = N // 2 and a[:m, :m] = B, the mirrored
     columns a[:m, ::-1][:, :m] = C J, the even block is B + C J and the odd
     block B - C J. For odd N the even block also carries the centre c: the
-    column 2 a[:m, c] and the row a[c, :c+1], the orthogonal fold's sqrt(2)
-    moved by a diagonal similarity so that no entry rounds more than once.
-    The power's top rows are (E^p ± O^p) / 2 and its bottom rows their
-    rotation, so the result is centrosymmetric by construction."""
+    orthogonal fold puts sqrt(2) a[:m, c] in its column and sqrt(2) a[c, :c]
+    in its row. When ``a`` is symmetric bit for bit, as every kernel matrix
+    is, both blocks are too, and they are built that way, so every squaring
+    is a syrk (``base @ base.T``). Otherwise a diagonal similarity moves the
+    sqrt(2) into an exact doubling of the column, so that no entry rounds
+    more than once, and the squarings stay gemms. Either way the power's
+    centre row and column are scaled back; its diagonal needs no change.
+
+    The two blocks' chains of products run at once, each on single-threaded
+    BLAS (``_one_blas_thread``), the odd one on a per-call worker
+    (``_on_worker``), when ``kernels._usable_cpus()`` gives more than one
+    CPU and the BLAS can be pinned. Otherwise both run on the caller, at
+    the process's BLAS thread count where it cannot be pinned. The power's
+    top rows are (E^p ± O^p) / 2, each chain halving its own rows, and its
+    bottom rows their rotation, so the result is centrosymmetric by
+    construction."""
     n = a.shape[0]
     m, h = n // 2, n - n // 2
+    # a centrosymmetric a whose top rows equal its top columns is symmetric
+    symmetric = np.array_equal(a[:m], a[:, :m].T)
+    # the centre column's and row's factors in the even block; their product is 2
+    col, row = (math.sqrt(2.0),) * 2 if symmetric else (2.0, 1.0)
     block = np.empty(3 * h * h + 3 * m * m + n * n, dtype=a.dtype)
     even = block[: 3 * h * h].reshape(3, h, h)
     odd = block[3 * h * h : 3 * (h * h + m * m)].reshape(3, m, m)
     out = block[3 * (h * h + m * m) :].reshape(n, n)
     mirrored = a[:m, ::-1][:, :m]
+
+    def chain(work: np.ndarray) -> np.ndarray:
+        with _one_blas_thread():
+            p = _square_multiply(work, power, symmetric)
+        p[:m] *= 0.5
+        return p
+
+    def odd_chain() -> np.ndarray:
+        np.subtract(a[:m, :m], mirrored, out=odd[0])
+        return chain(odd)
+
+    # unpinned, two chains at the process's BLAS thread count oversubscribe
+    # the CPUs: 8-10 against 5.7 ms serially for a quartic Trotter rung
+    # (n = 121, 401 points) on a 2-vCPU VM
+    concurrent = kernels._usable_cpus() > 1 and _blas_pin() is not None
+    worker = _on_worker(odd_chain) if concurrent else None
     np.add(a[:m, :m], mirrored, out=even[0, :m, :m])
-    np.subtract(a[:m, :m], mirrored, out=odd[0])
     if h > m:
-        np.multiply(a[:m, m], 2.0, out=even[0, :m, m])
-        even[0, m] = a[m, :h]
-    e = _square_multiply(even, power)
-    o = _square_multiply(odd, power)
+        np.multiply(a[:m, m], col, out=even[0, :m, m])
+        np.multiply(a[m, :m], row, out=even[0, m, :m])
+        even[0, m, m] = a[m, m]
+    if worker is None:
+        e, o = chain(even), odd_chain()
+    else:
+        try:
+            e = chain(even)
+        finally:
+            # the odd chain writes into the block: it ends before this returns
+            futures.wait([worker])
+        o = worker.result()
     top = out[:m]
     np.add(e[:m, :m], o, out=top[:, :m])
     np.subtract(e[:m, :m], o, out=top[:, h:][:, ::-1])
     if h > m:
-        top[:, m] = e[:m, m]
-        out[m, :h] = e[m]
-        out[m, h:] = e[m, :m][::-1]
-    top *= 0.5
+        np.multiply(e[:m, m], row, out=top[:, m])
+        np.divide(e[m, :m], row, out=out[m, :m])
+        out[m, m] = e[m, m]
+        out[m, h:] = out[m, :m][::-1]
     out[h:] = top[::-1, ::-1]
     return out
 
 
-def _square_multiply(work: np.ndarray, power: int) -> np.ndarray:
+def _on_worker(fn) -> futures.Future:
+    """Runs fn() on a new thread, in a copy of the caller's context,
+    which carries numpy's errstate; the future holds its result or its
+    exception. The thread is started through ``_thread``, which does not
+    wait for it to run: ``threading.Thread.start`` does, and that wait cost
+    0.13-0.16 ms per quartic Trotter power (n = 121, 401 points, 3.5 ms) on
+    a 2-vCPU VM."""
+    future = futures.Future()
+
+    def run():
+        try:
+            future.set_result(fn())
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    _thread.start_new_thread(contextvars.copy_context().run, (run,))
+    return future
+
+
+@functools.lru_cache(maxsize=1)
+def _blas_pin():
+    """``openblas_set_num_threads_local`` of the OpenBLAS that numpy bundles
+    (``numpy.libs/libscipy_openblas*.so``), looked up once; None where numpy
+    bundles no such library or it lacks the symbol."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
+
+
+# the BLAS thread count is the process's, and so is its pin count:
+# [pins active, the count the first of them replaced]
+_pin_lock = threading.Lock()
+_pins = [0, 0]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Runs the block on single-threaded BLAS, set once on entry and
+    restored on exit; without ``_blas_pin`` the block runs at the process's
+    thread count. In the pthreads build numpy bundles, the setter sets the
+    count of the whole process (the call returns the count it replaced), so
+    pins nest across threads: the first to enter saves the count, every one
+    sets 1 and the last to leave restores it."""
+    setter = _blas_pin()
+    if setter is None:
+        yield
+        return
+    with _pin_lock:
+        previous = setter(1)
+        if _pins[0] == 0:
+            _pins[1] = previous
+        _pins[0] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins[0] -= 1
+            if _pins[0] == 0:
+                setter(_pins[1])
+
+
+def _square_multiply(work: np.ndarray, power: int, symmetric: bool = False) -> np.ndarray:
     """work[0]**power by square-and-multiply inside the (3, n, n) ``work``
-    block; the result is a view of it."""
+    block; the result is a view of it. A ``symmetric`` work[0] is squared as
+    ``base @ base.T``, which numpy hands to syrk; its squares are symmetric
+    bit for bit in turn."""
     base, spare, first = work
     result = None
     e = power
@@ -272,7 +393,7 @@ def _square_multiply(work: np.ndarray, power: int) -> np.ndarray:
         e >>= 1
         if not e:
             return result
-        np.matmul(base, base, out=spare)
+        np.matmul(base, base.T if symmetric else base, out=spare)
         base, spare = spare, base
 
 

@@ -199,6 +199,12 @@ def no_parity(off: str) -> str:
             rf"off by {off}, over 1e-10 of its largest value$")
 
 
+# symmetric, but its paths do not end at x and x'
+NO_ENDS = LambdaSystem((lambda u: np.full(np.shape(u), 0.3),))
+OPEN_ENDS = (r"^bridge 0 does not vanish at u = 0 and 1: 0\.3 there, "
+             r"over 1e-10 of its largest value at the time nodes$")
+
+
 # the harmonic row with a coarse grid, where the order-4 reference density
 # is above 0 at every grid point
 HARMONIC = SYSTEMS["harmonic"].resolve(2.0, -6.0, 6.0, 80)
@@ -257,7 +263,7 @@ ROWS = {
     "CovarianceKernel": Row(lambda: CovarianceKernel(SYS4), note="holds a system; no numbers"),
     "LambdaSystem": Row(
         lambda: LambdaSystem((tent,)),
-        note="built directly it skips make_custom's endpoint check, as documented there",
+        note="built directly it skips make_custom's endpoint check; the reweighted kernels check again",
     ),
     "PathBasis": Row(lambda: PathBasis(np.ones((1, 2)), np.zeros(2), np.ones(2)), note=RECORD),
     "covariance": Row(
@@ -380,7 +386,8 @@ ROWS = {
         refused=((r"^gh_points = 33 on 512 time nodes needs 18399744 Gauss-Hermite table entries, "
                   r"over the budget of 16777216; lower gh_points$",
                   lambda: ContinuousReweightedKernel(SYS4, quartic(), gh_points=33)),
-                 (no_parity(r"0\.0962"), lambda: ContinuousReweightedKernel(NO_PARITY, quartic()))),
+                 (no_parity(r"0\.0962"), lambda: ContinuousReweightedKernel(NO_PARITY, quartic())),
+                 (OPEN_ENDS, lambda: ContinuousReweightedKernel(NO_ENDS, quartic()))),
     ),
     "DiscreteReweightedKernel": Row(
         lambda gh_points=2: DiscreteReweightedKernel(SYS4, quartic(), RULE4, gh_points),
@@ -398,6 +405,7 @@ ROWS = {
                   lambda: K4.ratio(P, np.broadcast_to(0.0, 2**23 + 1), 0.0)),
                  (no_parity(r"0\.0752"),
                   lambda: DiscreteReweightedKernel(NO_PARITY, quartic(), gauss_legendre_01(4))),
+                 (OPEN_ENDS, lambda: DiscreteReweightedKernel(NO_ENDS, quartic(), gauss_legendre_01(4))),
                  # the endpoints are read and pass, so the NaN lies on a path between them;
                  # at beta = 1e-4 rho_fp(0, 0.5) is 0, so the weight is not read off rho0
                  *((r"^potential is nan on a path between x = 0\.0, x' = 0\.5$",
@@ -813,10 +821,10 @@ UNREPRESENTABLE = {
         OverflowError, overflowed("rho0(x, x') at x = -4.0, x' = -4.0"),
         lambda: build_matrix(trotter(lambda x: deep_well(x) - 20.0), P, G, 0)),
     # an overflowed weight times a rho_fp that underflows to 0 is NaN, and
-    # still an overflow; numpy's warning for inf * 0 is not the refusal
+    # still an overflow, refused without numpy's warning for inf * 0 first
     "rho0-overflow-times-zero": (
         OverflowError, overflowed("rho0(x, x') at x = 0.0, x' = 0.5"),
-        lambda: np.errstate(invalid="ignore")(kernel4(constant(-1e7)).rho0)(PhysicalParams(1e-4), 0.0, 0.5)),
+        lambda: kernel4(constant(-1e7)).rho0(PhysicalParams(1e-4), 0.0, 0.5)),
     # a -inf inside a path also overflows the weight
     "rho0-minus-inf-inside-path": (
         OverflowError, overflowed("rho0(x, x') at x = 0.0, x' = 0.5"),

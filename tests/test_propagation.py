@@ -1,11 +1,17 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rwpath import calibration, kernels
+import rwpath
+from rwpath import calibration, kernels, propagation
 from rwpath.calibration import calibrated_system
 from rwpath.experiments import SYSTEMS, ladder
 from rwpath.kernels import (
@@ -270,6 +276,154 @@ def test_power_of_non_centrosymmetric_matrix_keeps_plain_products(n, row, col):
     a[row, col] = np.nextafter(a[row, col], np.inf)
     for power in (2, 7, 64):
         assert np.array_equal(matrix_power(a, power), plain_power(a, power))
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_power_of_a_centrosymmetric_matrix_that_is_not_symmetric_matches_plain_products(n):
+    # the even and odd blocks of such a matrix are not symmetric, so its
+    # squarings must stay gemms: base @ base.T would square another matrix
+    r = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, n))
+    a = r + r[::-1, ::-1]
+    a /= np.linalg.norm(a, 2)
+    assert not np.array_equal(a, a.T)
+    eps = np.finfo(float).eps
+    for power in (2, 3, 7, 64):
+        plain = plain_power(a, power)
+        tol = 2 * (power + 1) * n * eps
+        assert np.all(np.abs(matrix_power(a, power) - plain) <= tol * (plain + plain[:, ::-1]))
+
+
+# Trotter rungs on the quartic's 401 points and the helium cage's 501 whose
+# Z moved with the BLAS thread count while the products ran at it: with the
+# gemm squarings (n = 87, 115, 135) or with the syrk ones (115, 51)
+FOLDED_Z = """
+from rwpath import kernels
+from rwpath.experiments import SYSTEMS
+from rwpath.propagation import build_matrix, partition_function
+from rwpath.kernels import TrotterKernel
+for name, n in (("quartic", 87), ("quartic", 115), ("he-cage", 51), ("he-cage", 135)):
+    pot, params, grid = SYSTEMS[name].resolve()
+    matrix = build_matrix(TrotterKernel(pot), params, grid, n)
+    for cpus in (1, 2):
+        kernels._usable_cpus = lambda: cpus
+        print(repr(partition_function(matrix)))
+"""
+
+
+@pytest.mark.skipif(propagation._blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
+def test_folded_z_keeps_its_bits_at_one_and_two_blas_threads():
+    src = str(Path(rwpath.__file__).parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", FOLDED_Z], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout.split())
+    assert len(out[0]) == 8
+    assert out[0] == out[1]
+
+
+def quartic_trotter_matrix(n=121):
+    pot, params, grid = SYSTEMS["quartic"].resolve()
+    return build_matrix(TrotterKernel(pot), params, grid, n).values
+
+
+def blas_threads():
+    """The BLAS thread count as the calling thread sees it, read through the
+    setter (which returns the count it replaces)."""
+    setter = propagation._blas_pin()
+    count = setter(1)
+    setter(count)
+    return count
+
+
+def test_folded_power_keeps_its_bits_on_one_and_two_workers(monkeypatch):
+    a = quartic_trotter_matrix()
+    powers = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda cpus=cpus: cpus)
+        powers.append(matrix_power(a, 122))
+    assert np.array_equal(powers[0], powers[1])
+
+
+def test_folded_power_without_the_blas_setter_keeps_z_to_rounding(monkeypatch):
+    a = quartic_trotter_matrix()
+    pinned = np.trace(matrix_power(a, 122))
+    monkeypatch.setattr(propagation, "_blas_pin", lambda: None)
+    assert abs(np.trace(matrix_power(a, 122)) - pinned) <= 1e-14 * pinned
+
+
+def other_thread(fn):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return out[0]
+
+
+@pytest.mark.skipif(propagation._blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_folded_power_restores_every_threads_blas_count(monkeypatch, cpus):
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+    before = blas_threads(), other_thread(blas_threads)
+    matrix_power(quartic_trotter_matrix(7), 8)
+    assert (blas_threads(), other_thread(blas_threads)) == before
+
+
+@pytest.mark.skipif(propagation._blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
+def test_concurrent_folded_powers_keep_their_bits_and_restore_the_blas_count(monkeypatch):
+    # four callers with a worker each on fewer cores: the pin count is shared
+    # by every thread, so a lost update would leave BLAS pinned or unpin a
+    # chain while it runs
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    a = quartic_trotter_matrix(7)
+    expected = matrix_power(a, 8)
+    count = blas_threads()
+    # the BLAS thread count each chain sees as it starts and ends
+    seen = []
+    square_multiply = propagation._square_multiply
+
+    def watched(*args):
+        seen.append(blas_threads())
+        p = square_multiply(*args)
+        seen.append(blas_threads())
+        return p
+
+    monkeypatch.setattr(propagation, "_square_multiply", watched)
+    results, callers = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            callers.append(threading.Thread(
+                target=lambda: results.extend(matrix_power(a, 8).copy() for _ in range(20))))
+            callers[-1].start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(results) == 80
+    assert all(np.array_equal(r, expected) for r in results)
+    assert len(seen) == 320 and set(seen) == {1}
+    assert propagation._pins[0] == 0
+    assert blas_threads() == count
+
+
+def test_an_exception_in_the_workers_chain_reaches_the_caller(monkeypatch):
+    # t (I - J): the even block is 0 and the odd block 2 t I, whose square
+    # overflows on the worker; the caller's errstate travels with the chain
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    a = 1e200 * (np.eye(40) - np.eye(40)[::-1])
+    count = blas_threads() if propagation._blas_pin() else None
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        matrix_power(a, 2)
+    if count is not None:
+        assert blas_threads() == count
+    assert propagation._pins[0] == 0
 
 
 def test_slice_identity_of_trotter_ladder():
