@@ -22,10 +22,10 @@ The reweighted ``ratio`` works in fixed cache-sized units: chunks of pairs
 times a fixed block of Gauss-Hermite nodes, about 64k points each, reusing
 two buffers. Each pair's nodes are summed in an order set by the block
 alone, so a pair's value is bit-identical however many pairs share the call
-(chunk-invariant). A call hands its whole units to the caller's thread and
-a per-call worker pool, one per usable core: worker k takes unit k, then
-pulls the next free unit from one shared counter. A unit writes only its own
-pairs, so the results are bit-identical for any worker count and any
+(chunk-invariant). A call hands its whole units to one worker per usable
+core, on the caller and the pool (``_parallel``): worker k takes unit k,
+then pulls the next free unit from one shared counter. A unit writes only
+its own pairs, so the results are bit-identical for any worker count and any
 schedule. A potential's ``value`` is therefore called from several threads
 at once, so a custom potential must not mutate shared state.
 
@@ -36,15 +36,13 @@ whose exponents all lie there adds nothing to its pairs.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _checks
+from . import _checks, _parallel
 from .potentials import Potential
 from .processes import LambdaSystem, path_basis
 from .quadrature import _EXACT_TIME_RULE, Rule1D, is_palindromic, tensor_gauss_hermite
@@ -81,13 +79,6 @@ _HBAR_SI = 1.054571817e-34
 _AMU_SI = 1.66053906892e-27
 _KB_SI = 1.380649e-23
 _ANGSTROM_SI = 1e-10
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the worker count of a reweighted ratio."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def units_constant() -> float:
@@ -268,7 +259,7 @@ class _ReweightedKernel(ShortTimeKernel):
         gblock = min(sdisp.shape[1], _GH_BLOCK)
         pblock = max(1, _WORK_UNIT // gblock)
         units = -(-xf.size // pblock)
-        workers = max(1, min(_usable_cpus(), units))
+        workers = max(1, min(_parallel.usable_cpus(), units))
         # worker k takes unit k, then pulls further units from one shared
         # counter until they run out; a unit writes only its own slice of acc
         shared = itertools.count(workers)
@@ -283,20 +274,11 @@ class _ReweightedKernel(ShortTimeKernel):
                 itertools.chain((k,), shared), *bufs[k],
             )
 
-        if workers == 1:
+        tasks = [_parallel.submit(run, k) for k in range(1, workers)]
+        try:
             run(0)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(workers - 1) as pool:
-                # each worker runs in a copy of the caller's context, which
-                # carries numpy's errstate
-                futures = [
-                    pool.submit(contextvars.copy_context().run, run, k) for k in range(1, workers)
-                ]
-                run(0)
-                for f in futures:
-                    f.result()
+        finally:
+            _parallel.join(tasks)  # they write into acc: none runs on past the return
         acc[wall] = 0.0
         out = acc.reshape(x.shape) if not scalar else float(acc[0])
         return out

@@ -19,10 +19,8 @@ The sampler streams fixed blocks of about 64k path values through buffers
 allocated once per call, and reduces each sample in an order set by the
 number of time nodes alone. Its memory is bounded whatever the sample
 count, and sample i comes out bit-identical however many samples are drawn.
-One worker thread per call draws the next block of normals into the second
-of two 64k-element buffers while the caller reduces the current one; only
-the worker draws, in the stream's order, so the output is the same as from
-drawing in the caller.
+The next block of normals is drawn on the process's pool (``_parallel``), in
+the stream's order, while the caller reduces the current one.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _checks
+from . import _checks, _parallel
 from .kernels import _WORK_UNIT
 from .processes import CovarianceKernel, LambdaSystem, covariance, exact_brownian, path_basis
 from .quadrature import _EXACT_TIME_RULE, Rule1D, _tensor_rule, composite_legendre_01
@@ -397,14 +395,11 @@ def _normal_blocks(rng: np.random.Generator, samples: int, rows: int, width: int
     from ``rng`` in C order, block after block, so the stream is the one that
     ``rng.standard_normal(out=block)`` in the caller's loop would give.
 
-    One worker thread draws block k + 1 into the second of two (rows, width)
-    buffers while the caller uses block k, which it may overwrite: that
-    buffer is drawn into again only once the caller asks for block k + 1.
-    Only the worker touches ``rng``. The worker is joined before the
-    generator finishes or is closed.
+    The caller draws block 0 and a pool worker block k + 1, into the second
+    of two (rows, width) buffers, while the caller uses block k, which it
+    may overwrite. Each draw ahead is joined before the generator goes on,
+    finishes or is closed, so the draws run one at a time, in order.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     bufs = (np.empty((rows, width)), np.empty((rows, width)))
     starts = range(0, samples, rows)
 
@@ -413,13 +408,13 @@ def _normal_blocks(rng: np.random.Generator, samples: int, rows: int, width: int
         rng.standard_normal(out=block)
         return block
 
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(draw, 0)
-        for k, r0 in enumerate(starts):
-            block = ahead.result()
-            if k + 1 < len(starts):
-                ahead = pool.submit(draw, k + 1)
+    block = draw(0)
+    for k, r0 in enumerate(starts):
+        ahead = [_parallel.submit(draw, k + 1)] if k + 1 < len(starts) else []
+        try:
             yield r0, r0 + block.shape[0], block
+        finally:
+            (block,) = _parallel.join(ahead) or (None,)
 
 
 def _finite_paths(blocks, system: LambdaSystem, rule: Rule1D, rows: int):
@@ -475,7 +470,7 @@ def sample_spec_moments(spec: MomentSpec, samples: int, truncation: int | None =
 
     Samples are drawn and reduced in fixed blocks of about ``_WORK_UNIT``
     elements in reused buffers, so memory does not grow with ``samples`` and
-    sample i is the same whatever ``samples`` is. One worker thread draws the
+    sample i is the same whatever ``samples`` is. A pool worker draws the
     normals a block ahead, from the same stream in the same order, into a
     second buffer; it is joined before the call returns or raises.
     """

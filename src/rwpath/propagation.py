@@ -10,21 +10,14 @@ convergence constant against its closed-form thermal average.
 
 from __future__ import annotations
 
-import _thread
-import contextlib
-import contextvars
-import ctypes
 import functools
 import math
-import threading
 import warnings
-from concurrent import futures
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import _checks, kernels
+from . import _checks, _parallel
 from .kernels import (
     _WORK_UNIT,
     DiscreteReweightedKernel,
@@ -196,20 +189,20 @@ def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
     A centrosymmetric matrix (``a`` equal bit for bit to its 180° rotation,
     as every kernel matrix of a mirror-symmetric potential is) is powered as
     two half-size blocks, a quarter of the flops. Where numpy's bundled
-    OpenBLAS can be pinned, their two chains of products run at once, each
-    on single-threaded BLAS (see ``_folded_power``), so the power's bits do
-    not depend on the BLAS thread count; a symmetric matrix's blocks are
-    squared with syrk. Any other matrix keeps the plain products at the
-    process's BLAS thread count, whose bits may. An entry
-    p[i, k] of a folded power is accurate only relative to the larger of it
-    and its mirror p[i, N-1-k], because it is half the sum or difference of
-    two block entries of that size: an entry far below its mirror (one
-    across the centre, for a kernel that decays with distance) can come out
-    as rounding noise, even zero or negative. All work goes into one block
-    allocated once per call, and the result is a view of it. glibc's malloc
-    maps and page-faults separate matrix-sized arrays anew on every call,
-    but serves a block this size from its heap after the first call frees
-    one."""
+    OpenBLAS can be pinned, their two chains of products run at once, one on
+    the caller and one on the process's worker pool, each on single-threaded
+    BLAS (see ``_folded_power``), so the power's bits do not depend on the
+    BLAS thread count; a symmetric matrix's blocks are squared with syrk.
+    Any other matrix keeps the plain products at the process's BLAS thread
+    count, whose bits may. An entry p[i, k] of a folded power is accurate
+    only relative to the larger of it and its mirror p[i, N-1-k], because
+    it is half the sum or difference of two block entries of that size: an
+    entry far below its mirror (one across the centre, for a kernel that
+    decays with distance) can come out as rounding noise, even zero or
+    negative. All work goes into one block allocated once per call, and the
+    result is a view of it. glibc's malloc maps and page-faults separate
+    matrix-sized arrays anew on every call, but serves a block this size
+    from its heap after the first call frees one."""
     power = _checks.count("power", power, 1)
     a = np.asarray(a)
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype.kind in "fc":
@@ -246,13 +239,13 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
     centre row and column are scaled back; its diagonal needs no change.
 
     The two blocks' chains of products run at once, each on single-threaded
-    BLAS (``_one_blas_thread``), the odd one on a per-call worker
-    (``_on_worker``), when ``kernels._usable_cpus()`` gives more than one
-    CPU and the BLAS can be pinned. Otherwise both run on the caller, at
-    the process's BLAS thread count where it cannot be pinned. The power's
-    top rows are (E^p ± O^p) / 2, each chain halving its own rows, and its
-    bottom rows their rotation, so the result is centrosymmetric by
-    construction."""
+    BLAS (``_parallel.one_blas_thread``), the odd one on the process's pool
+    (``_parallel.submit``), when ``_parallel.usable_cpus()`` gives more than
+    one CPU and the BLAS can be pinned (or on the caller, if the pool has
+    not started it). Otherwise both run on the caller, at the process's
+    BLAS thread count where it cannot be pinned. The power's top rows are
+    (E^p ± O^p) / 2, each chain halving its own rows, and its bottom rows
+    their rotation, so the result is centrosymmetric by construction."""
     n = a.shape[0]
     m, h = n // 2, n - n // 2
     # a centrosymmetric a whose top rows equal its top columns is symmetric
@@ -266,7 +259,7 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
     mirrored = a[:m, ::-1][:, :m]
 
     def chain(work: np.ndarray) -> np.ndarray:
-        with _one_blas_thread():
+        with _parallel.one_blas_thread():
             p = _square_multiply(work, power, symmetric)
         p[:m] *= 0.5
         return p
@@ -278,22 +271,18 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
     # unpinned, two chains at the process's BLAS thread count oversubscribe
     # the CPUs: 8-10 against 5.7 ms serially for a quartic Trotter rung
     # (n = 121, 401 points) on a 2-vCPU VM
-    concurrent = kernels._usable_cpus() > 1 and _blas_pin() is not None
-    worker = _on_worker(odd_chain) if concurrent else None
+    concurrent = _parallel.usable_cpus() > 1 and _parallel.blas_pin() is not None
+    tasks = [_parallel.submit(odd_chain)] if concurrent else []
     np.add(a[:m, :m], mirrored, out=even[0, :m, :m])
     if h > m:
         np.multiply(a[:m, m], col, out=even[0, :m, m])
         np.multiply(a[m, :m], row, out=even[0, m, :m])
         even[0, m, m] = a[m, m]
-    if worker is None:
-        e, o = chain(even), odd_chain()
-    else:
-        try:
-            e = chain(even)
-        finally:
-            # the odd chain writes into the block: it ends before this returns
-            futures.wait([worker])
-        o = worker.result()
+    try:
+        e = chain(even)
+    finally:
+        done = _parallel.join(tasks)  # the odd chain writes into the block
+    o = done[0] if concurrent else odd_chain()
     top = out[:m]
     np.add(e[:m, :m], o, out=top[:, :m])
     np.subtract(e[:m, :m], o, out=top[:, h:][:, ::-1])
@@ -304,74 +293,6 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
         out[m, h:] = out[m, :m][::-1]
     out[h:] = top[::-1, ::-1]
     return out
-
-
-def _on_worker(fn) -> futures.Future:
-    """Runs fn() on a new thread, in a copy of the caller's context,
-    which carries numpy's errstate; the future holds its result or its
-    exception. The thread is started through ``_thread``, which does not
-    wait for it to run: ``threading.Thread.start`` does, and that wait cost
-    0.13-0.16 ms per quartic Trotter power (n = 121, 401 points, 3.5 ms) on
-    a 2-vCPU VM."""
-    future = futures.Future()
-
-    def run():
-        try:
-            future.set_result(fn())
-        except BaseException as exc:
-            future.set_exception(exc)
-
-    _thread.start_new_thread(contextvars.copy_context().run, (run,))
-    return future
-
-
-@functools.lru_cache(maxsize=1)
-def _blas_pin():
-    """``openblas_set_num_threads_local`` of the OpenBLAS that numpy bundles
-    (``numpy.libs/libscipy_openblas*.so``), looked up once; None where numpy
-    bundles no such library or it lacks the symbol."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        return setter
-    return None
-
-
-# the BLAS thread count is the process's, and so is its pin count:
-# [pins active, the count the first of them replaced]
-_pin_lock = threading.Lock()
-_pins = [0, 0]
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Runs the block on single-threaded BLAS, set once on entry and
-    restored on exit; without ``_blas_pin`` the block runs at the process's
-    thread count. In the pthreads build numpy bundles, the setter sets the
-    count of the whole process (the call returns the count it replaced), so
-    pins nest across threads: the first to enter saves the count, every one
-    sets 1 and the last to leave restores it."""
-    setter = _blas_pin()
-    if setter is None:
-        yield
-        return
-    with _pin_lock:
-        previous = setter(1)
-        if _pins[0] == 0:
-            _pins[1] = previous
-        _pins[0] += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pins[0] -= 1
-            if _pins[0] == 0:
-                setter(_pins[1])
 
 
 def _square_multiply(work: np.ndarray, power: int, symmetric: bool = False) -> np.ndarray:
@@ -435,7 +356,8 @@ def dvr_eigenvalues(
     interior grid point is refused by ``_checks.potential`` at the first
     such point. At its peak it holds one (N-1)^2 array, the Hamiltonian,
     beside LAPACK's own workspace; one over ``_MAX_MATRIX_ENTRIES`` entries
-    is refused before V is read.
+    is refused before V is read. It runs on one BLAS thread, whose bits do
+    not depend on the process's BLAS thread count.
     """
     v_max = 2000.0 / params.beta
     nn = grid.cells
@@ -464,7 +386,8 @@ def dvr_eigenvalues(
     np.fill_diagonal(h, (2.0 * nn**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * idx / nn) ** 2)
     h *= pref
     h.flat[:: idx.size + 1] += v
-    return np.linalg.eigvalsh(h)
+    with _parallel.one_blas_thread():
+        return np.linalg.eigvalsh(h)
 
 
 def dvr_partition_function(

@@ -21,6 +21,7 @@ Boltzmann sum, density ratio or kernel weight that overflows or underflows
 to 0 must be refused, as ``rwpath._checks.result`` words it, not returned.
 """
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -900,6 +901,25 @@ def test_no_input_declares_a_parity_or_a_domain():
     assert [name for name in declared if re.search(r"symmetr|parity|domain", name)] == []
     assert {line.split(":")[0] for line in matching_lines(r"neither symmetric nor antisymmetric", SRC)} \
         == {"kernels.py"}
+
+
+def test_only_the_parallel_module_starts_threads_or_reads_the_cpus():
+    # one pool, one BLAS pin and one CPU count: a thread started elsewhere
+    # would bypass the pool's rule that a caller runs what it has not started
+    threaded = {"_thread", "threading", "concurrent", "ctypes", "contextvars"}
+    importers = set()
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in threaded for name in names):
+                importers.add(path.name)
+    assert importers == {"_parallel.py"}
+    assert {line.split(":")[0] for line in matching_lines(r"sched_getaffinity", SRC)} == {"_parallel.py"}
 
 
 def test_only_the_experiment_table_writes_the_benchmark_set_ups():

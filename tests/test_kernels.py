@@ -1,12 +1,14 @@
 import math
+import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from rwpath import kernels
+from rwpath import _parallel, kernels
 from rwpath.calibration import FAMILIES, calibrated_system
 from rwpath.experiments import SYSTEMS
 from rwpath.kernels import (
@@ -20,7 +22,7 @@ from rwpath.kernels import (
 )
 from rwpath.potentials import custom_potential, harmonic, he_cage, quartic
 from rwpath.processes import path_basis
-from rwpath.propagation import SpatialGrid, build_matrix
+from rwpath.propagation import SpatialGrid, build_matrix, matrix_power
 from rwpath.quadrature import _EXACT_TIME_RULE, Rule1D
 
 
@@ -145,7 +147,7 @@ def test_ratio_and_build_matrix_do_not_depend_on_worker_count(monkeypatch, pot, 
     grid = SpatialGrid(lo, hi, 90)
     results = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: workers)
         results.append(
             (
                 kernel.ratio(params, x, xp),
@@ -162,9 +164,9 @@ def test_ratio_split_survives_fast_thread_switching(monkeypatch):
     # more workers than cores, switching threads every microsecond
     x = np.linspace(0.5, 6.5, 6 * ORDER4_PBLOCK + 1)
     kernel = DiscreteReweightedKernel(ORDER4[0], he_cage(), ORDER4[1])
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
     want = kernel.ratio(HE_PARAMS, x, x[::-1])
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 7)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -175,41 +177,88 @@ def test_ratio_split_survives_fast_thread_switching(monkeypatch):
 
 
 def test_ratio_joins_its_workers_and_passes_on_their_errors(monkeypatch):
-    baseline = threading.active_count()
     caller = threading.current_thread()
-    calls = []  # (thread, active thread count) per potential call
-    fail = []
+    lock = threading.Lock()
+    calls = []  # the thread of each potential call
+    running = [0]  # potential calls under way
+    slow, fail = [True], []
 
     def value(x):
-        calls.append((threading.current_thread(), threading.active_count()))
-        if fail and threading.current_thread() is not caller:
-            raise RuntimeError("worker failed")
-        return np.asarray(x, dtype=float) ** 2
+        with lock:
+            calls.append(threading.current_thread())
+            running[0] += 1
+        try:
+            if slow:
+                # the worker starts while the caller is busy, and a worker
+                # left running past the return would still be inside V
+                time.sleep(1e-3)
+            if fail and threading.current_thread() is not caller:
+                raise RuntimeError("worker failed")
+            return np.asarray(x, dtype=float) ** 2
+        finally:
+            with lock:
+                running[0] -= 1
 
     pot = custom_potential(value, lambda x: 2.0 * np.asarray(x, dtype=float))
     kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
     p = PhysicalParams(beta=0.5)
     x = np.linspace(-1.0, 1.0, 2 * ORDER4_PBLOCK + 5)
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
-    kernel.ratio(p, x, x[::-1])
-    threads = {t for t, _ in calls}
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    want = kernel.ratio(p, x, x[::-1])
+    assert running == [0]
+    threads = set(calls)
     assert caller in threads and len(threads) == 2
-    assert {n for t, n in calls if t is not caller} == {baseline + 1}
-    assert threading.active_count() == baseline
+    after_one = threading.active_count()
 
     fail.append(True)
     with pytest.raises(RuntimeError, match="worker failed"):
         kernel.ratio(p, x, x[::-1])
-    assert threading.active_count() == baseline
-
-    # a one-unit call, scalar or not, starts no thread
+    assert running == [0]
     fail.clear()
+    assert np.array_equal(kernel.ratio(p, x, x[::-1]), want)
+
+    # a one-unit call, scalar or not, runs on the caller alone
     calls.clear()
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 3)
     kernel.ratio(p, x[:ORDER4_PBLOCK], x[:ORDER4_PBLOCK])
     kernel.ratio(p, 0.2, 0.3)
-    assert {t for t, _ in calls} == {caller}
-    assert {n for _, n in calls} == {baseline}
+    assert set(calls) == {caller}
+
+    # the pool's threads persist and are reused: no call leaves one behind.
+    # A pool of more than one thread may still start its others.
+    slow.clear()
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    for _ in range(50):
+        kernel.ratio(p, x, x[::-1])
+    pool = max(1, len(os.sched_getaffinity(0)) - 1) if hasattr(os, "sched_getaffinity") else 1
+    assert after_one <= threading.active_count() <= after_one + pool - 1
+
+
+def test_a_potential_that_powers_a_matrix_inside_a_ratio_worker_finishes(monkeypatch):
+    # the worker and the caller each submit a folded power's odd chain to the
+    # pool the worker itself occupies; each takes its chain back and runs it
+    r = np.random.default_rng(5).uniform(0.0, 1.0, size=(30, 30))
+    a = r + r.T
+    a = (a + a[::-1, ::-1]) / 60.0
+
+    def value(pts):
+        return 0.5 * np.asarray(pts, dtype=float) ** 2 + 1e-3 * np.trace(matrix_power(a, 9))
+
+    pot = custom_potential(value, lambda pts: np.asarray(pts, dtype=float))
+    kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
+    p = PhysicalParams(beta=0.5)
+    x = np.linspace(-1.0, 1.0, 2 * ORDER4_PBLOCK + 5)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
+        out = []
+        caller = threading.Thread(target=lambda: out.append(kernel.ratio(p, x, x[::-1])))
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+        results.append(out[0])
+    assert np.count_nonzero(results[0]) == x.size
+    assert np.array_equal(results[0], results[1])
 
 
 def test_ratio_workers_keep_the_callers_errstate(monkeypatch):
@@ -225,12 +274,12 @@ def test_ratio_workers_keep_the_callers_errstate(monkeypatch):
     x = np.linspace(-1.0, 1.0, 2 * ORDER4_PBLOCK)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
         with pytest.raises(RuntimeWarning, match="overflow"):
             kernel.ratio(p, x, x[::-1])
         results = []
         for workers in (1, 2):
-            monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(_parallel, "usable_cpus", lambda: workers)
             with np.errstate(over="ignore"):
                 results.append(kernel.ratio(p, x, x[::-1]))
     assert np.all((results[0] > 0.0) & (results[0] < 1.0))
@@ -340,12 +389,12 @@ def test_a_slow_unit_leaves_the_other_units_to_the_worker(monkeypatch):
     kernel = DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])
     calls_per_unit = kernel._u.size * (kernel._disp.shape[1] // kernels._GH_BLOCK)
     p = PhysicalParams(beta=0.01)
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
     others_done.set()
     want = kernel.ratio(p, x, xp)
     calls.clear()
     others_done.clear()
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
     got = kernel.ratio(p, x, xp)
     assert np.array_equal(got, want) and np.count_nonzero(got) == x.size
     mine = [first for t, first in calls if t is caller]

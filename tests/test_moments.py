@@ -1,5 +1,7 @@
 import math
+import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -552,29 +554,83 @@ def test_sample_spec_moments_match_caller_thread_draws(spec, monkeypatch):
 
 def test_sample_spec_moments_join_their_one_worker(monkeypatch):
     n = 3 * sample_block_rows(EB) + 5
-    baseline = threading.active_count()
-    during = []
+    caller = threading.current_thread()
+    lock = threading.Lock()
+    draws = []  # the thread of each block's draw
+    running = [0]  # draws under way
+    fail = []
+
+    class Watched:
+        """The sampler's generator, recording who draws; a draw is slow, so
+        one left running past the return would still be under way."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            with lock:
+                draws.append(threading.current_thread())
+                running[0] += 1
+            try:
+                time.sleep(2e-3)
+                if fail and threading.current_thread() is not caller:
+                    raise RuntimeError("draw failed")
+                return self.rng.standard_normal(out=out)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+    normal_blocks = moments._normal_blocks
+    monkeypatch.setattr(moments, "_normal_blocks", lambda rng, *args: normal_blocks(Watched(rng), *args))
     row_sums = moments._row_sums
 
-    def counting(a, out):
-        during.append(threading.active_count())
+    def slow(a, out):
+        time.sleep(5e-3)  # the worker starts its draw while the caller reduces
         row_sums(a, out)
 
-    monkeypatch.setattr(moments, "_row_sums", counting)
-    sample_spec_moments(EB, n, seed=2, max_power=1)
-    assert len(during) == 4 and set(during) == {baseline + 1}
-    assert threading.active_count() == baseline
+    monkeypatch.setattr(moments, "_row_sums", slow)
+    want = sample_spec_moments(EB, n, seed=2, max_power=1)
+    assert running == [0]
+    assert len(draws) == 4 and draws[0] is caller and len(set(draws)) == 2
+    after_one = threading.active_count()
+
+    reduced = []
 
     def failing(a, out):
-        during.append(threading.active_count())
-        if len(during) == 6:  # the second block of this call
+        reduced.append(a.shape[0])
+        if len(reduced) == 2:  # the second block of this call, once the third is being drawn
+            deadline = time.monotonic() + 10.0
+            while not running[0] and time.monotonic() < deadline:
+                time.sleep(1e-4)
             raise RuntimeError("reduction failed")
-        row_sums(a, out)
+        slow(a, out)
 
     monkeypatch.setattr(moments, "_row_sums", failing)
     with pytest.raises(RuntimeError, match="reduction failed"):
         sample_spec_moments(EB, n, seed=2, max_power=1)
-    assert threading.active_count() == baseline
+    assert running == [0]
+
+    fail.append(True)
+    monkeypatch.setattr(moments, "_row_sums", slow)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        sample_spec_moments(EB, n, seed=2, max_power=1)
+    assert running == [0]
+    fail.clear()
+    got = sample_spec_moments(EB, n, seed=2, max_power=1)
+    assert np.array_equal(got["B1"], want["B1"]) and np.array_equal(got["M"][1], want["M"][1])
+
+    # a one-block call draws on the caller alone
+    draws.clear()
+    sample_spec_moments(EB, 5, seed=2, max_power=1)
+    assert draws == [caller]
+
+    # the pool's threads persist and are reused: no call leaves one behind.
+    # A pool of more than one thread may still start its others.
+    monkeypatch.setattr(moments, "_row_sums", row_sums)
+    for _ in range(50):
+        sample_spec_moments(EB, n, seed=2, max_power=1)
+    pool = max(1, len(os.sched_getaffinity(0)) - 1) if hasattr(os, "sched_getaffinity") else 1
+    assert after_one <= threading.active_count() <= after_one + pool - 1
 
 
 def test_moment_product_matches_power_formula_and_keeps_payload():

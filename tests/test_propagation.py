@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rwpath
-from rwpath import calibration, kernels, propagation
+from rwpath import _parallel, calibration, propagation
 from rwpath.calibration import calibrated_system
 from rwpath.experiments import SYSTEMS, ladder
 from rwpath.kernels import (
@@ -187,7 +187,7 @@ def test_build_matrix_evaluates_the_counted_points(monkeypatch, mirror, workers)
         return inner.value(x)
 
     kernel = DiscreteReweightedKernel(ORDER4[0], custom_potential(value, inner.deriv1), ORDER4[1])
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: workers)
     got = build_matrix(kernel, PhysicalParams(beta=2.0), grid, 3).values
     npts = grid.cells + 1
     pairs = sum(1 for i in range(npts) for j in range(i, npts) if not mirror or i + j <= grid.cells)
@@ -295,22 +295,25 @@ def test_power_of_a_centrosymmetric_matrix_that_is_not_symmetric_matches_plain_p
 
 # Trotter rungs on the quartic's 401 points and the helium cage's 501 whose
 # Z moved with the BLAS thread count while the products ran at it: with the
-# gemm squarings (n = 87, 115, 135) or with the syrk ones (115, 51)
+# gemm squarings (n = 87, 115, 135) or with the syrk ones (115, 51); and the
+# grid eigensolve's Z of both, which moved by 4.0e-12 and 3.1e-12 unpinned
 FOLDED_Z = """
-from rwpath import kernels
+from rwpath import _parallel
 from rwpath.experiments import SYSTEMS
-from rwpath.propagation import build_matrix, partition_function
+from rwpath.propagation import build_matrix, dvr_partition_function, partition_function
 from rwpath.kernels import TrotterKernel
 for name, n in (("quartic", 87), ("quartic", 115), ("he-cage", 51), ("he-cage", 135)):
     pot, params, grid = SYSTEMS[name].resolve()
     matrix = build_matrix(TrotterKernel(pot), params, grid, n)
     for cpus in (1, 2):
-        kernels._usable_cpus = lambda: cpus
+        _parallel.usable_cpus = lambda: cpus
         print(repr(partition_function(matrix)))
+for name in ("quartic", "he-cage"):
+    print(repr(dvr_partition_function(*SYSTEMS[name].resolve())))
 """
 
 
-@pytest.mark.skipif(propagation._blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
+@pytest.mark.skipif(_parallel.blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
 def test_folded_z_keeps_its_bits_at_one_and_two_blas_threads():
     src = str(Path(rwpath.__file__).parents[1])
     out = []
@@ -321,7 +324,7 @@ def test_folded_z_keeps_its_bits_at_one_and_two_blas_threads():
                              env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         out.append(run.stdout.split())
-    assert len(out[0]) == 8
+    assert len(out[0]) == 10
     assert out[0] == out[1]
 
 
@@ -333,7 +336,7 @@ def quartic_trotter_matrix(n=121):
 def blas_threads():
     """The BLAS thread count as the calling thread sees it, read through the
     setter (which returns the count it replaces)."""
-    setter = propagation._blas_pin()
+    setter = _parallel.blas_pin()
     count = setter(1)
     setter(count)
     return count
@@ -343,7 +346,7 @@ def test_folded_power_keeps_its_bits_on_one_and_two_workers(monkeypatch):
     a = quartic_trotter_matrix()
     powers = []
     for cpus in (1, 2):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda cpus=cpus: cpus)
         powers.append(matrix_power(a, 122))
     assert np.array_equal(powers[0], powers[1])
 
@@ -351,7 +354,7 @@ def test_folded_power_keeps_its_bits_on_one_and_two_workers(monkeypatch):
 def test_folded_power_without_the_blas_setter_keeps_z_to_rounding(monkeypatch):
     a = quartic_trotter_matrix()
     pinned = np.trace(matrix_power(a, 122))
-    monkeypatch.setattr(propagation, "_blas_pin", lambda: None)
+    monkeypatch.setattr(_parallel, "blas_pin", lambda: None)
     assert abs(np.trace(matrix_power(a, 122)) - pinned) <= 1e-14 * pinned
 
 
@@ -364,21 +367,21 @@ def other_thread(fn):
     return out[0]
 
 
-@pytest.mark.skipif(propagation._blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
+@pytest.mark.skipif(_parallel.blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_folded_power_restores_every_threads_blas_count(monkeypatch, cpus):
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
     before = blas_threads(), other_thread(blas_threads)
     matrix_power(quartic_trotter_matrix(7), 8)
     assert (blas_threads(), other_thread(blas_threads)) == before
 
 
-@pytest.mark.skipif(propagation._blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
+@pytest.mark.skipif(_parallel.blas_pin() is None, reason="numpy bundles no OpenBLAS setter")
 def test_concurrent_folded_powers_keep_their_bits_and_restore_the_blas_count(monkeypatch):
-    # four callers with a worker each on fewer cores: the pin count is shared
+    # four callers sharing the pool on fewer cores: the pin count is shared
     # by every thread, so a lost update would leave BLAS pinned or unpin a
     # chain while it runs
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
     a = quartic_trotter_matrix(7)
     expected = matrix_power(a, 8)
     count = blas_threads()
@@ -409,21 +412,21 @@ def test_concurrent_folded_powers_keep_their_bits_and_restore_the_blas_count(mon
     assert len(results) == 80
     assert all(np.array_equal(r, expected) for r in results)
     assert len(seen) == 320 and set(seen) == {1}
-    assert propagation._pins[0] == 0
+    assert _parallel._pins[0] == 0
     assert blas_threads() == count
 
 
 def test_an_exception_in_the_workers_chain_reaches_the_caller(monkeypatch):
     # t (I - J): the even block is 0 and the odd block 2 t I, whose square
     # overflows on the worker; the caller's errstate travels with the chain
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
     a = 1e200 * (np.eye(40) - np.eye(40)[::-1])
-    count = blas_threads() if propagation._blas_pin() else None
+    count = blas_threads() if _parallel.blas_pin() else None
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         matrix_power(a, 2)
     if count is not None:
         assert blas_threads() == count
-    assert propagation._pins[0] == 0
+    assert _parallel._pins[0] == 0
 
 
 def test_slice_identity_of_trotter_ladder():
@@ -485,7 +488,9 @@ def dense_dvr_eigenvalues(potential, params, grid):
     diag = (2.0 * nn**2 + 1.0) / 3.0 - 1.0 / np.sin(math.pi * idx / nn) ** 2
     t = pref * np.where(diff == 0, diag[:, None] * np.eye(idx.size), off)
     v = np.minimum(np.asarray(potential.value(grid.points[1:-1]), dtype=float), v_max)
-    return np.linalg.eigvalsh(t + np.diag(v))
+    # on one BLAS thread, as dvr_eigenvalues solves it
+    with _parallel.one_blas_thread():
+        return np.linalg.eigvalsh(t + np.diag(v))
 
 
 @pytest.mark.parametrize(

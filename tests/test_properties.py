@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwpath import kernels as kernels_module
+from rwpath import _parallel
 from rwpath.experiments import make_kernel
 from rwpath.kernels import PhysicalParams
 from rwpath.potentials import custom_potential
@@ -212,8 +212,8 @@ def test_ratio_does_not_depend_on_the_worker_count(pot, beta, size, workers, see
     xp = rng.uniform(-2.0, 2.0, size=size)
     kernel = make_kernel("order3-discrete", pot)
     params = PhysicalParams(beta=beta)
-    with mock.patch.object(kernels_module, "_usable_cpus", return_value=1):
+    with mock.patch.object(_parallel, "usable_cpus", return_value=1):
         one = kernel.ratio(params, x, xp)
-    with mock.patch.object(kernels_module, "_usable_cpus", return_value=workers):
+    with mock.patch.object(_parallel, "usable_cpus", return_value=workers):
         many = kernel.ratio(params, x, xp)
     assert np.array_equal(one, many)
