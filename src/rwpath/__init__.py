@@ -57,7 +57,6 @@ from .potentials import Potential, custom_potential, harmonic, he_cage, quartic
 from .kernels import (
     ContinuousReweightedKernel,
     DiscreteReweightedKernel,
-    FreeParticleKernel,
     PhysicalParams,
     ShortTimeKernel,
     TrotterKernel,

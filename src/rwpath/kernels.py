@@ -2,11 +2,12 @@
 
 Every kernel factorizes as rho0 = rho_fp * ratio, where rho_fp is the
 free-particle density matrix and ratio is a potential-dependent average
-along paths bridging x and x'. Four kinds are provided: the free particle,
-the symmetrized kinetic/potential splitting (endpoint time average, no
-Gaussian integral), and the continuous and discrete reweighted kernels
-(tensor Gauss-Hermite average over the bridge coefficients). V at x or x'
-is a number or +inf, a wall of density 0: ``ratio`` refuses NaN or -inf
+along paths bridging x and x'. Three kinds are provided, each on a
+potential: the symmetrized kinetic/potential splitting (endpoint time
+average, no Gaussian integral; on V = 0 its ratio is exactly 1, the free
+particle), and the continuous and discrete reweighted kernels (tensor
+Gauss-Hermite average over the bridge coefficients). V at x or x' is a
+number or +inf, a wall of density 0: ``ratio`` refuses NaN or -inf
 there through ``_checks``. Otherwise it returns the raw weight, which is
 inf or NaN where it overflows or a path meets a NaN inside; ``rho0`` is the
 reader that refuses a weight that is not finite: NaN as a NaN potential on
@@ -52,7 +53,6 @@ __all__ = [
     "units_constant",
     "rho_fp",
     "ShortTimeKernel",
-    "FreeParticleKernel",
     "TrotterKernel",
     "ContinuousReweightedKernel",
     "DiscreteReweightedKernel",
@@ -128,10 +128,12 @@ def rho_fp(params: PhysicalParams, x, xp):
 
 
 class ShortTimeKernel:
-    """Base class: subclasses implement ``ratio`` (rho0 / rho_fp)."""
+    """Base class: a subclass sets ``potential`` and implements ``ratio``
+    (rho0 / rho_fp). ``build_matrix`` probes the potential for mirror
+    symmetry and refuses a kernel that sets none."""
 
     kind = "abstract"
-    potential: Potential | None = None
+    potential: Potential
 
     def ratio(self, params: PhysicalParams, x, xp):
         """rho0 / rho_fp at (x, x'), elementwise: the raw weight, 0 where
@@ -160,17 +162,6 @@ class ShortTimeKernel:
             _checks.potential(weight, f"on a path between x = {x!r}, x' = {xp!r}")
             _checks.result(f"rho0(x, x') at x = {x!r}, x' = {xp!r}", out.flat[bad[0]])
         return float(out) if out.ndim == 0 else out
-
-
-class FreeParticleKernel(ShortTimeKernel):
-    kind = "free-particle"
-
-    def __init__(self, potential: Potential | None = None):
-        self.potential = potential
-
-    def ratio(self, params, x, xp):
-        shape = np.broadcast(np.asarray(x), np.asarray(xp)).shape
-        return np.ones(shape) if shape else 1.0
 
 
 class TrotterKernel(ShortTimeKernel):

@@ -99,14 +99,12 @@ class KernelMatrix:
         object.__setattr__(self, "values", v)
 
 
-def _potential_is_mirror_symmetric(kernel: ShortTimeKernel, grid: SpatialGrid) -> bool:
-    """True when the kernel is invariant under reflection about the grid
-    centre: the potential must be mirror-symmetric (checked on the grid and
-    on off-grid probe points). A reweighted kernel checks, when built, that
-    its time rule is palindromic and each bridge has a parity at its nodes."""
-    potential = kernel.potential
-    if potential is None:
-        return True
+def _potential_is_mirror_symmetric(potential: Potential, grid: SpatialGrid) -> bool:
+    """True when ``potential`` is mirror-symmetric about the grid centre,
+    probed at the 2N - 1 grid points and cell midpoints. A kernel on such a
+    potential is invariant under the reflection: a reweighted kernel checks,
+    when built, that its time rule is palindromic and each bridge has a
+    parity at its nodes."""
     for probe in (grid.points, grid.points[:-1] + 0.5 * grid.h):
         v = np.asarray(potential.value(probe), dtype=float)
         # rtol leaves room for grid rounding amplified by steep walls; a
@@ -164,16 +162,19 @@ def build_matrix(
     from the reflection. The pair layout depends only on ``(cells, mirror)``
     and is cached, so the matrix is one gather of the pair values. The
     entries are h * rho0, which refuses the potential and the weights. A
-    matrix over ``_MAX_MATRIX_ENTRIES`` entries is refused before anything
-    is built.
+    matrix over ``_MAX_MATRIX_ENTRIES`` entries, or a kernel that sets no
+    potential, is refused before anything is built.
     """
     n = _checks.count("n", n, 0)
     npts = grid.cells + 1
     _checks.budget(f"a kernel matrix on {npts} grid points", npts * npts, _MAX_MATRIX_ENTRIES,
                    "matrix entries", "use fewer grid cells")
+    if not hasattr(kernel, "potential"):
+        raise ValueError(f"{type(kernel).__name__} sets no potential, which build_matrix "
+                         "probes for mirror symmetry")
     slice_params = params.with_beta(params.beta / (n + 1))
     x = grid.points
-    iu, ju, entry = _pair_layout(grid.cells, _potential_is_mirror_symmetric(kernel, grid))
+    iu, ju, entry = _pair_layout(grid.cells, _potential_is_mirror_symmetric(kernel.potential, grid))
     xi, xj = x[iu], x[ju]
     vals = grid.h * kernel.rho0(slice_params, xi, xj)
     # freed before the gather, as inside rho0: a higher heap peak is trimmed
@@ -186,14 +187,15 @@ def build_matrix(
 def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
     """Dense matrix power by square-and-multiply.
 
-    A centrosymmetric matrix (``a`` equal bit for bit to its 180° rotation,
-    as every kernel matrix of a mirror-symmetric potential is) is powered as
-    two half-size blocks, a quarter of the flops. Where numpy's bundled
+    A symmetric, centrosymmetric matrix (``a`` equal bit for bit to its
+    transpose and its 180° rotation, as every kernel matrix of a
+    mirror-symmetric potential is) is powered as two half-size blocks, a
+    quarter of the flops, each squared with syrk. Where numpy's bundled
     OpenBLAS can be pinned, their two chains of products run at once, one on
     the caller and one on the process's worker pool, each on single-threaded
     BLAS (see ``_folded_power``), so the power's bits do not depend on the
-    BLAS thread count; a symmetric matrix's blocks are squared with syrk.
-    Any other matrix keeps the plain products at the process's BLAS thread
+    BLAS thread count. Any other matrix, a centrosymmetric one that is not
+    symmetric too, takes the plain products at the process's BLAS thread
     count, whose bits may. An entry p[i, k] of a folded power is accurate
     only relative to the larger of it and its mirror p[i, N-1-k], because
     it is half the sum or difference of two block entries of that size: an
@@ -206,37 +208,37 @@ def matrix_power(a: np.ndarray, power: int) -> np.ndarray:
     power = _checks.count("power", power, 1)
     a = np.asarray(a)
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype.kind in "fc":
-        if _is_centrosymmetric(a):
+        if _is_bisymmetric(a):
             return _folded_power(a, power)
     work = np.empty((3,) + a.shape, dtype=a.dtype)
     work[0] = a
     return _square_multiply(work, power)
 
 
-def _is_centrosymmetric(a: np.ndarray) -> bool:
-    """True when the square ``a`` equals its 180° rotation bit for bit: its
-    top N // 2 rows equal its rotated bottom rows, and for odd N its centre
-    row is a palindrome. NaN fails."""
+def _is_bisymmetric(a: np.ndarray) -> bool:
+    """True when the square ``a`` equals its 180° rotation and its transpose
+    bit for bit: its top N // 2 rows equal its rotated bottom rows and its
+    top columns, and for odd N its centre row is a palindrome. Through the
+    rotation the top rows' symmetry covers every entry. NaN fails."""
     n = a.shape[0]
     m = n // 2
-    if not np.array_equal(a[:m], a[::-1, ::-1][:m]):
+    top = a[:m]
+    if not (np.array_equal(top, a[::-1, ::-1][:m]) and np.array_equal(top, a[:, :m].T)):
         return False
     return n % 2 == 0 or np.array_equal(a[m], a[m, ::-1])
 
 
 def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
-    """Power of a centrosymmetric matrix through its even and odd blocks.
+    """Power of a symmetric, centrosymmetric matrix through its even and odd
+    blocks.
 
     With J the exchange matrix, m = N // 2 and a[:m, :m] = B, the mirrored
     columns a[:m, ::-1][:, :m] = C J, the even block is B + C J and the odd
     block B - C J. For odd N the even block also carries the centre c: the
     orthogonal fold puts sqrt(2) a[:m, c] in its column and sqrt(2) a[c, :c]
-    in its row. When ``a`` is symmetric bit for bit, as every kernel matrix
-    is, both blocks are too, and they are built that way, so every squaring
-    is a syrk (``base @ base.T``). Otherwise a diagonal similarity moves the
-    sqrt(2) into an exact doubling of the column, so that no entry rounds
-    more than once, and the squarings stay gemms. Either way the power's
-    centre row and column are scaled back; its diagonal needs no change.
+    in its row. Both blocks are symmetric bit for bit, as ``a`` is, so every
+    squaring is a syrk (``base @ base.T``). The power's centre row and column
+    are scaled back; its diagonal needs no change.
 
     The two blocks' chains of products run at once, each on single-threaded
     BLAS (``_parallel.one_blas_thread``), the odd one on the process's pool
@@ -248,10 +250,7 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
     their rotation, so the result is centrosymmetric by construction."""
     n = a.shape[0]
     m, h = n // 2, n - n // 2
-    # a centrosymmetric a whose top rows equal its top columns is symmetric
-    symmetric = np.array_equal(a[:m], a[:, :m].T)
-    # the centre column's and row's factors in the even block; their product is 2
-    col, row = (math.sqrt(2.0),) * 2 if symmetric else (2.0, 1.0)
+    root2 = math.sqrt(2.0)
     block = np.empty(3 * h * h + 3 * m * m + n * n, dtype=a.dtype)
     even = block[: 3 * h * h].reshape(3, h, h)
     odd = block[3 * h * h : 3 * (h * h + m * m)].reshape(3, m, m)
@@ -260,7 +259,7 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
 
     def chain(work: np.ndarray) -> np.ndarray:
         with _parallel.one_blas_thread():
-            p = _square_multiply(work, power, symmetric)
+            p = _square_multiply(work, power, True)
         p[:m] *= 0.5
         return p
 
@@ -275,8 +274,8 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
     tasks = [_parallel.submit(odd_chain)] if concurrent else []
     np.add(a[:m, :m], mirrored, out=even[0, :m, :m])
     if h > m:
-        np.multiply(a[:m, m], col, out=even[0, :m, m])
-        np.multiply(a[m, :m], row, out=even[0, m, :m])
+        np.multiply(a[:m, m], root2, out=even[0, :m, m])
+        np.multiply(a[m, :m], root2, out=even[0, m, :m])
         even[0, m, m] = a[m, m]
     try:
         e = chain(even)
@@ -287,8 +286,8 @@ def _folded_power(a: np.ndarray, power: int) -> np.ndarray:
     np.add(e[:m, :m], o, out=top[:, :m])
     np.subtract(e[:m, :m], o, out=top[:, h:][:, ::-1])
     if h > m:
-        np.multiply(e[:m, m], row, out=top[:, m])
-        np.divide(e[m, :m], row, out=out[m, :m])
+        np.multiply(e[:m, m], root2, out=top[:, m])
+        np.divide(e[m, :m], root2, out=out[m, :m])
         out[m, m] = e[m, m]
         out[m, h:] = out[m, :m][::-1]
     out[h:] = top[::-1, ::-1]

@@ -8,6 +8,7 @@ Intel Xeon VM (numpy 2.4.6, OpenBLAS), 114 s of it in the
 convergence-order ladders.
 """
 
+import json
 import math
 import time
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from rwpath.calibration import calibrate, calibrated_system
-from rwpath.experiments import SYSTEMS, BenchmarkSystem, ladder, make_kernel, make_spec
+from rwpath.experiments import SYSTEMS, BenchmarkSystem, make_kernel, make_spec
 from rwpath.kernels import DiscreteReweightedKernel, PhysicalParams, units_constant
 from rwpath.moments import (
     MomentIndex,
@@ -48,6 +49,8 @@ from rwpath.quadrature import (
     is_palindromic,
 )
 
+from make_acceptance_golden import GOLDEN, acceptance_ladders, golden_values
+
 GOLDEN_CONSTANTS = {
     "order3-continuous": (3.056620471,),
     "order3-discrete": (2.720699046,),
@@ -74,8 +77,7 @@ def ladders():
     """The ladders of every benchmark system that has them (the quartic and
     the helium cage), and their wall time."""
     t0 = time.perf_counter()
-    runs = {name: ladder(*row.resolve(), row.tops, row.constant_top)
-            for name, row in SYSTEMS.items() if row.tops}
+    runs = acceptance_ladders()
     return runs, time.perf_counter() - t0
 
 
@@ -210,6 +212,31 @@ def test_criterion_6_trotter_convergence_constant(ladders):
     assert q_cth_ok, f"quartic c_th {q.c_th} not within 0.5% of 88.35"
     assert q_cn_ok
     assert h_ok
+
+
+# drift budget per golden kind: relative for Z and c_th, absolute for slopes
+GOLDEN_BUDGET = {"z": 1e-12, "slope": 1e-6, "c_th": 1e-9}
+
+
+def test_acceptance_golden_drift(ladders):
+    # the ladders' Z, slopes and c_th against tests/acceptance_golden.json
+    # (tests/make_acceptance_golden.py), each kind's largest drift reported
+    # with its share of the budget
+    golden = json.loads(GOLDEN.read_text())
+    got = golden_values(ladders[0])
+    drift = {}
+    for kind, budget in GOLDEN_BUDGET.items():
+        assert got[kind].keys() == golden[kind].keys(), f"{kind}: the golden labels moved"
+        drift[kind] = max(
+            abs(got[kind][label] - want) / (1.0 if kind == "slope" else abs(want))
+            for label, want in golden[kind].items()
+        )
+    print("ACCEPTANCE GOLDEN: " + ", ".join(
+        f"{kind} drift {drift[kind]:.1e} ({drift[kind] / budget:.0%} of {budget:.0e})"
+        for kind, budget in GOLDEN_BUDGET.items()) + f"; made at {golden['sha'][:12]}")
+    for kind, budget in GOLDEN_BUDGET.items():
+        # written so that a NaN drift fails
+        assert drift[kind] <= budget, f"{kind} drift {drift[kind]:.2e} over the budget of {budget:.0e}"
 
 
 def test_ladders_run_the_benchmark_set_ups(ladders):

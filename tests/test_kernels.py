@@ -14,7 +14,6 @@ from rwpath.experiments import SYSTEMS
 from rwpath.kernels import (
     ContinuousReweightedKernel,
     DiscreteReweightedKernel,
-    FreeParticleKernel,
     PhysicalParams,
     TrotterKernel,
     rho_fp,
@@ -79,7 +78,6 @@ def test_zero_potential_reduces_to_free_particle():
         TrotterKernel(zero),
         DiscreteReweightedKernel(ORDER3[0], zero, ORDER3[1]),
         ContinuousReweightedKernel(ORDER4[0], zero, gh_points=6),
-        FreeParticleKernel(),
     ):
         assert kernel.rho0(p, 0.4, -1.1) == pytest.approx(rho_fp(p, 0.4, -1.1), rel=1e-12)
 

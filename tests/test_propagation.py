@@ -18,7 +18,6 @@ from rwpath.kernels import (
     _GH_BLOCK,
     _WORK_UNIT,
     DiscreteReweightedKernel,
-    FreeParticleKernel,
     PhysicalParams,
     TrotterKernel,
     rho_fp,
@@ -31,6 +30,7 @@ from rwpath.propagation import (
     KernelMatrix,
     ReferenceZ,
     SpatialGrid,
+    _is_bisymmetric,
     _pair_layout,
     _square_multiply,
     build_matrix,
@@ -68,7 +68,7 @@ def test_free_particle_row_sums_are_one():
     # h * sum_j rho_fp(x_i, x_j) ~ 1 for rows away from the boundary
     p = PhysicalParams(beta=1.0)
     g = SpatialGrid(-8.0, 8.0, 200)
-    mat = build_matrix(FreeParticleKernel(zero_potential()), p, g, 0)
+    mat = build_matrix(TrotterKernel(zero_potential()), p, g, 0)
     sums = mat.values.sum(axis=1)
     interior = np.abs(g.points) < 2.0  # 6 sigma from either edge
     np.testing.assert_allclose(sums[interior], 1.0, atol=1e-10)
@@ -280,17 +280,25 @@ def test_power_of_non_centrosymmetric_matrix_keeps_plain_products(n, row, col):
 
 @pytest.mark.parametrize("n", [40, 41])
 def test_power_of_a_centrosymmetric_matrix_that_is_not_symmetric_matches_plain_products(n):
-    # the even and odd blocks of such a matrix are not symmetric, so its
-    # squarings must stay gemms: base @ base.T would square another matrix
+    # only a symmetric matrix folds: the blocks of this one are not
+    # symmetric, and base @ base.T would square another matrix
     r = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, n))
     a = r + r[::-1, ::-1]
     a /= np.linalg.norm(a, 2)
-    assert not np.array_equal(a, a.T)
-    eps = np.finfo(float).eps
+    assert np.array_equal(a, a[::-1, ::-1]) and not np.array_equal(a, a.T)
     for power in (2, 3, 7, 64):
-        plain = plain_power(a, power)
-        tol = 2 * (power + 1) * n * eps
-        assert np.all(np.abs(matrix_power(a, power) - plain) <= tol * (plain + plain[:, ::-1]))
+        assert np.array_equal(matrix_power(a, power), plain_power(a, power))
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_every_built_kernel_matrix_folds(name):
+    # build_matrix fills a matrix symmetric bit for bit, and centrosymmetric
+    # on these mirror-symmetric potentials, so each of them folds
+    for cells in (40, 41):  # an odd and an even number of points
+        pot, params, grid = SYSTEMS[name].resolve(cells=cells)
+        for kernel in (TrotterKernel(pot), DiscreteReweightedKernel(ORDER3[0], pot, ORDER3[1]),
+                       DiscreteReweightedKernel(ORDER4[0], pot, ORDER4[1])):
+            assert _is_bisymmetric(build_matrix(kernel, params, grid, 7).values)
 
 
 # Trotter rungs on the quartic's 401 points and the helium cage's 501 whose
@@ -675,12 +683,13 @@ def test_trotter_constant_free_particle_is_zero():
     # derivative average makes c_th exactly zero
     p = PhysicalParams(beta=0.5)
     g = SpatialGrid(-8.0, 8.0, 100)
+    x = g.points
     zero = zero_potential()
     tk = TrotterKernel(zero)
-    fk = FreeParticleKernel()
     for n in (3, 7):
         zt = partition_function(build_matrix(tk, p, g, n))
-        zf = partition_function(build_matrix(fk, p, g, n))
+        free = g.h * rho_fp(p.with_beta(p.beta / (n + 1)), x[:, None], x[None, :])
+        zf = math.fsum(np.diagonal(matrix_power(free, n + 1)))
         assert abs((n + 1) ** 2 * (zt - zf) / zf) < 1e-10
     ref = ReferenceZ(
         value=zf, n_ref=7, eigensolve_value=zf, rel_gap=0.0,
