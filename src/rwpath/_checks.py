@@ -3,8 +3,8 @@ value is finite (and positive where required), an integer may have any
 sign, and a count is an integer at or above a floor. Each is written so
 that NaN fails, refuses a bool, accepts numpy numbers and raises ValueError
 naming the argument. ``potential`` holds a potential's values to a number or
-+inf (a wall), and ``result`` a returned Z, Boltzmann sum, density ratio or
-kernel weight to finite and above 0, so no ladder reads a slope off 0 or inf.
++inf (a wall), ``result`` a returned Z, Boltzmann sum or density ratio to
+finite and above 0, and ``weights`` a kernel weight to finite, in their words.
 ``budget`` refuses a call whose predicted work or memory is over its limit,
 before anything is allocated or evaluated.
 """
@@ -74,6 +74,22 @@ def result(name: str, value) -> float:
     if not value > 0:
         raise ValueError(f"{name} underflows to 0, got {value!r}; {advice}")
     return value
+
+
+def weights(values, x, xp):
+    """``values``, a kernel's weights at the pairs (x, x'), refused at the first
+    that is not finite: NaN as a NaN potential on a path between x and x' (its
+    ends were read), +-inf as an overflow, in the words of the two rules."""
+    out = np.asarray(values)
+    # two reductions, NaN if one value is; the bad pair is sought only then
+    if out.size and not (math.isfinite(out.min()) and math.isfinite(out.max())):
+        k = np.flatnonzero(~np.isfinite(out))[0]
+        x, xp = (float(np.broadcast_to(v, out.shape).flat[k]) for v in (x, xp))
+        where = f"x = {x!r}, x' = {xp!r}"
+        if math.isnan(out.flat[k]):
+            potential(out.flat[k], f"on a path between {where}")
+        result(f"kernel weight at {where}", out.flat[k])
+    return values
 
 
 def budget(what: str, needed: int, limit: int, units: str, advice: str) -> None:

@@ -8,11 +8,11 @@ average, no Gaussian integral; on V = 0 its ratio is exactly 1, the free
 particle), and the continuous and discrete reweighted kernels (tensor
 Gauss-Hermite average over the bridge coefficients). V at x or x' is a
 number or +inf, a wall of density 0: ``ratio`` refuses NaN or -inf
-there through ``_checks``. Otherwise it returns the raw weight, which is
-inf or NaN where it overflows or a path meets a NaN inside; ``rho0`` is the
-reader that refuses a weight that is not finite: NaN as a NaN potential on
-a path between x and x', inf (an overflow, or -inf on that path) as an
-overflow. A reweighted kernel refuses, when it is built, a bridge with no
+there through ``_checks``. The kernel that makes a weight refuses it, through
+``_checks.weights``, unless it is finite: NaN, met by a path between x and
+x', as a NaN potential on that path, and inf (an overflow, or -inf on that
+path) as an overflow; ``rho0`` is ratio times rho_fp, refused the same way.
+A reweighted kernel refuses, when it is built, a bridge with no
 parity under u -> 1 - u at its time nodes (``build_matrix`` mirrors its
 matrix across the diagonal) or one that does not vanish at u = 0 and 1
 (its paths would not end at x and x'), and, through ``_checks.budget``, a
@@ -130,38 +130,22 @@ def rho_fp(params: PhysicalParams, x, xp):
 class ShortTimeKernel:
     """Base class: a subclass sets ``potential`` and implements ``ratio``
     (rho0 / rho_fp). ``build_matrix`` probes the potential for mirror
-    symmetry and refuses a kernel that sets none."""
+    symmetry and refuses a kernel whose potential has no callable ``value``."""
 
     kind = "abstract"
     potential: Potential
 
     def ratio(self, params: PhysicalParams, x, xp):
-        """rho0 / rho_fp at (x, x'), elementwise: the raw weight, 0 where
-        V(x) or V(x') is +inf, and inf or NaN, unrefused, where it overflows.
-        ``rho0`` is the reader that refuses a weight that is not finite."""
+        """rho0 / rho_fp at (x, x'), elementwise: the weight, 0 where V(x) or
+        V(x') is +inf. A weight that is NaN raises ValueError, and one that
+        overflows OverflowError, naming x and x' (``_checks.weights``)."""
         raise NotImplementedError
 
     def rho0(self, params: PhysicalParams, x, xp):
-        """Kernel value rho0(x, x'; beta), 0 where V(x) or V(x') is +inf. A
-        NaN weight raises ValueError, and any other value that is not finite
-        OverflowError, naming x and x'."""
-        # ratio before rho_fp: the other order raised perfbench's helium peak RSS by 2 MB
-        weight = np.asarray(self.ratio(params, x, xp))
-        fp = rho_fp(params, x, xp)
-        # an inf weight times a rho_fp of 0 is NaN, refused below as an overflow
-        with np.errstate(invalid="ignore"):
-            out = weight * fp
-        del weight, fp
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            x, xp = (float(np.broadcast_to(v, out.shape).flat[bad[0]]) for v in (x, xp))
-            # the weight there (ratio has read V at x and x', so NaN met a NaN between them),
-            # recomputed only where rho_fp is 0: holding all raised quartic peak RSS by 0.7 MB
-            fp = rho_fp(params, x, xp)
-            weight = out.flat[bad[0]] / fp if fp > 0 else self.ratio(params, x, xp)
-            _checks.potential(weight, f"on a path between x = {x!r}, x' = {xp!r}")
-            _checks.result(f"rho0(x, x') at x = {x!r}, x' = {xp!r}", out.flat[bad[0]])
-        return float(out) if out.ndim == 0 else out
+        """Kernel value rho0(x, x'; beta) = ratio * rho_fp, 0 where V(x) or
+        V(x') is +inf, refused like ``ratio``'s weights unless finite."""
+        out = _checks.weights(self.ratio(params, x, xp) * rho_fp(params, x, xp), x, xp)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 class TrotterKernel(ShortTimeKernel):
@@ -183,7 +167,7 @@ class TrotterKernel(ShortTimeKernel):
         v = _checks.potential(self.potential.value(x), "at", x)
         vp = _checks.potential(self.potential.value(xp), "at", xp)
         with np.errstate(under="ignore", over="ignore"):
-            return np.exp(-params.beta * 0.5 * (v + vp))
+            return _checks.weights(np.exp(-params.beta * 0.5 * (v + vp)), x, xp)
 
 
 class _ReweightedKernel(ShortTimeKernel):
@@ -237,7 +221,6 @@ class _ReweightedKernel(ShortTimeKernel):
             f"ratio on {x.size} pairs", x.size * self._disp.size, _MAX_RATIO_POINTS,
             "potential points", "use a coarser grid, fewer gh_points or a discrete kernel",
         )
-        scalar = x.ndim == 0
         xf = np.atleast_1d(x).ravel()
         dxf = np.atleast_1d(xp).ravel() - xf
         acc = np.zeros(xf.size)
@@ -271,8 +254,7 @@ class _ReweightedKernel(ShortTimeKernel):
         finally:
             _parallel.join(tasks)  # they write into acc: none runs on past the return
         acc[wall] = 0.0
-        out = acc.reshape(x.shape) if not scalar else float(acc[0])
-        return out
+        return _checks.weights(acc.reshape(x.shape) if x.ndim else float(acc[0]), x, xp)
 
     def _ratio_units(self, beta, sdisp, xf, dxf, acc, pblock, gblock, units, pts_buf, avg_buf):
         """Write acc[p0:p0 + pblock], p0 = unit * pblock, for each unit index
@@ -315,7 +297,7 @@ class _ReweightedKernel(ShortTimeKernel):
                 high = masks[n : 2 * n].reshape(shape)
                 np.logical_not(low, out=high)
                 np.copyto(avg, 0.0, where=low)
-                # an overflow is left to rho0's check of the weight
+                # an overflow is left to ratio's check of the weights
                 with np.errstate(under="ignore", over="ignore"):
                     np.exp(avg, out=avg, where=high)
                     avg *= self._gh_weights[g0:g1]

@@ -348,6 +348,8 @@ def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderRe
     """Check every moment identity for 1 <= mu <= nu against the exact
     Brownian values; the spec has convergence order nu iff all pass.
 
+    An identity passes when |rhs - lhs| < tol * max(1, |lhs|), so a moment
+    above 1 is held to tol relative to it, not below its float64 rounding.
     Default tolerances: 1e-12 for discrete specs (finite sums, exact) and
     1e-9 for continuous specs (limited by ``_EXACT_TIME_RULE``). A given
     ``tol`` is refused unless finite and positive. A finite spec's Gauss-Hermite
@@ -366,7 +368,7 @@ def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderRe
             lhs = brownian_moment(idx)
             rhs = _moment(spec, idx, finite)
             res = rhs - lhs
-            entries.append(OrderEntry(idx, lhs, rhs, res, abs(res) < tol))
+            entries.append(OrderEntry(idx, lhs, rhs, res, abs(res) < tol * max(1.0, abs(lhs))))
     return OrderReport(nu, tol, tuple(entries))
 
 

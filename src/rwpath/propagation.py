@@ -162,14 +162,14 @@ def build_matrix(
     from the reflection. The pair layout depends only on ``(cells, mirror)``
     and is cached, so the matrix is one gather of the pair values. The
     entries are h * rho0, which refuses the potential and the weights. A
-    matrix over ``_MAX_MATRIX_ENTRIES`` entries, or a kernel that sets no
-    potential, is refused before anything is built.
+    matrix over ``_MAX_MATRIX_ENTRIES`` entries, or a kernel whose potential
+    has no callable ``value``, is refused before anything is built.
     """
     n = _checks.count("n", n, 0)
     npts = grid.cells + 1
     _checks.budget(f"a kernel matrix on {npts} grid points", npts * npts, _MAX_MATRIX_ENTRIES,
                    "matrix entries", "use fewer grid cells")
-    if not hasattr(kernel, "potential"):
+    if not callable(getattr(getattr(kernel, "potential", None), "value", None)):
         raise ValueError(f"{type(kernel).__name__} sets no potential, which build_matrix "
                          "probes for mirror symmetry")
     slice_params = params.with_beta(params.beta / (n + 1))
@@ -177,7 +177,7 @@ def build_matrix(
     iu, ju, entry = _pair_layout(grid.cells, _potential_is_mirror_symmetric(kernel.potential, grid))
     xi, xj = x[iu], x[ju]
     vals = grid.h * kernel.rho0(slice_params, xi, xj)
-    # freed before the gather, as inside rho0: a higher heap peak is trimmed
+    # freed before the gather: a higher heap peak is trimmed
     # and faulted back in on every build (991 against 677 page faults per
     # quartic Trotter build on 401 points)
     del xi, xj

@@ -3,8 +3,8 @@
 Heavy artifacts (references, ladders, Monte Carlo samples) are shared
 through module-scoped fixtures; each criterion prints its own pass/fail
 line (visible with ``pytest -s``). The full module is the long end of the
-test suite: ``pytest -s tests/test_acceptance.py`` took 127 s on a 2-vCPU
-Intel Xeon VM (numpy 2.4.6, OpenBLAS), 114 s of it in the
+test suite: ``pytest -s tests/test_acceptance.py`` took 120 s on a 2-vCPU
+Intel Xeon VM (numpy 2.4.6, OpenBLAS), 108 s of it in the
 convergence-order ladders.
 """
 

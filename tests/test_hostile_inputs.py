@@ -176,8 +176,17 @@ def trotter(value):
     return TrotterKernel(custom_potential(value, np.sign))
 
 
+def continuous4(value):
+    return ContinuousReweightedKernel(SYS4, custom_potential(value, np.sign), gh_points=2)
+
+
 def at_zero(x):
     return x == 0.0
+
+
+def inside(x):
+    # inside the paths between x = 0 and x' = 0.5, away from their ends
+    return (0.05 < x) & (x < 0.45)
 
 
 P1 = PhysicalParams(beta=1.0)
@@ -214,6 +223,12 @@ class NoPotential(ShortTimeKernel):
 
     def ratio(self, params, x, xp):
         return np.exp(-params.beta * (0.3 * np.asarray(x) + 0.3 * np.asarray(xp)) / 2)
+
+
+class NonePotential(NoPotential):
+    """NoPotential with its potential set to None, which has no value to probe."""
+
+    potential = None
 
 
 # the harmonic row with a coarse grid, where the order-4 reference density
@@ -398,7 +413,9 @@ ROWS = {
                   r"over the budget of 16777216; lower gh_points$",
                   lambda: ContinuousReweightedKernel(SYS4, quartic(), gh_points=33)),
                  (no_parity(r"0\.0962"), lambda: ContinuousReweightedKernel(NO_PARITY, quartic())),
-                 (OPEN_ENDS, lambda: ContinuousReweightedKernel(NO_ENDS, quartic()))),
+                 (OPEN_ENDS, lambda: ContinuousReweightedKernel(NO_ENDS, quartic())),
+                 (r"^potential is nan on a path between x = 0\.0, x' = 0\.5$",
+                  lambda: continuous4(half_square(NAN, inside)).ratio(P1, 0.0, 0.5))),
     ),
     "DiscreteReweightedKernel": Row(
         lambda gh_points=2: DiscreteReweightedKernel(SYS4, quartic(), RULE4, gh_points),
@@ -418,11 +435,13 @@ ROWS = {
                   lambda: DiscreteReweightedKernel(NO_PARITY, quartic(), gauss_legendre_01(4))),
                  (OPEN_ENDS, lambda: DiscreteReweightedKernel(NO_ENDS, quartic(), gauss_legendre_01(4))),
                  # the endpoints are read and pass, so the NaN lies on a path between them;
-                 # at beta = 1e-4 rho_fp(0, 0.5) is 0, so the weight is not read off rho0
+                 # ratio refuses it before rho0 multiplies by rho_fp(0, 0.5), 0 at beta = 1e-4
                  *((r"^potential is nan on a path between x = 0\.0, x' = 0\.5$",
-                    lambda beta=beta: kernel4(half_square(NAN, lambda x: (0.05 < x) & (x < 0.45))).rho0(
+                    lambda beta=beta: kernel4(half_square(NAN, inside)).rho0(
                         PhysicalParams(beta), 0.0, 0.5))
-                   for beta in (1.0, 1e-4))),
+                   for beta in (1.0, 1e-4)),
+                 (r"^potential is nan on a path between x = 0\.0, x' = 0\.5$",
+                  lambda: kernel4(half_square(NAN, inside)).ratio(P1, 0.0, 0.5))),
     ),
     "PhysicalParams": Row(
         lambda beta=1.0, hbar=1.0, mass=1.0: PhysicalParams(beta, hbar, mass),
@@ -439,7 +458,12 @@ ROWS = {
         refused=((r"^potential is nan at x = 0\.0$",
                   lambda: trotter(half_square(NAN, lambda x: abs(x) < 0.1)).rho0(P1, 0.0, 0.0)),
                  (r"^potential is -inf at x = 0\.0$",
-                  lambda: trotter(half_square(-INF, at_zero)).rho0(P1, 0.0, 0.5))),
+                  lambda: trotter(half_square(-INF, at_zero)).rho0(P1, 0.0, 0.5)),
+                 # the splitting kernel reads V at x and x' only, so that is where its NaN and -inf lie
+                 (r"^potential is nan at x = 0\.0$",
+                  lambda: trotter(half_square(NAN, at_zero)).ratio(P1, 0.0, 0.5)),
+                 (r"^potential is -inf at x = 0\.0$",
+                  lambda: trotter(half_square(-INF, at_zero)).ratio(P1, 0.0, 0.5))),
     ),
     "rho_fp": Row(
         lambda x=0.0, xp=0.5: rho_fp(P, x, xp),
@@ -485,7 +509,9 @@ ROWS = {
                  (r"^potential is nan on a path between x = -2\.0, x' = -0\.5999999999999996$",
                   lambda: build_poisoned(tilted_quartic, NAN)),
                  (r"^NoPotential sets no potential, which build_matrix probes for mirror symmetry$",
-                  lambda: build_matrix(NoPotential(), P1, SpatialGrid(-4.0, 4.0, 80), 3))),
+                  lambda: build_matrix(NoPotential(), P1, SpatialGrid(-4.0, 4.0, 80), 3)),
+                 (r"^NonePotential sets no potential, which build_matrix probes for mirror symmetry$",
+                  lambda: build_matrix(NonePotential(), P1, SpatialGrid(-4.0, 4.0, 8), 3))),
     ),
     "dvr_eigenvalues": Row(
         lambda: dvr_eigenvalues(quartic(), P, G),
@@ -770,8 +796,12 @@ COLD_HARMONIC = (PhysicalParams(beta=2000.0), SpatialGrid(-5.0, 5.0, 60))
 ADVICE = "; shift the potential energy zero or change beta$"
 
 
-def overflowed(name: str) -> str:
-    return f"^{re.escape(name)} overflowed, got (-?inf|nan){ADVICE}"
+def overflowed(name: str, got: str = "(-?inf|nan)") -> str:
+    return f"^{re.escape(name)} overflowed, got {got}{ADVICE}"
+
+
+def weight_overflowed(x: float, xp: float) -> str:
+    return overflowed(f"kernel weight at x = {x!r}, x' = {xp!r}", "inf")
 
 
 def underflows(name: str) -> str:
@@ -830,19 +860,30 @@ UNREPRESENTABLE = {
         lambda: mc_density_ratio(kernel4(constant(40.0)), P, 0.0, 0.0, 1, 100)),
     # a kernel weight: one slice's e^{-beta V} with V = 0.5 x^2 - 100 at beta = 10
     "build_matrix-weight-overflow": (
-        OverflowError, overflowed("rho0(x, x') at x = -4.0, x' = -4.0"),
+        OverflowError, weight_overflowed(-4.0, -4.0),
         lambda: build_matrix(trotter(lambda x: deep_well(x) - 20.0), P, G, 0)),
-    # an overflowed weight times a rho_fp that underflows to 0 is NaN, and
-    # still an overflow, refused without numpy's warning for inf * 0 first
+    # the weight overflows where rho_fp underflows to 0; ratio refuses it
+    # before rho0 multiplies the two
     "rho0-overflow-times-zero": (
-        OverflowError, overflowed("rho0(x, x') at x = 0.0, x' = 0.5"),
+        OverflowError, weight_overflowed(0.0, 0.5),
         lambda: kernel4(constant(-1e7)).rho0(PhysicalParams(1e-4), 0.0, 0.5)),
     # a -inf inside a path also overflows the weight
     "rho0-minus-inf-inside-path": (
-        OverflowError, overflowed("rho0(x, x') at x = 0.0, x' = 0.5"),
-        lambda: kernel4(half_square(-INF, lambda x: (0.05 < x) & (x < 0.45))).rho0(P1, 0.0, 0.5)),
+        OverflowError, weight_overflowed(0.0, 0.5),
+        lambda: kernel4(half_square(-INF, inside)).rho0(P1, 0.0, 0.5)),
+    # each kernel's ratio refuses the weights it makes: e^1000 on the deep
+    # well, and -inf inside a path, which the splitting kernel never reads
+    **{f"ratio-{name}-overflow": (
+        OverflowError, weight_overflowed(0.0, 0.5),
+        lambda make=make: make(constant(-1e7)).ratio(PhysicalParams(1e-4), 0.0, 0.5))
+       for name, make in (("trotter", trotter), ("discrete", kernel4), ("continuous", continuous4))},
+    **{f"ratio-{name}-minus-inf-inside-path": (
+        OverflowError, weight_overflowed(0.0, 0.5),
+        lambda make=make: make(half_square(-INF, inside)).ratio(P1, 0.0, 0.5))
+       for name, make in (("discrete", kernel4), ("continuous", continuous4))},
+    # a kernel whose ratio returns an inf weight is refused by rho0
     **{f"build_matrix-poisoned-pair-{layout}-inf": (
-        OverflowError, overflowed("rho0(x, x') at x = -2.0, x' = -0.5999999999999996"),
+        OverflowError, weight_overflowed(-2.0, -0.5999999999999996),
         lambda value=value: build_poisoned(value, INF))
        for layout, value in (("mirrored", quartic().value), ("plain", tilted_quartic))},
 }
@@ -894,6 +935,12 @@ def test_only_the_checks_module_words_the_potential_rule():
     others = [p for p in SRC if p != CHECKS]
     assert matching_lines(r"potential is (\{|nan|-inf|NaN)", others) == []
     assert matching_lines(r"FloatingPointError", SRC) == []
+
+
+def test_only_the_checks_module_words_the_weight_rule():
+    # every refusal of a kernel weight that is not finite comes from
+    # _checks.weights, so ratio and rho0 cannot word it apart
+    assert matching_lines(r"on a path between", [p for p in SRC if p != CHECKS]) == []
 
 
 def test_only_the_checks_module_words_the_budget_rule():

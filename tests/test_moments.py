@@ -9,6 +9,7 @@ import pytest
 
 from rwpath import moments
 from rwpath.calibration import calibrated_system
+from rwpath.experiments import make_spec
 from rwpath.kernels import _WORK_UNIT
 from rwpath.moments import (
     MomentIndex,
@@ -345,6 +346,27 @@ def test_calibrated_systems_verify_their_orders():
         assert report.passed, f"{family} failed: {report.max_residual}"
         beyond = verify_order(spec, nu + 1, tol=1e-4)
         assert not beyond.passed, f"{family} should not reach order {nu + 1}"
+
+
+@pytest.mark.parametrize("family, nu, flipped", [
+    ("order3-discrete", 6, 0), ("order3-discrete", 7, 1), ("order3-discrete", 8, 9),
+    ("order4-discrete", 6, 0), ("order4-discrete", 7, 0), ("order4-discrete", 8, 37),
+])
+def test_verify_order_passes_an_identity_off_by_rounding_alone(family, nu, flipped):
+    # an absolute 1e-12 is below one ulp of a mu >= 7 moment above about
+    # 4500, so the floor is relative above |lhs| = 1; the entries it passes,
+    # and only they, differ from the absolute test, each off by 11 ulps or less,
+    # while every violation left misses by 4.3e-4 of |lhs| or more
+    report = verify_order(make_spec(family), nu)
+    moved = [e for e in report.entries if e.passed != (abs(e.residual) < report.tol)]
+    assert len(moved) == flipped
+    assert all(e.passed and abs(e.residual) <= 16 * np.spacing(e.lhs) for e in moved)
+    assert all(abs(e.residual) >= 4e-4 * max(1.0, abs(e.lhs)) for e in report.violations)
+    if (family, nu) == ("order3-discrete", 7):
+        assert (moved[0].index.j, moved[0].lhs) == (ix(7, {1: 11, 3: 1}).j, 5197.5)
+    if (family, nu) == ("order4-discrete", 8):
+        j16 = next(e for e in moved if e.index.j == ix(8, {16: 1}).j)
+        assert j16.lhs == pytest.approx(16891.875, rel=1e-14)
 
 
 def test_order_report_json_round_trip():

@@ -217,3 +217,67 @@ def test_ratio_does_not_depend_on_the_worker_count(pot, beta, size, workers, see
     with mock.patch.object(_parallel, "usable_cpus", return_value=workers):
         many = kernel.ratio(params, x, xp)
     assert np.array_equal(one, many)
+
+
+# the three kernels the acceptance ladders fit, at one and at seven slices
+metamorphic_kernels = st.sampled_from(["trotter", "order3-discrete", "order4-discrete"])
+few_or_many_slices = st.sampled_from([1, 7])
+
+
+def relation_tolerance(n: int, grid: SpatialGrid) -> float:
+    # each entry carries a few roundings and Z = tr(A^(n + 1)) sums (n + 1) N
+    # of them; the largest miss in three runs of 300 random draws was
+    # 0.52 (n + 1) N eps
+    return 4 * (n + 1) * grid.points.size * np.finfo(float).eps
+
+
+@PROPERTY
+@given(
+    pot=polynomials(),
+    name=metamorphic_kernels,
+    beta=betas,
+    n=few_or_many_slices,
+    shift=st.floats(0.25, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    a=st.floats(-3.0, 0.0),
+    width=st.floats(1.0, 5.0),
+    cells=st.integers(2, 12),
+)
+def test_an_energy_shift_scales_z_by_its_boltzmann_factor(pot, name, beta, n, shift, sign, a, width, cells):
+    # V + c multiplies each of the n + 1 slices by e^(-beta c / (n + 1)), so
+    # Z by e^(-beta c); a slice of any other width breaks the relation
+    c = sign * shift
+    shifted = custom_potential(lambda x: pot.value(x) + c, pot.deriv1)
+    params = PhysicalParams(beta=beta)
+    grid = SpatialGrid(a, a + width, cells)
+    z = partition_function(build_matrix(make_kernel(name, pot), params, grid, n))
+    z_shifted = partition_function(build_matrix(make_kernel(name, shifted), params, grid, n))
+    want = math.exp(-beta * c) * z
+    assert abs(z_shifted - want) <= relation_tolerance(n, grid) * want
+
+
+@PROPERTY
+@given(
+    pot=polynomials(),
+    name=metamorphic_kernels,
+    beta=betas,
+    n=few_or_many_slices,
+    a=st.floats(-3.0, 0.0),
+    width=st.floats(1.0, 5.0),
+    cells=st.integers(2, 12),
+)
+def test_the_mirror_image_has_the_same_z(pot, name, beta, n, a, width, cells):
+    # V(-x) on (-b, -a) is V on (a, b) seen in a mirror; the two grids'
+    # points are each other's mirror images up to rounding
+    def mirrored(x):
+        return pot.value(-np.asarray(x, dtype=float))
+
+    def mirrored_deriv1(x):
+        return -pot.deriv1(-np.asarray(x, dtype=float))
+
+    params = PhysicalParams(beta=beta)
+    grid = SpatialGrid(a, a + width, cells)
+    z = partition_function(build_matrix(make_kernel(name, pot), params, grid, n))
+    kernel = make_kernel(name, custom_potential(mirrored, mirrored_deriv1))
+    z_mirror = partition_function(build_matrix(kernel, params, SpatialGrid(-grid.b, -grid.a, cells), n))
+    assert abs(z_mirror - z) <= relation_tolerance(n, grid) * z
