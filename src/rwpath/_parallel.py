@@ -1,9 +1,8 @@
 """The CPU count, the one worker pool and the BLAS pin of the process.
 
 ``join`` runs on the caller a task the pool has not started, so nested work
-cannot deadlock. Heavy BLAS calls left unpinned: the plain power, until it
-runs as row panels on this pool, and ``mc_density_ratio``'s ``coeff @
-basis``, as fast pinned.
+cannot deadlock. The one heavy BLAS call left unpinned is the plain power,
+until it runs as row panels on this pool.
 """
 
 import contextlib

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _checks, _parallel
 from .potentials import Potential
-from .processes import LambdaSystem, path_basis
+from .processes import LambdaSystem, _gaussian_path, path_basis
 from .quadrature import _EXACT_TIME_RULE, Rule1D, is_palindromic, tensor_gauss_hermite
 
 __all__ = [
@@ -211,7 +211,7 @@ class _ReweightedKernel(ShortTimeKernel):
         self._w = basis.weights
         nodes, weights = tensor_gauss_hermite(system.q, self.gh_points)
         self._gh_weights = weights
-        self._disp = np.ascontiguousarray((nodes @ basis.values).T)  # (T, G)
+        self._disp = np.ascontiguousarray(_gaussian_path(nodes, basis.values).T)  # (T, G)
 
     def ratio(self, params, x, xp):
         x = np.asarray(x, dtype=float)

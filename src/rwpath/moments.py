@@ -15,10 +15,10 @@ Gauss-Legendre rule. The pairing sum counts pairings from the slot
 multiplicities instead of listing all (g-1)!! of them. A moment over a fixed
 budget of quadrature points is refused before anything is allocated.
 
-The sampler streams fixed blocks of about 64k path values through buffers
-allocated once per call, and reduces each sample in an order set by the
-number of time nodes alone. Its memory is bounded whatever the sample
-count, and sample i comes out bit-identical however many samples are drawn.
+The sampler streams blocks of one shape, about 64k path values, through
+buffers allocated once per call; each block's finite paths are one pinned
+product, and each sample is reduced in an order set by its time nodes alone.
+Memory is bounded, and sample i's bits do not depend on the sample count.
 The next block of normals is drawn on the process's pool (``_parallel``), in
 the stream's order, while the caller reduces the current one.
 """
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _checks, _parallel
 from .kernels import _WORK_UNIT
-from .processes import CovarianceKernel, LambdaSystem, covariance, exact_brownian, path_basis
+from .processes import CovarianceKernel, LambdaSystem, _gaussian_path, covariance, exact_brownian, path_basis
 from .quadrature import _EXACT_TIME_RULE, Rule1D, _tensor_rule, composite_legendre_01
 from .quadrature import gauss_legendre_01, tensor_gauss_hermite
 
@@ -383,59 +383,51 @@ def _row_sums(a: np.ndarray, out: np.ndarray) -> None:
         a.sum(axis=1, out=out)
 
 
-def _series_paths(coeff: np.ndarray, lam: np.ndarray, out: np.ndarray) -> None:
-    """out = coeff @ lam, added term by term in the coefficient index, so a
-    row's bits do not depend on how many rows share the call."""
-    for t in range(out.shape[1]):
-        np.multiply(coeff[:, 0], lam[0, t], out=out[:, t])
-        for j in range(1, lam.shape[0]):
-            out[:, t] += coeff[:, j] * lam[j, t]
-
-
 def _normal_blocks(rng: np.random.Generator, samples: int, rows: int, width: int):
-    """Yield (r0, r1, block): standard normals for sample rows r0:r1, drawn
-    from ``rng`` in C order, block after block, so the stream is the one that
-    ``rng.standard_normal(out=block)`` in the caller's loop would give.
+    """Yield (r0, r1, block): a (rows, width) block, one shape for all,
+    whose first r1 - r0 rows hold the normals of sample rows r0:r1, drawn
+    from ``rng`` in C order, so the stream is the one that
+    ``rng.standard_normal(out=block[: r1 - r0])`` in the caller's loop gives.
 
     The caller draws block 0 and a pool worker block k + 1, into the second
-    of two (rows, width) buffers, while the caller uses block k, which it
+    of two zeroed buffers, while the caller uses block k, which it
     may overwrite. Each draw ahead is joined before the generator goes on,
     finishes or is closed, so the draws run one at a time, in order.
     """
-    bufs = (np.empty((rows, width)), np.empty((rows, width)))
+    bufs = (np.zeros((rows, width)), np.zeros((rows, width)))
     starts = range(0, samples, rows)
 
     def draw(k: int) -> np.ndarray:
-        block = bufs[k % 2][: min(rows, samples - starts[k])]
-        rng.standard_normal(out=block)
-        return block
+        rng.standard_normal(out=bufs[k % 2][: min(rows, samples - starts[k])])
+        return bufs[k % 2]
 
     block = draw(0)
     for k, r0 in enumerate(starts):
         ahead = [_parallel.submit(draw, k + 1)] if k + 1 < len(starts) else []
         try:
-            yield r0, r0 + block.shape[0], block
+            yield r0, min(samples, r0 + rows), block
         finally:
             (block,) = _parallel.join(ahead) or (None,)
 
 
 def _finite_paths(blocks, system: LambdaSystem, rule: Rule1D, rows: int):
-    """Yield (r0, r1, paths, endpoints) for each (r0, r1, block) of
-    coefficients: block @ [u; bridges] at the rule's nodes and at u = 1, in
-    buffers reused across blocks."""
+    """Yield (r0, r1, paths, endpoints) per (r0, r1, block) of at most ``rows``
+    coefficients: `_gaussian_path` of the whole block and [u; bridges] at the
+    rule's nodes, and at u = 1 into its own contiguous buffer, both reused."""
     lam = np.vstack([rule.points, path_basis(system, rule).values])
     end = np.append(1.0, system.bridge_values(1.0))[:, None]
     paths, ends = np.empty((rows, lam.shape[1])), np.empty((rows, 1))
     for r0, r1, zb in blocks:
-        _series_paths(zb, lam, paths[: r1 - r0])
-        _series_paths(zb, end, ends[: r1 - r0])
+        _gaussian_path(zb, lam, paths[: zb.shape[0]])
+        _gaussian_path(zb, end, ends[: zb.shape[0]])
         yield r0, r1, paths[: r1 - r0], ends[: r1 - r0, 0]
 
 
 def _brownian_paths(blocks, sdt: np.ndarray, nt: int):
     """Yield (r0, r1, paths, endpoints): the running sums of each block's
-    normals scaled by ``sdt``, in place, at the first ``nt`` nodes and last."""
+    rows r0:r1 scaled by ``sdt``, in place, at the first ``nt`` nodes and last."""
     for r0, r1, zb in blocks:
+        zb = zb[: r1 - r0]
         zb *= sdt
         np.cumsum(zb, axis=1, out=zb)
         yield r0, r1, zb[:, :nt], zb[:, -1]
@@ -468,11 +460,11 @@ def sample_spec_moments(spec: MomentSpec, samples: int, truncation: int | None =
     the endpoint included; exact Brownian paths from independent Gaussian
     increments. For continuous averages the nodes come from a composite panel
     rule of ``truncation`` panels (an integer; default 64, or 256 and at
-    least 50 for exact Brownian).
+    least 50 for exact Brownian), refused on a spec with a time rule.
 
-    Samples are drawn and reduced in fixed blocks of about ``_WORK_UNIT``
-    elements in reused buffers, so memory does not grow with ``samples`` and
-    sample i is the same whatever ``samples`` is. A pool worker draws the
+    Samples are drawn and reduced in blocks of one shape, about
+    ``_WORK_UNIT`` elements, in reused buffers, so memory does not grow with
+    ``samples`` and sample i's bits do not depend on it. A pool worker draws the
     normals a block ahead, from the same stream in the same order, into a
     second buffer; it is joined before the call returns or raises.
     """
@@ -480,6 +472,8 @@ def sample_spec_moments(spec: MomentSpec, samples: int, truncation: int | None =
     max_power = _checks.count("max_power", max_power, 1)
     if truncation is not None:
         truncation = _checks.count("truncation", truncation, 1)
+        if spec.rule is not None:
+            raise ValueError("truncation applies only to exact time integrals, not to a time rule")
     _checks.seed(seed)
     brownian = spec.kernel.is_exact_brownian
     rule = spec.rule
@@ -492,7 +486,7 @@ def sample_spec_moments(spec: MomentSpec, samples: int, truncation: int | None =
     # normal increments up to t = 1, or the q + 1 coefficients
     ts = nodes if nodes[-1] == 1.0 else np.append(nodes, 1.0)
     draws = ts.size if brownian else spec.kernel.system.q + 1
-    rows = min(samples, max(1, _WORK_UNIT // max(draws, nodes.size)))
+    rows = max(1, _WORK_UNIT // max(draws, nodes.size))
     rng = np.random.default_rng(seed)
     with contextlib.closing(_normal_blocks(rng, samples, rows, draws)) as blocks:
         if brownian:

@@ -6,7 +6,7 @@ for Brownian motion on [0, 1]. The module also provides the exact
 Brownian reference kernel min(u, v) and `path_basis`, which evaluates a
 system chained across 2^levels dyadic cells, under the dyadic tents, at
 time nodes. The kernels, the moment sampler and the chained-path Monte
-Carlo all build their paths from it.
+Carlo all build their paths from it, in one pinned product (`_gaussian_path`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _checks
+from . import _checks, _parallel
 from .quadrature import Rule1D
 
 Bridge = Callable[[np.ndarray], np.ndarray]
@@ -213,6 +213,13 @@ def path_basis(system: LambdaSystem, rule: Rule1D, levels: int = 0) -> PathBasis
     for j in range(ncell):
         values[ncell - 1 + j :: ncell, j * nq : (j + 1) * nq] = bridges
     return PathBasis(values, times, weights)
+
+
+def _gaussian_path(coeff: np.ndarray, table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Finite Gaussian paths ``coeff @ table``, into ``out`` when given, on
+    one BLAS thread: their bits depend on the product's shape alone."""
+    with _parallel.one_blas_thread():
+        return np.matmul(coeff, table, out=out)
 
 
 def variance_identity_error(system: LambdaSystem) -> float:

@@ -27,7 +27,7 @@ from .kernels import (
     rho_fp,
 )
 from .potentials import Potential
-from .processes import path_basis
+from .processes import _gaussian_path, path_basis
 
 __all__ = [
     "SpatialGrid",
@@ -692,7 +692,7 @@ def mc_density_ratio(
             # stream of one whole-batch draw
             rng.standard_normal(out=bridge[: r1 - r0])
             coeff = np.hstack([t[r0:r1] for t in tents] + [bridge[: r1 - r0]])
-            pts = coeff @ basis.values
+            pts = _gaussian_path(coeff, basis.values)
             pts *= sigma
             pts += ref
             avg = np.asarray(kernel.potential.value(pts)) @ basis.weights

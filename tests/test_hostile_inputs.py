@@ -151,6 +151,8 @@ TK = TrotterKernel(quartic())
 K4 = DiscreteReweightedKernel(SYS4, quartic(), RULE4, gh_points=4)
 REF = reference_z(K4, P, G, 127)
 SERIES = order_diagnostic(TK, P, G, [1, 2, 3], REF.value)
+# a spec with a time rule samples at its nodes, whatever the truncation
+TIME_RULE_TRUNCATION = r"^truncation applies only to exact time integrals, not to a time rule$"
 RECORD = "a result record: its fields were checked by the function that filled it"
 
 
@@ -344,7 +346,8 @@ ROWS = {
         lambda samples=100, truncation=None, seed=0: mc_moment_oracle(EB, IDX, samples, truncation, seed),
         {"samples": count(2), "truncation": count(1), "seed": count(0)},
         refused=((r"^truncation must be >= 50",
-                  lambda: mc_moment_oracle(EB, IDX, 100, truncation=10)),),
+                  lambda: mc_moment_oracle(EB, IDX, 100, truncation=10)),
+                 (TIME_RULE_TRUNCATION, lambda: mc_moment_oracle(SPEC4, IDX, 100, truncation=300))),
     ),
     "moment": Row(
         lambda: moment(EB, IDX),
@@ -360,7 +363,10 @@ ROWS = {
                  (r"^truncation must be an integer",
                   lambda: sample_spec_moments(SPEC4, 100, truncation=50.7)),
                  (r"^truncation must be an integer",
-                  lambda: sample_spec_moments(EB, 100, truncation=50.7))),
+                  lambda: sample_spec_moments(EB, 100, truncation=50.7)),
+                 (TIME_RULE_TRUNCATION, lambda: sample_spec_moments(SPEC4, 1000, truncation=300)),
+                 (TIME_RULE_TRUNCATION, lambda: sample_spec_moments(
+                     MomentSpec(exact_brownian(), endpoint_trapezoid()), 100, truncation=300))),
     ),
     "verify_order": Row(
         lambda nu=1, tol=None: verify_order(EB, nu, tol), {"nu": count(1), "tol": POSITIVE}

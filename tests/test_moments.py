@@ -497,19 +497,34 @@ def order4_spec():
     return discrete_spec(finite_kernel(system), rule)
 
 
+def sampled_rule(spec):
+    """The time rule sample_spec_moments averages over at its default
+    truncation."""
+    if spec.rule is not None:
+        return spec.rule
+    return composite_legendre_01(256 if spec.kernel.is_exact_brownian else 64, 2,
+                                 sqrt_endpoints=not spec.kernel.is_exact_brownian)
+
+
 def sample_block_rows(spec):
     """Rows per block of sample_spec_moments at its default truncation: the
     row width is the larger of the draws per sample and the time nodes."""
+    nodes = sampled_rule(spec).points
     if spec.kernel.is_exact_brownian:
-        nodes = composite_legendre_01(256, 2, sqrt_endpoints=False).points
         draws = nodes.size + (nodes[-1] < 1.0)  # increments, plus one to t = 1
     else:
-        nodes = spec.rule.points
-        draws = 1 + path_basis(spec.kernel.system, spec.rule).values.shape[0]
+        draws = 1 + spec.kernel.system.q
     return _WORK_UNIT // max(draws, nodes.size)
 
 
-@pytest.mark.parametrize("spec", [EB, order4_spec()], ids=["exact-brownian", "order-4"])
+# exact Brownian (512 nodes), order-4 on its 4-node rule, and order-4 with
+# exact time integrals, sampled on 128 nodes
+SAMPLED_SPECS = pytest.mark.parametrize(
+    "spec", [EB, order4_spec(), make_spec("order4-continuous")],
+    ids=["exact-brownian", "order-4", "order-4-continuous"])
+
+
+@SAMPLED_SPECS
 def test_sample_spec_moments_do_not_depend_on_blocking(spec):
     rows = sample_block_rows(spec)
     n2 = 2 * rows + 3
@@ -521,19 +536,18 @@ def test_sample_spec_moments_do_not_depend_on_blocking(spec):
             assert np.array_equal(part["M"][k], whole["M"][k][:n1])
 
 
-@pytest.mark.parametrize("spec", [EB, order4_spec()], ids=["exact-brownian", "order-4"])
+@SAMPLED_SPECS
 def test_sample_spec_moments_match_unblocked_reference(spec):
     # the whole draw at once, reduced by BLAS: same stream, same endpoint bits,
     # averages equal up to the order of the time-node sum
     n, seed = 3000, 8
     rng = np.random.default_rng(seed)
+    rule = sampled_rule(spec)
     if spec is EB:
-        rule = composite_legendre_01(256, 2, sqrt_endpoints=False)
         ts = np.append(rule.points, 1.0)
         full = np.cumsum(np.sqrt(np.diff(ts, prepend=0.0)) * rng.standard_normal((n, ts.size)), axis=1)
         paths, b1 = full[:, :-1], full[:, -1]
     else:
-        rule = spec.rule
         lam = np.vstack([rule.points, path_basis(spec.kernel.system, rule).values])
         coeff = rng.standard_normal((n, lam.shape[0]))
         paths, b1 = coeff @ lam, coeff[:, 0]
@@ -546,24 +560,25 @@ def test_sample_spec_moments_match_unblocked_reference(spec):
 
 def caller_thread_blocks(rng, samples, rows, width):
     """The draw loop without a worker: each block drawn in the caller's
-    thread into one reused buffer."""
-    z = np.empty((rows, width))
+    thread into the first rows of one reused, zero-initialised buffer."""
+    z = np.zeros((rows, width))
     for r0 in range(0, samples, rows):
-        zb = z[: min(rows, samples - r0)]
-        rng.standard_normal(out=zb)
-        yield r0, r0 + zb.shape[0], zb
+        r1 = min(samples, r0 + rows)
+        rng.standard_normal(out=z[: r1 - r0])
+        yield r0, r1, z
 
 
 def test_normal_blocks_continue_one_stream():
     rows, width, samples = 7, 5, 3 * 7 + 2
-    got = [(r0, r1, block.copy()) for r0, r1, block in
+    got = [(r0, r1, block.shape, block[: r1 - r0].copy()) for r0, r1, block in
            moments._normal_blocks(np.random.default_rng(3), samples, rows, width)]
-    assert [(r0, r1) for r0, r1, _ in got] == [(0, 7), (7, 14), (14, 21), (21, 23)]
+    assert [(r0, r1) for r0, r1, _, _ in got] == [(0, 7), (7, 14), (14, 21), (21, 23)]
+    assert {shape for _, _, shape, _ in got} == {(rows, width)}
     whole = np.random.default_rng(3).standard_normal((samples, width))
-    assert np.array_equal(np.vstack([b for _, _, b in got]), whole)
+    assert np.array_equal(np.vstack([b for _, _, _, b in got]), whole)
 
 
-@pytest.mark.parametrize("spec", [EB, order4_spec()], ids=["exact-brownian", "order-4"])
+@SAMPLED_SPECS
 def test_sample_spec_moments_match_caller_thread_draws(spec, monkeypatch):
     n = 3 * sample_block_rows(spec) + 5  # three whole blocks and a partial one
     drawn_ahead = sample_spec_moments(spec, n, seed=13)

@@ -304,11 +304,15 @@ def test_every_built_kernel_matrix_folds(name):
 # Trotter rungs on the quartic's 401 points and the helium cage's 501 whose
 # Z moved with the BLAS thread count while the products ran at it: with the
 # gemm squarings (n = 87, 115, 135) or with the syrk ones (115, 51); and the
-# grid eigensolve's Z of both, which moved by 4.0e-12 and 3.1e-12 unpinned
+# grid eigensolve's Z of both, which moved by 4.0e-12 and 3.1e-12 unpinned;
+# then what the pinned finite-path product builds: B1 and each M_k of two
+# seeded moment laws, and a seeded chained-path estimate
 FOLDED_Z = """
+import hashlib
 from rwpath import _parallel
-from rwpath.experiments import SYSTEMS
-from rwpath.propagation import build_matrix, dvr_partition_function, partition_function
+from rwpath.experiments import SYSTEMS, make_kernel, make_spec
+from rwpath.moments import sample_spec_moments
+from rwpath.propagation import build_matrix, dvr_partition_function, mc_density_ratio, partition_function
 from rwpath.kernels import TrotterKernel
 for name, n in (("quartic", 87), ("quartic", 115), ("he-cage", 51), ("he-cage", 135)):
     pot, params, grid = SYSTEMS[name].resolve()
@@ -318,6 +322,12 @@ for name, n in (("quartic", 87), ("quartic", 115), ("he-cage", 51), ("he-cage", 
         print(repr(partition_function(matrix)))
 for name in ("quartic", "he-cage"):
     print(repr(dvr_partition_function(*SYSTEMS[name].resolve())))
+for name in ("order4-discrete", "order4-continuous"):
+    data = sample_spec_moments(make_spec(name), 20_000, seed=5)
+    for values in (data["B1"], *data["M"].values()):
+        print(hashlib.sha1(values.tobytes()).hexdigest())
+pot, params, _ = SYSTEMS["quartic"].resolve()
+print(*map(repr, mc_density_ratio(make_kernel("order4-discrete", pot), params, 0.3, -0.2, 3, 20_000, 5)))
 """
 
 
@@ -332,7 +342,7 @@ def test_folded_z_keeps_its_bits_at_one_and_two_blas_threads():
                              env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         out.append(run.stdout.split())
-    assert len(out[0]) == 10
+    assert len(out[0]) == 26
     assert out[0] == out[1]
 
 
