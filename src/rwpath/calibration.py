@@ -10,7 +10,6 @@ systems are solved by the same damped least-squares iteration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -88,10 +87,6 @@ class CalibrationResult:
             "residual_norm": self.residual_norm,
             "iterations": self.iterations,
         }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 class CalibrationError(RuntimeError):

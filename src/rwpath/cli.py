@@ -32,7 +32,7 @@ import numpy as np
 
 from .calibration import FAMILIES, CalibrationError, calibrate
 from .experiments import SYSTEMS, ladder, make_kernel, make_spec
-from .kernels import DiscreteReweightedKernel
+from .kernels import _GH_POINTS, DiscreteReweightedKernel
 from .moments import verify_order
 from .propagation import mc_density_ratio, nmm_density_ratio
 
@@ -72,7 +72,7 @@ OPTIONS = {
     "grid_m": Option(int),
     "m_max": Option(int, 20),
     "n_ref": Option(int),
-    "gh_points": Option(int, 10),
+    "gh_points": Option(int, _GH_POINTS),
     "levels": Option(int, 3),
     "samples": Option(int, 100_000),
     "seed": Option(int, 0),

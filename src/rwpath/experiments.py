@@ -17,8 +17,8 @@ from typing import Callable, Mapping
 
 from . import _checks
 from .calibration import calibrated_system
-from .kernels import (ContinuousReweightedKernel, DiscreteReweightedKernel, PhysicalParams,
-                      ShortTimeKernel, TrotterKernel, units_constant)
+from .kernels import (_GH_POINTS, ContinuousReweightedKernel, DiscreteReweightedKernel,
+                      PhysicalParams, ShortTimeKernel, TrotterKernel, units_constant)
 from .moments import MomentSpec
 from .potentials import Potential, harmonic, he_cage, quartic
 from .processes import exact_brownian, finite_kernel
@@ -29,7 +29,7 @@ from .quadrature import endpoint_trapezoid
 __all__ = ["BenchmarkSystem", "SYSTEMS", "LadderResult", "make_kernel", "make_spec", "ladder"]
 
 
-def make_kernel(name: str, potential: Potential, gh_points: int = 10) -> ShortTimeKernel:
+def make_kernel(name: str, potential: Potential, gh_points: int = _GH_POINTS) -> ShortTimeKernel:
     """The kernel ``name`` on ``potential``: 'trotter' (endpoint splitting),
     or the reweighted kernel of a calibrated family, which averages over
     ``gh_points`` Gauss-Hermite nodes per bridge coefficient."""
@@ -105,7 +105,7 @@ class LadderResult:
 
 def ladder(
     potential: Potential, params: PhysicalParams, grid: SpatialGrid, tops: Mapping[str, int],
-    constant_top: int | None = None, n_ref: int | None = None, gh_points: int = 10,
+    constant_top: int | None = None, n_ref: int | None = None, gh_points: int = _GH_POINTS,
 ) -> LadderResult:
     """Measure the families of ``tops`` against one order-4 reference Z.
 

@@ -58,6 +58,9 @@ __all__ = [
     "DiscreteReweightedKernel",
 ]
 
+# Gauss-Hermite nodes per bridge coefficient of a reweighted kernel, unless
+# its caller asks for another count.
+_GH_POINTS = 10
 # Work unit of _ReweightedKernel.ratio: Gauss-Hermite nodes per block and
 # elements (pairs x nodes) per unit, sized so a unit's buffers stay in L2.
 _GH_BLOCK = 100
@@ -67,7 +70,7 @@ _WORK_UNIT = 65_536
 _EXP_ZERO = -746.0
 # Work a reweighted kernel may take on: entries of its Gauss-Hermite table,
 # gh_points^q x time nodes (2^24 float64 values, 128 MiB; the largest in use,
-# continuous order 4 at gh_points = 10, has 512,000), and potential points
+# continuous order 4 at the default _GH_POINTS, has 512,000), and potential points
 # of one ratio call, pairs x table entries (the largest build in use, a
 # helium order-4 rung, needs 63,001 x 4,000 = 2.52e8, 8.5x inside 2^31).
 _MAX_TABLE_ENTRIES = 2**24
@@ -179,7 +182,7 @@ class _ReweightedKernel(ShortTimeKernel):
         system: LambdaSystem,
         potential: Potential,
         time_rule: Rule1D,
-        gh_points: int = 10,
+        gh_points: int = _GH_POINTS,
     ):
         if not is_palindromic(time_rule, tol=1e-12):
             raise ValueError("time-average rule must be palindromic")
@@ -312,7 +315,7 @@ class ContinuousReweightedKernel(_ReweightedKernel):
 
     kind = "continuous-reweighted"
 
-    def __init__(self, system, potential, gh_points: int = 10):
+    def __init__(self, system, potential, gh_points: int = _GH_POINTS):
         super().__init__(system, potential, _EXACT_TIME_RULE, gh_points)
 
 

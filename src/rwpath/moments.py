@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -338,10 +337,6 @@ class OrderReport:
             "max_residual": self.max_residual,
             "entries": [e.to_dict() for e in self.entries],
         }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def verify_order(spec: MomentSpec, nu: int, tol: float | None = None) -> OrderReport:

@@ -30,9 +30,6 @@ class Potential:
     _: KW_ONLY
     params: dict
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 def quartic() -> Potential:
     """V(x) = x^4 / 2 on the whole line."""
@@ -78,41 +75,32 @@ def he_cage(
     for name, value in (("eps", eps), ("sigma_lj", sigma_lj), ("box", box)):
         _checks.positive(name, value)
 
-    def _pow6(t):
-        t2 = t * t
-        return t2 * t2 * t2
-
-    def _lj_terms(x):
-        # y^6*(y^6 - 1) form avoids inf - inf at the walls
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            y6 = _pow6(sigma_lj / x)
-            z6 = _pow6(sigma_lj / (x - box))
-        return y6, z6
+    def _sixth(d, out, scratch):
+        # (sigma_lj / d)^6 as (t^2)^2 t^2, t = sigma_lj / d, into out; scratch
+        # may alias d. np.square rounds t * t exactly as np.multiply does,
+        # but runs faster
+        np.divide(sigma_lj, d, out=scratch)
+        np.square(scratch, out=scratch)
+        np.square(scratch, out=out)
+        np.multiply(out, scratch, out=out)
 
     def value(x):
-        # 4 eps (y6 (y6 - 1) + z6 (z6 - 1)) evaluated in place in three
-        # buffers, with the operation order of _lj_terms and of that formula,
-        # so the bits match the one-temporary-per-step evaluation; np.square
-        # rounds t * t exactly as np.multiply does, but runs faster
+        # 4 eps (y6 (y6 - 1) + z6 (z6 - 1)) in place in three buffers, in that
+        # formula's operation order, so the bits match the one-temporary-per-
+        # step evaluation; the y6 (y6 - 1) form avoids inf - inf at the walls
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
-        t2 = np.empty_like(x)
-        t6 = np.empty_like(x)
+        s = np.empty_like(x)
+        p6 = np.empty_like(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(sigma_lj, x, out=t2)
-            np.square(t2, out=t2)
-            np.square(t2, out=t6)
-            np.multiply(t6, t2, out=t6)
-            np.subtract(t6, 1.0, out=out)
-            np.multiply(t6, out, out=out)
-            np.subtract(x, box, out=t2)
-            np.divide(sigma_lj, t2, out=t2)
-            np.square(t2, out=t2)
-            np.square(t2, out=t6)
-            np.multiply(t6, t2, out=t6)
-            np.subtract(t6, 1.0, out=t2)
-            np.multiply(t6, t2, out=t2)
-            np.add(out, t2, out=out)
+            _sixth(x, p6, s)
+            np.subtract(p6, 1.0, out=out)
+            np.multiply(p6, out, out=out)
+            np.subtract(x, box, out=s)
+            _sixth(s, p6, s)
+            np.subtract(p6, 1.0, out=s)
+            np.multiply(p6, s, out=s)
+            np.add(out, s, out=out)
             np.multiply(out, 4.0 * eps, out=out)
         # most blocks lie inside (0, box) and skip the mask; NaN, +-inf and
         # empty input fail the test and take it, and NaN stays NaN
@@ -122,11 +110,12 @@ def he_cage(
 
     def deriv1(x):
         x = np.asarray(x, dtype=float)
-        y6, z6 = _lj_terms(x)
+        xb = x - box
+        y6, z6, s = np.empty_like(x), np.empty_like(x), np.empty_like(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = 4.0 * eps * (
-                (-12.0 * y6 * y6 + 6.0 * y6) / x + (-12.0 * z6 * z6 + 6.0 * z6) / (x - box)
-            )
+            _sixth(x, y6, s)
+            _sixth(xb, z6, s)
+            d = 4.0 * eps * ((-12.0 * y6 * y6 + 6.0 * y6) / x + (-12.0 * z6 * z6 + 6.0 * z6) / xb)
         out = np.where((x <= 0.0) | (x >= box), np.inf, d)
         return float(out) if out.ndim == 0 else out
 

@@ -7,6 +7,8 @@ moved; a line that moves names the output that lost its bits. Each line is
 ``label value``. The value is a sha1 of the raw float64 bytes, a ``repr``,
 or both. It prints:
 
+- the hash of the helium cage's force, ``he_cage().deriv1``, on its
+  default grid;
 - per benchmark system (on a coarse grid) and kernel: the ``build_matrix``
   hash and Z at n = 0 and 7;
 - per system with a ladder: its order-4 ``reference_z`` at the default
@@ -47,6 +49,8 @@ def sha1(*arrays) -> str:
 
 def fingerprints():
     """Yield (label, value) pairs in a fixed order."""
+    pot, _, grid = SYSTEMS["he-cage"].resolve()
+    yield f"deriv1/he-cage/points={grid.points.size}", sha1(pot.deriv1(grid.points))
     for name, cells in CELLS.items():
         pot, params, grid = SYSTEMS[name].resolve(cells=cells)
         for kind in KERNELS:

@@ -3,9 +3,9 @@
 Heavy artifacts (references, ladders, Monte Carlo samples) are shared
 through module-scoped fixtures; each criterion prints its own pass/fail
 line (visible with ``pytest -s``). The full module is the long end of the
-test suite: ``pytest -s tests/test_acceptance.py`` took 120 s on a 2-vCPU
-Intel Xeon VM (numpy 2.4.6, OpenBLAS), 108 s of it in the
-convergence-order ladders.
+test suite: ``pytest -s tests/test_acceptance.py`` took 98 s on 2026-10-22
+on a 2-vCPU Intel Xeon VM (numpy 2.4.6, OpenBLAS), 86 s of it in the
+convergence-order ladders (the criterion-5 fixture set-up).
 """
 
 import json

@@ -105,7 +105,7 @@ from rwpath import (
     variance_identity_error,
     verify_order,
 )
-from rwpath import _checks
+from rwpath import _checks, cli, kernels
 
 
 class Refused(tuple):
@@ -395,7 +395,7 @@ ROWS = {
         note="value is elementwise and passes NaN through",
     ),
     "custom_potential": Row(
-        lambda x=0.5: custom_potential(np.abs, np.sign)(x),
+        lambda x=0.5: custom_potential(np.abs, np.sign).value(x),
         at_nan={"x": NAN},
         note="wraps user code; a wall is where its value is +inf",
     ),
@@ -994,3 +994,15 @@ def test_only_the_experiment_table_writes_the_benchmark_set_ups():
     assert demos.is_dir()
     paths = [p for p in SRC + sorted(demos.glob("*.py")) if p != SRC_DIR / "experiments.py"]
     assert matching_lines(r"(?<![\d.])(5\.11|968|904)(?!\d)", paths) == []
+
+
+def test_only_the_kernels_module_writes_the_gauss_hermite_default():
+    # the count of Gauss-Hermite nodes per bridge coefficient is written once;
+    # every default of it, the CLI's included, reads that one constant
+    written = matching_lines(r"(?i)(gh_points|gauss.hermite).*(?<![\w.-])10(?![\w.])", SRC)
+    assert written == matching_lines(r"^_GH_POINTS = 10$", SRC)
+    assert [line.split(":")[0] for line in written] == ["kernels.py"]
+    defaults = [inspect.signature(fn).parameters["gh_points"].default
+                for fn in (make_kernel, ladder, kernels._ReweightedKernel,
+                           ContinuousReweightedKernel, DiscreteReweightedKernel)]
+    assert defaults + [cli.OPTIONS["gh_points"].default] == [kernels._GH_POINTS] * 6

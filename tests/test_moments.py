@@ -373,7 +373,7 @@ def test_order_report_json_round_trip():
     import json
 
     report = verify_order(trotter_spec(), 1)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     assert payload["nu"] == 1
     assert payload["pass"] is True
     assert {"index", "lhs", "rhs", "residual", "pass"} <= set(payload["entries"][0])

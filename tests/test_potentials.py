@@ -68,20 +68,21 @@ def test_he_cage_walls_are_infinite_not_errors():
     assert not np.any(np.isnan(vals))
 
 
+def pow6(t):
+    t2 = t * t
+    return t2 * t2 * t2
+
+
 def lj_cage_reference(x, eps=10.22, sig=2.556, box=7.153):
     """The textbook cage formula, one temporary per step, in the operation
-    order he_cage fuses: (t^2 t^2) t^2 and 4 eps (y6 (y6 - 1) + z6 (z6 - 1))."""
-
-    def pow6(t):
-        t2 = t * t
-        return t2 * t2 * t2
-
+    order he_cage fuses: (t^2 t^2) t^2 and 4 eps (y6 (y6 - 1) + z6 (z6 - 1)),
+    +inf outside (0, box) and NaN at NaN."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y6 = pow6(sig / x)
         z6 = pow6(sig / (x - box))
         v = 4.0 * eps * (y6 * (y6 - 1.0) + z6 * (z6 - 1.0))
-    return np.where((x > 0.0) & (x < box), v, np.inf)
+    return np.where((x <= 0.0) | (x >= box), np.inf, v)
 
 
 def test_he_cage_fused_value_is_bit_identical_to_textbook_formula():
@@ -103,6 +104,46 @@ def test_he_cage_fused_value_is_bit_identical_to_textbook_formula():
         assert got == float(lj_cage_reference(scalar))
     ints = np.arange(-1, 9)
     assert np.array_equal(pot.value(ints), lj_cage_reference(ints.astype(float)))
+
+
+def lj_cage_force_reference(x, eps=10.22, sig=2.556, box=7.153):
+    """he_cage().deriv1 in its textbook form, one temporary per step:
+    4 eps ((-12 y6 y6 + 6 y6) / x + (-12 z6 z6 + 6 z6) / (x - box)), with y6
+    and z6 as (t^2 t^2) t^2, and +inf outside (0, box)."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y6 = pow6(sig / x)
+        z6 = pow6(sig / (x - box))
+        d = 4.0 * eps * ((-12.0 * y6 * y6 + 6.0 * y6) / x + (-12.0 * z6 * z6 + 6.0 * z6) / (x - box))
+    return np.where((x <= 0.0) | (x >= box), np.inf, d)
+
+
+BOX = 7.153
+# both walls, +-0, one ulp inside and outside each wall, the centre, +-inf, NaN
+CAGE_SPECIAL = {
+    "left-wall": 0.0, "minus-zero": -0.0, "right-wall": BOX,
+    "ulp-inside-left": float(np.nextafter(0.0, 1.0)), "ulp-outside-left": float(np.nextafter(-0.0, -1.0)),
+    "ulp-inside-right": float(np.nextafter(BOX, 0.0)), "ulp-outside-right": float(np.nextafter(BOX, math.inf)),
+    "centre": BOX / 2, "plus-inf": math.inf, "minus-inf": -math.inf, "nan": math.nan,
+}
+CAGE_POINTS = np.concatenate([np.linspace(-1.0, 8.0, 989), list(CAGE_SPECIAL.values())])
+CAGE_REFERENCE = {"value": lj_cage_reference, "deriv1": lj_cage_force_reference}
+
+
+@pytest.mark.parametrize("which", list(CAGE_REFERENCE))
+@pytest.mark.parametrize(
+    "x",
+    [CAGE_POINTS, CAGE_POINTS.reshape(40, 25), np.empty(0), *CAGE_SPECIAL.values(), np.array(BOX / 2)],
+    ids=["points", "2d", "empty", *CAGE_SPECIAL, "0d-array"],
+)
+def test_he_cage_energy_and_force_keep_the_textbook_bits(which, x):
+    # the energy and the force share one (sigma / d)^6 routine; both keep
+    # the bits of the one-temporary-per-step formulas on every kind of point
+    got = getattr(he_cage(), which)(x)
+    assert np.array_equal(got, CAGE_REFERENCE[which](x), equal_nan=True)
+    assert np.shape(got) == np.shape(x)
+    if np.ndim(x) == 0:
+        assert type(got) is float
 
 
 def masked_he_cage_value(x, eps=10.22, sigma_lj=2.556, box=7.153):
